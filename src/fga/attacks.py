@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_after, recompute_flat
+from .engine import FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
+from .engine import recompute_after  # noqa: F401  public re-export
 from .graph import Wsn
 
 #: Measurement-grade settings; attack deltas are asserted at 1e-9 downstream.
@@ -147,54 +148,100 @@ class ExhaustiveSearchResult:
 
 
 # -- shared internals ------------------------------------------------------
-
-
-def _apply_rating(graph: Wsn, attacker: int, rated: int, weight: float) -> tuple[AttackMove, float | None]:
-    """Rate and return the move plus the previous weight (None for a new edge)."""
-    previous = graph.weight(attacker, rated) if graph.has_edge(attacker, rated) else None
-    kind = graph.rate(attacker, rated, weight)
-    return AttackMove(kind=kind, attacker=attacker, rated=rated, weight=weight), previous
-
-
-def _revert_rating(graph: Wsn, attacker: int, rated: int, previous: float | None) -> None:
-    if previous is None:
-        graph.remove_edge(attacker, rated)
-    else:
-        graph.update_weight(attacker, rated, previous)
+# Attacks re-solve overlays of the graph's cached FlatEdges, never writing the
+# base arrays, and build ``graph_after`` once, at the end, from the move log.
 
 
 def _by_descending_fairness(attackers, scores: FgaScores) -> list[int]:
     return sorted(set(attackers), key=lambda a: (-scores.fairness[a], a))
 
 
-def _indirect_candidates(graph: Wsn, target: int, attacker: int) -> list[int]:
-    candidates: set[int] = set()
-    for n1 in graph.pred(target):
-        candidates.update(graph.succ(n1))
-    candidates.discard(target)
-    candidates.discard(attacker)
-    return sorted(candidates)
+def _moves(flat: FlatEdges, edits) -> list[AttackMove]:
+    """Moves for one group of edits on distinct edges, classified against ``flat``."""
+    return [
+        AttackMove(KIND_UPDATE if flat.has_edge(a, r) else KIND_ADD, a, r, w) for a, r, w in edits
+    ]
+
+
+def _rate_all(
+    flat: FlatEdges, scores: FgaScores, edits, config: FgaConfig
+) -> tuple[FlatEdges, FgaScores, list[AttackMove]]:
+    """Apply one group of edits to the view and re-solve warm from ``scores``."""
+    moves = _moves(flat, edits)
+    if not moves:
+        return flat, scores, moves
+    view = flat.with_ratings(edits)
+    return view, recompute_flat(view, scores, config), moves
+
+
+def _graph_after(graph: Wsn, moves: list[AttackMove]) -> Wsn:
+    work = graph.copy()
+    for move in moves:
+        work.rate(move.attacker, move.rated, move.weight)
+    return work
+
+
+def _indirect_candidates(flat: FlatEdges, target: int, attacker: int) -> list[int]:
+    """Successors of the target's raters, ascending, without the target and attacker."""
+    rated = np.zeros(flat.n, dtype=bool)
+    rated[flat.dst[np.isin(flat.src, flat.src[flat.dst == target])]] = True
+    rated[[target, attacker]] = False
+    return np.flatnonzero(rated).tolist()
 
 
 def _best_candidate(
-    graph: Wsn, scores: FgaScores, attacker: int, target: int, config: FgaConfig
-) -> tuple[int, float, float] | None:
-    """Scan (successor, +-1) candidates; return (rated, weight, goodness after) or None.
+    flat: FlatEdges, scores: FgaScores, attacker: int, target: int, config: FgaConfig
+) -> tuple[int, float, FlatEdges, FgaScores] | None:
+    """Scan (successor, +-1) candidates; return (rated, weight, view, scores after) or None.
 
     Iteration runs in ascending id with +1 before -1, and a replacement must
     beat the incumbent by more than TIE_TOLERANCE, which implements the
-    deterministic tie-break. Candidates are scored on single-edit views of
-    the flattened edge list, so the graph itself is never touched.
+    deterministic tie-break. Each candidate is scored on a single-edit view.
     """
-    flat = FlatEdges.from_graph(graph)
-    best: tuple[int, float, float] | None = None
-    for rated in _indirect_candidates(graph, target, attacker):
+    best = None
+    best_value = math.inf
+    for rated in _indirect_candidates(flat, target, attacker):
         for weight in (1.0, -1.0):
-            after = recompute_flat(flat.with_rating(attacker, rated, weight), scores, config)
+            view = flat.with_rating(attacker, rated, weight)
+            after = recompute_flat(view, scores, config)
             value = float(after.goodness[target])
-            if best is None or value < best[2] - TIE_TOLERANCE:
-                best = (rated, weight, value)
+            if best is None or value < best_value - TIE_TOLERANCE:
+                best, best_value = (rated, weight, view, after), value
     return best
+
+
+def _indirect_scan(
+    flat: FlatEdges,
+    scores: FgaScores,
+    ordered: list[int],
+    target: int,
+    config: FgaConfig,
+    scale: int,
+    max_edges: int,
+) -> tuple[FgaScores, list[AttackMove], bool]:
+    """Greedy picks for the attackers in order; returns (scores, moves, exhausted).
+
+    Each pick, scanned for the attacker at the cursor, is rated by the next
+    min(scale * indeg(rated), max_edges, attackers left) attackers; scale and
+    max_edges of 1 give one edge per attacker.
+    """
+    moves: list[AttackMove] = []
+    i = 0
+    while i < len(ordered):
+        best = _best_candidate(flat, scores, ordered[i], target, config)
+        if best is None:
+            return scores, moves, True
+        rated, weight, view, after = best
+        size = min(scale * int(flat.indeg[rated]), max_edges, len(ordered) - i)
+        edits = [(a, rated, weight) for a in ordered[i : i + size] if a != rated]
+        if len(edits) == 1:  # exactly the scanned candidate, already solved
+            moves += _moves(flat, edits)
+            flat, scores = view, after
+        else:
+            flat, scores, batch = _rate_all(flat, scores, edits, config)
+            moves += batch
+        i += size
+    return scores, moves, False
 
 
 def _outcome(
@@ -218,10 +265,16 @@ def _outcome(
 
 
 # -- attack algorithms -------------------------------------------------------
+# ``before`` is the converged scores of ``graph`` under ``config``; when it is
+# omitted, the attack solves for them itself.
 
 
 def direct_attack(
-    graph: Wsn, attackers, target: int, config: FgaConfig | None = None
+    graph: Wsn,
+    attackers,
+    target: int,
+    config: FgaConfig | None = None,
+    before: FgaScores | None = None,
 ) -> AttackOutcome:
     """Every attacker rates the target with the worst possible weight -1.
 
@@ -232,18 +285,19 @@ def direct_attack(
     attackers = sorted(set(attackers))
     if target in attackers:
         raise ValueError("the target cannot attack itself")
-    before = compute_fga(graph, config)
-    work = graph.copy()
-    moves = []
-    for attacker in attackers:
-        move, _ = _apply_rating(work, attacker, target, -1.0)
-        moves.append(move)
-    after = recompute_after(work, before, config) if moves else before
-    return _outcome(moves, before, after, work, (target,))
+    if before is None:
+        before = compute_fga(graph, config)
+    edits = [(attacker, target, -1.0) for attacker in attackers]
+    _, after, moves = _rate_all(graph.flat(), before, edits, config)
+    return _outcome(moves, before, after, _graph_after(graph, moves), (target,))
 
 
 def indirect_attack_greedy(
-    graph: Wsn, attackers, target: int, config: FgaConfig | None = None
+    graph: Wsn,
+    attackers,
+    target: int,
+    config: FgaConfig | None = None,
+    before: FgaScores | None = None,
 ) -> AttackOutcome:
     """One edge per attacker, highest-fairness attackers first.
 
@@ -251,25 +305,9 @@ def indirect_attack_greedy(
     whichever of +1 / -1 lowers the target's recomputed goodness the most.
     Running out of eligible successors reports exhaustion, not failure.
     """
-    config = config or ATTACK_CONFIG
-    before = compute_fga(graph, config)
-    ordered = _by_descending_fairness(attackers, before)
-    if target in ordered:
-        raise ValueError("the target cannot attack itself")
-    work = graph.copy()
-    current = before
-    moves: list[AttackMove] = []
-    exhausted = False
-    for attacker in ordered:
-        best = _best_candidate(work, current, attacker, target, config)
-        if best is None:
-            exhausted = True
-            break
-        rated, weight, _ = best
-        move, _ = _apply_rating(work, attacker, rated, weight)
-        moves.append(move)
-        current = recompute_after(work, current, config)
-    return _outcome(moves, before, current, work, (target,), exhausted=exhausted)
+    return indirect_attack_scaled(
+        graph, attackers, target, scale=1, max_edges=1, config=config, before=before
+    )
 
 
 def indirect_attack_scaled(
@@ -279,6 +317,7 @@ def indirect_attack_scaled(
     scale: int = 5,
     max_edges: int = 10,
     config: FgaConfig | None = None,
+    before: FgaScores | None = None,
 ) -> AttackOutcome:
     """Greedy pick as above, but each pick is amplified into a batch of edges.
 
@@ -289,30 +328,15 @@ def indirect_attack_scaled(
     if scale < 1 or max_edges < 1:
         raise ValueError("scale and max_edges must be >= 1")
     config = config or ATTACK_CONFIG
-    before = compute_fga(graph, config)
+    if before is None:
+        before = compute_fga(graph, config)
     ordered = _by_descending_fairness(attackers, before)
     if target in ordered:
         raise ValueError("the target cannot attack itself")
-    work = graph.copy()
-    current = before
-    moves: list[AttackMove] = []
-    exhausted = False
-    i = 0
-    while i < len(ordered):
-        best = _best_candidate(work, current, ordered[i], target, config)
-        if best is None:
-            exhausted = True
-            break
-        rated, weight, _ = best
-        batch_size = min(scale * work.indeg(rated), max_edges, len(ordered) - i)
-        for attacker in ordered[i : i + batch_size]:
-            if attacker == rated:
-                continue
-            move, _ = _apply_rating(work, attacker, rated, weight)
-            moves.append(move)
-        current = recompute_after(work, current, config)
-        i += batch_size
-    return _outcome(moves, before, current, work, (target,), exhausted=exhausted)
+    after, moves, exhausted = _indirect_scan(
+        graph.flat(), before, ordered, target, config, scale, max_edges
+    )
+    return _outcome(moves, before, after, _graph_after(graph, moves), (target,), exhausted)
 
 
 def mixed_attack(
@@ -322,6 +346,7 @@ def mixed_attack(
     k1: int,
     k2: int,
     config: FgaConfig | None = None,
+    before: FgaScores | None = None,
 ) -> MixedAttackOutcome:
     """k1 attackers rate the target directly, then k2 run the greedy indirect attack.
 
@@ -336,30 +361,15 @@ def mixed_attack(
         raise ValueError("the target cannot attack itself")
     if k1 + k2 > len(pool):
         raise ValueError(f"need {k1 + k2} distinct attackers, have {len(pool)}")
-    before = compute_fga(graph, config)
+    if before is None:
+        before = compute_fga(graph, config)
     ordered = _by_descending_fairness(pool, before)
-    direct_set = ordered[:k1]
-    indirect_set = ordered[k1 : k1 + k2]
-
-    work = graph.copy()
-    direct_moves = []
-    for attacker in direct_set:
-        move, _ = _apply_rating(work, attacker, target, -1.0)
-        direct_moves.append(move)
-    mid = recompute_after(work, before, config) if direct_moves else before
+    edits = [(attacker, target, -1.0) for attacker in ordered[:k1]]
+    flat, mid, direct_moves = _rate_all(graph.flat(), before, edits, config)
     delta_direct = float(mid.goodness[target] - before.goodness[target])
-
-    current = mid
-    indirect_moves: list[AttackMove] = []
-    for attacker in indirect_set:
-        best = _best_candidate(work, current, attacker, target, config)
-        if best is None:
-            break
-        rated, weight, _ = best
-        move, _ = _apply_rating(work, attacker, rated, weight)
-        indirect_moves.append(move)
-        current = recompute_after(work, current, config)
-
+    current, indirect_moves, _ = _indirect_scan(
+        flat, mid, ordered[k1 : k1 + k2], target, config, scale=1, max_edges=1
+    )
     delta_total = float(current.goodness[target] - before.goodness[target])
     return MixedAttackOutcome(
         target=target,
@@ -367,7 +377,7 @@ def mixed_attack(
         indirect_moves=indirect_moves,
         scores_before=before,
         scores_after=current,
-        graph_after=work,
+        graph_after=_graph_after(graph, direct_moves + indirect_moves),
         delta_direct=delta_direct,
         delta_indirect=delta_total - delta_direct,
         delta_total=delta_total,
@@ -446,7 +456,7 @@ def solve_exhaustive(
         )
 
     base = compute_fga(graph, config)
-    work = graph.copy()
+    flat = graph.flat()
     best_value = _objective(problem, base)
     best_combo: tuple[tuple[int, int, float], ...] = ()
     enumerated = 1
@@ -456,25 +466,14 @@ def solve_exhaustive(
             touched = {(a, v) for a, v, _ in combo}
             if len(touched) < size:
                 continue  # two moves on one edge collapse to the later one
-            undo = []
-            for attacker, rated, weight in combo:
-                _, previous = _apply_rating(work, attacker, rated, weight)
-                undo.append((attacker, rated, previous))
-            try:
-                value = _objective(problem, recompute_after(work, base, config))
-            finally:
-                for attacker, rated, previous in reversed(undo):
-                    _revert_rating(work, attacker, rated, previous)
+            value = _objective(problem, recompute_flat(flat.with_ratings(combo), base, config))
             enumerated += 1
             if (value < best_value) if minimize else (value > best_value):
                 best_value = value
                 best_combo = combo
 
-    final_graph = graph.copy()
-    moves = []
-    for attacker, rated, weight in best_combo:
-        move, _ = _apply_rating(final_graph, attacker, rated, weight)
-        moves.append(move)
+    moves = _moves(flat, best_combo)
+    final_graph = _graph_after(graph, moves)
     final = compute_fga(final_graph, config)
     targets = problem.targets if problem.targets is not None else tuple(
         node for pair in problem.target_pairs for node in pair
@@ -498,31 +497,27 @@ def solve_exhaustive(
 
 
 def qualifying_targets(graph: Wsn, scores: FgaScores, criteria: SelectionCriteria) -> list[int]:
-    return [
-        v
-        for v in graph.nodes()
-        if 0 < graph.indeg(v) < criteria.target_max_indeg
-        and scores.goodness[v] >= criteria.target_min_goodness
-    ]
+    indeg = graph.flat().indeg
+    return np.flatnonzero(
+        (indeg > 0)
+        & (indeg < criteria.target_max_indeg)
+        & (scores.goodness >= criteria.target_min_goodness)
+    ).tolist()
 
 
 def qualifying_attackers(
     graph: Wsn, scores: FgaScores, criteria: SelectionCriteria, attacker_class: str
 ) -> list[int]:
+    flat = graph.flat()
     if attacker_class == "established":
-        return [
-            v
-            for v in graph.nodes()
-            if graph.outdeg(v) > criteria.established_min_outdeg
-            and scores.fairness[v] > criteria.established_min_fairness
-        ]
-    if attacker_class == "fresh":
-        return [
-            v
-            for v in graph.nodes()
-            if 0 < graph.indeg(v) < criteria.fresh_max_indeg and graph.outdeg(v) == 0
-        ]
-    raise ValueError(f"unknown attacker class {attacker_class!r}")
+        mask = (flat.outdeg > criteria.established_min_outdeg) & (
+            scores.fairness > criteria.established_min_fairness
+        )
+    elif attacker_class == "fresh":
+        mask = (flat.indeg > 0) & (flat.indeg < criteria.fresh_max_indeg) & (flat.outdeg == 0)
+    else:
+        raise ValueError(f"unknown attacker class {attacker_class!r}")
+    return np.flatnonzero(mask).tolist()
 
 
 def _sample(pool: list[int], count: int, rng: np.random.Generator, what: str) -> list[int]:

@@ -21,7 +21,7 @@ from .attacks import (
     select_attackers,
     select_targets,
 )
-from .engine import compute_fga
+from .engine import FgaConfig, FgaScores, compute_fga
 from .graph import Wsn
 
 MODES = ("direct", "indirect", "indirect-scaled", "mixed")
@@ -146,7 +146,7 @@ def _cell_sort_key(label: str) -> tuple:
 
 def _run_sample(
     graph: Wsn,
-    base_scores,
+    base_scores: FgaScores,
     config: ExperimentConfig,
     cell: tuple,
     cell_index: int,
@@ -171,25 +171,25 @@ def _run_sample(
         "target": graph.label_of(target),
         "attackers": [graph.label_of(a) for a in attackers],
     }
+    common = {"config": attack_config, "before": base_scores}
     if config.mode == "direct":
-        outcome = direct_attack(graph, attackers, target, attack_config)
+        outcome = direct_attack(graph, attackers, target, **common)
         record["delta"] = outcome.delta_goodness[target]
         graph_after = outcome.graph_after
     elif config.mode == "indirect":
-        outcome = indirect_attack_greedy(graph, attackers, target, attack_config)
+        outcome = indirect_attack_greedy(graph, attackers, target, **common)
         record["delta"] = outcome.delta_goodness[target]
         record["moves"] = len(outcome.moves)
         graph_after = outcome.graph_after
     elif config.mode == "indirect-scaled":
         outcome = indirect_attack_scaled(
-            graph, attackers, target, scale=config.scale, max_edges=config.max_edges,
-            config=attack_config,
+            graph, attackers, target, scale=config.scale, max_edges=config.max_edges, **common
         )
         record["delta"] = outcome.delta_goodness[target]
         record["moves"] = len(outcome.moves)
         graph_after = outcome.graph_after
     else:
-        mixed = mixed_attack(graph, attackers, target, cell[0], cell[1], attack_config)
+        mixed = mixed_attack(graph, attackers, target, cell[0], cell[1], **common)
         record["delta"] = mixed.delta_total
         record["delta_direct"] = mixed.delta_direct
         record["delta_indirect"] = mixed.delta_indirect
@@ -211,6 +211,7 @@ def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
     field enough qualifying nodes are reported in ``errors``, not raised.
     """
     attack_config = ATTACK_CONFIG
+    # Also fills the graph's cached flat edges before any worker thread reads them.
     base_scores = compute_fga(graph, attack_config)
     cells = _cells(config)
     tasks = [

@@ -8,13 +8,14 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import axioms, bounds, campaign as campaign_mod, dataio, generators
+from . import axioms, bounds, campaign as campaign_mod, dataio, gadgets, generators
 from .attacks import (
     ATTACK_CONFIG,
     InstanceTooLargeError,
@@ -62,7 +63,7 @@ def _parse_generate(spec: str, seed: int) -> Wsn:
     if kind == "complete":
         return generators.generate_complete_positive(int(params.get("n", 5)))
     if kind == "star":
-        graph, _, _, _ = generators.generate_stabilised_star(
+        graph, _, _, _ = gadgets.stabilised_star(
             int(params.get("k", 2)), int(params.get("l", 5)),
             influencer_fairness=params.get("fairness", 1.0),
         )
@@ -156,6 +157,14 @@ def _pick_target(args, graph, scores, criteria, rng):
     return select_targets(graph, scores, criteria, 1, rng)[0]
 
 
+def _move_rows(graph, moves) -> list[dict]:
+    return [
+        {"kind": m.kind, "attacker": graph.label_of(m.attacker),
+         "rated": graph.label_of(m.rated), "weight": m.weight}
+        for m in moves
+    ]
+
+
 def _cmd_attack(args) -> int:
     graph = _load_graph(args)
     scores = compute_fga(graph, ATTACK_CONFIG)
@@ -174,24 +183,20 @@ def _cmd_attack(args) -> int:
         "attackers": [graph.label_of(a) for a in attackers],
     }
     if args.mode == "direct":
-        outcome = direct_attack(graph, attackers, target)
+        outcome = direct_attack(graph, attackers, target, before=scores)
     elif args.mode == "indirect":
-        outcome = indirect_attack_greedy(graph, attackers, target)
+        outcome = indirect_attack_greedy(graph, attackers, target, before=scores)
     elif args.mode == "indirect-scaled":
         outcome = indirect_attack_scaled(
-            graph, attackers, target, scale=args.scale, max_edges=args.max_edges
+            graph, attackers, target, scale=args.scale, max_edges=args.max_edges, before=scores
         )
     elif args.mode == "mixed":
-        mixed = mixed_attack(graph, attackers, target, args.k1, args.k2)
+        mixed = mixed_attack(graph, attackers, target, args.k1, args.k2, before=scores)
         payload.update({
             "delta_direct": mixed.delta_direct,
             "delta_indirect": mixed.delta_indirect,
             "delta_total": mixed.delta_total,
-            "moves": [
-                {"kind": m.kind, "attacker": graph.label_of(m.attacker),
-                 "rated": graph.label_of(m.rated), "weight": m.weight}
-                for m in mixed.direct_moves + mixed.indirect_moves
-            ],
+            "moves": _move_rows(graph, mixed.direct_moves + mixed.indirect_moves),
         })
         _emit(args, payload)
         return EXIT_OK
@@ -213,11 +218,7 @@ def _cmd_attack(args) -> int:
             "feasible": result.feasible,
             "objective_value": result.objective_value,
             "sets_enumerated": result.sets_enumerated,
-            "moves": [
-                {"kind": m.kind, "attacker": graph.label_of(m.attacker),
-                 "rated": graph.label_of(m.rated), "weight": m.weight}
-                for m in result.moves
-            ],
+            "moves": _move_rows(graph, result.moves),
         })
         _emit(args, payload)
         return EXIT_OK
@@ -226,11 +227,7 @@ def _cmd_attack(args) -> int:
         "goodness_before": float(outcome.scores_before.goodness[target]),
         "goodness_after": float(outcome.scores_after.goodness[target]),
         "exhausted": outcome.exhausted,
-        "moves": [
-            {"kind": m.kind, "attacker": graph.label_of(m.attacker),
-             "rated": graph.label_of(m.rated), "weight": m.weight}
-            for m in outcome.moves
-        ],
+        "moves": _move_rows(graph, outcome.moves),
     })
     _emit(args, payload)
     return EXIT_OK
@@ -269,23 +266,19 @@ def _cmd_campaign(args) -> int:
             args.dataset, mode=args.mode, seed=args.seed,
             attacker_class=args.attacker_class, cold=args.cold, jobs=args.jobs,
         )
-        if args.samples is not None:
-            config.samples = args.samples
     else:
         config = campaign_mod.ExperimentConfig(
-            mode=args.mode,
-            samples=args.samples if args.samples is not None else 10,
-            attacker_class=args.attacker_class,
-            seed=args.seed,
-            cold=args.cold,
-            jobs=args.jobs,
-            generator=args.generate,
+            mode=args.mode, attacker_class=args.attacker_class, seed=args.seed,
+            cold=args.cold, jobs=args.jobs, generator=args.generate,
         )
+    overrides: dict = {}
+    if args.samples is not None:
+        overrides["samples"] = args.samples
     if args.k_values:
         ks = tuple(int(x) for x in args.k_values.split(","))
-        config.k_values = ks
-        config.k1_values = ks
-        config.k2_values = ks
+        overrides.update(k_values=ks, k1_values=ks, k2_values=ks)
+    # replace() re-runs the config's validation on the overridden fields
+    config = dataclasses.replace(config, **overrides)
     result = campaign_mod.run_campaign(graph, config)
     written = campaign_mod.report(result, out_dir, fmt=fmt)
     for path in written:

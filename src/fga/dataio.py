@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,9 +61,11 @@ def load_rating_csv(path, scale: RatingScale, dedup: bool = True) -> Wsn:
                     raise ValueError(
                         f"{path}: line {line_no}: timestamp {row[3]!r} is not a number"
                     ) from None
+            if not math.isfinite(timestamp):
+                raise ValueError(f"{path}: line {line_no}: timestamp {row[3]!r} is not finite")
             if source_label == target_label:
                 raise ValueError(f"{path}: line {line_no}: self-rating {source_label!r}")
-            if abs(raw) > scale.r_max:
+            if not abs(raw) <= scale.r_max:  # also rejects nan
                 raise ValueError(
                     f"{path}: line {line_no}: rating {raw} outside [-{scale.r_max}, {scale.r_max}]"
                 )

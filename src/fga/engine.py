@@ -15,6 +15,11 @@ part of the definition and are re-applied on every sweep. Iteration starts
 from f = g = 1 and alternates a full goodness sweep (using the previous
 fairness) with a full fairness sweep (using the fresh goodness). Per-sweep
 error to the limit halves, so roughly 27 sweeps reach 1e-8.
+
+Every solve sweeps a ``FlatEdges``: ``compute_fga`` and ``recompute_after``
+read the graph's cached one, and ``recompute_flat`` takes an edited view
+from ``FlatEdges.with_ratings`` directly, so a warm re-solve after k edits
+never re-flattens the graph.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Wsn
+from .graph import FlatEdges, Wsn
 
 
 @dataclass(frozen=True)
@@ -79,70 +84,6 @@ class FgaScores:
         )
 
 
-class FlatEdges:
-    """Edge arrays in canonical (src, dst) order plus degree vectors.
-
-    The canonical order makes float accumulation independent of edge
-    insertion history, so identical graphs give bit-identical scores.
-    ``with_rating`` produces a cheaply edited view (one weight changed or one
-    edge appended), which lets attack searches score hundreds of candidate
-    moves without re-flattening or touching the graph.
-    """
-
-    __slots__ = ("n", "src", "dst", "w", "indeg", "outdeg", "_index")
-
-    def __init__(self, n, src, dst, w, indeg, outdeg, index=None):
-        self.n = n
-        self.src = src
-        self.dst = dst
-        self.w = w
-        self.indeg = indeg
-        self.outdeg = outdeg
-        self._index = index
-
-    @classmethod
-    def from_graph(cls, graph: Wsn) -> "FlatEdges":
-        n = graph.node_count
-        m = graph.edge_count
-        src = np.empty(m, dtype=np.int64)
-        dst = np.empty(m, dtype=np.int64)
-        w = np.empty(m, dtype=np.float64)
-        for i, (u, v, weight) in enumerate(graph.edges()):
-            src[i] = u
-            dst[i] = v
-            w[i] = weight
-        indeg = np.bincount(dst, minlength=n).astype(np.float64)
-        outdeg = np.bincount(src, minlength=n).astype(np.float64)
-        return cls(n, src, dst, w, indeg, outdeg)
-
-    def _edge_index(self) -> dict:
-        if self._index is None:
-            self._index = {
-                (int(u), int(v)): i for i, (u, v) in enumerate(zip(self.src, self.dst))
-            }
-        return self._index
-
-    def with_rating(self, u: int, v: int, weight: float) -> "FlatEdges":
-        """View with (u, v) set to ``weight``, appending the edge if absent."""
-        idx = self._edge_index().get((u, v))
-        if idx is not None:
-            w = self.w.copy()
-            w[idx] = weight
-            return FlatEdges(self.n, self.src, self.dst, w, self.indeg, self.outdeg, self._index)
-        indeg = self.indeg.copy()
-        outdeg = self.outdeg.copy()
-        indeg[v] += 1
-        outdeg[u] += 1
-        return FlatEdges(
-            self.n,
-            np.append(self.src, u),
-            np.append(self.dst, v),
-            np.append(self.w, weight),
-            indeg,
-            outdeg,
-        )
-
-
 def _iterate_flat(
     flat: FlatEdges, fairness: np.ndarray, goodness: np.ndarray, config: FgaConfig
 ) -> FgaScores:
@@ -185,10 +126,6 @@ def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = 
     return _iterate_flat(flat, warm.fairness.copy(), warm.goodness.copy(), config)
 
 
-def _iterate(graph: Wsn, fairness: np.ndarray, goodness: np.ndarray, config: FgaConfig) -> FgaScores:
-    return _iterate_flat(FlatEdges.from_graph(graph), fairness, goodness, config)
-
-
 def compute_fga(graph: Wsn, config: FgaConfig | None = None) -> FgaScores:
     """Run the fixed-point iteration from the all-ones start.
 
@@ -197,7 +134,7 @@ def compute_fga(graph: Wsn, config: FgaConfig | None = None) -> FgaScores:
     """
     config = config or DEFAULT_CONFIG
     n = graph.node_count
-    return _iterate(graph, np.ones(n), np.ones(n), config)
+    return _iterate_flat(graph.flat(), np.ones(n), np.ones(n), config)
 
 
 def recompute_after(graph: Wsn, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
@@ -217,7 +154,7 @@ def recompute_after(graph: Wsn, warm: FgaScores, config: FgaConfig | None = None
     g = np.ones(n)
     f[:n_old] = warm.fairness
     g[:n_old] = warm.goodness
-    return _iterate(graph, f, g, config)
+    return _iterate_flat(graph.flat(), f, g, config)
 
 
 def predict_weight(scores: FgaScores, u: int, v: int) -> float:

@@ -1,13 +1,12 @@
-"""Synthetic network generators: dense-minimum-degree digraphs, stars, random graphs."""
+"""Synthetic network generators: dense-minimum-degree digraphs, complete and random graphs.
+
+Stabilised stars come from ``gadgets.stabilised_star``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
 import numpy as np
 
-from . import gadgets
 from .graph import Wsn
 
 
@@ -105,52 +104,3 @@ def generate_random_graph(
         sign = 1.0 if rng.random() < positive_fraction else -1.0
         graph.add_edge(u, v, sign * magnitude)
     return graph
-
-
-def generate_stabilised_star(
-    k: int, l: int, influencer_fairness: float = 1.0
-) -> tuple[Wsn, int, list[int], list[int]]:
-    return gadgets.stabilised_star(k, l, influencer_fairness)
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Named generator plus parameters, for configs and the CLI."""
-
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-
-    def build(self) -> Wsn:
-        return generate_gadget(self.kind, dict(self.params), self.seed)
-
-
-def generate_gadget(kind: str, params: dict[str, Any], seed: int = 0) -> Wsn:
-    """Dispatch by generator kind; see the individual builders for parameters."""
-    if kind == "min-k-neighbour":
-        return generate_min_k_neighbour(int(params["n"]), int(params["k"]), seed=seed)
-    if kind == "complete-positive":
-        return generate_complete_positive(int(params["n"]))
-    if kind == "random-erdos":
-        return generate_random_graph(
-            int(params["n"]),
-            avg_out_degree=float(params.get("avg_out_degree", 3.0)),
-            seed=seed,
-            positive_fraction=float(params.get("positive_fraction", 0.9)),
-        )
-    if kind == "stabilised-star":
-        graph, _, _, _ = generate_stabilised_star(
-            int(params["k"]),
-            int(params["l"]),
-            influencer_fairness=float(params.get("influencer_fairness", 1.0)),
-        )
-        return graph
-    if kind == "goodness-gadget":
-        graph, _, _ = gadgets.goodness_star(
-            [(int(params.get("raters", 2)), float(params["fairness"]), float(params["rating"]))]
-        )
-        return graph
-    if kind == "fairness-gadget":
-        graph, _, _ = gadgets.fairness_fan([float(d) for d in params["errors"]])
-        return graph
-    raise ValueError(f"unknown generator kind {kind!r}")

@@ -1,10 +1,19 @@
-"""Weighted signed network data model: dense-id directed graphs with weights in [-1, 1]."""
+"""Weighted signed network data model: dense-id directed graphs with weights in [-1, 1].
+
+A ``Wsn`` holds labels, validation and the dict-of-dicts adjacency that
+loaders and generators grow edge by edge. Scoring and attacks work on its
+``FlatEdges``: edge arrays in canonical order, built on first use and cached
+on the graph until the next mutation.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 NodeId = int
 
@@ -56,7 +65,7 @@ class Wsn:
     is fully independent.
     """
 
-    __slots__ = ("_succ", "_pred", "_labels", "_ids", "_edge_count")
+    __slots__ = ("_succ", "_pred", "_labels", "_ids", "_edge_count", "_flat")
 
     def __init__(self) -> None:
         self._succ: list[dict[int, float]] = []
@@ -64,6 +73,7 @@ class Wsn:
         self._labels: list[str] = []
         self._ids: dict[str, int] = {}
         self._edge_count = 0
+        self._flat: FlatEdges | None = None
 
     # -- nodes ---------------------------------------------------------
 
@@ -81,6 +91,7 @@ class Wsn:
             label = str(node)
         if label in self._ids:
             raise ValueError(f"duplicate node label {label!r}")
+        self._flat = None
         self._succ.append({})
         self._pred.append(set())
         self._labels.append(label)
@@ -135,6 +146,7 @@ class Wsn:
         weight = self._check_weight(weight)
         if v in self._succ[u]:
             raise ValueError(f"edge ({u}, {v}) already present; use update_weight")
+        self._flat = None
         self._succ[u][v] = weight
         self._pred[v].add(u)
         self._edge_count += 1
@@ -145,6 +157,7 @@ class Wsn:
         weight = self._check_weight(weight)
         if v not in self._succ[u]:
             raise KeyError(f"edge ({u}, {v}) does not exist")
+        self._flat = None
         self._succ[u][v] = weight
 
     def rate(self, u: int, v: int, weight: float) -> str:
@@ -159,11 +172,12 @@ class Wsn:
         return "edge-addition"
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Internal undo primitive; edge deletion is not part of the attack move model."""
+        """Delete the edge (u, v); edge deletion is not part of the attack move model."""
         self._check_node(u)
         self._check_node(v)
         if v not in self._succ[u]:
             raise KeyError(f"edge ({u}, {v}) does not exist")
+        self._flat = None
         del self._succ[u][v]
         self._pred[v].discard(u)
         self._edge_count -= 1
@@ -186,6 +200,16 @@ class Wsn:
         for u, targets in enumerate(self._succ):
             for v in sorted(targets):
                 yield u, v, targets[v]
+
+    def flat(self) -> "FlatEdges":
+        """The graph's edges as canonical-order arrays, cached until the next mutation.
+
+        Fill the cache (any solve does) before sharing the graph between
+        threads; afterwards readers only read it.
+        """
+        if self._flat is None:
+            self._flat = FlatEdges.from_graph(self)
+        return self._flat
 
     # -- neighbourhood queries ------------------------------------------
 
@@ -223,6 +247,7 @@ class Wsn:
         dup._labels = list(self._labels)
         dup._ids = dict(self._ids)
         dup._edge_count = self._edge_count
+        dup._flat = self._flat  # never written, so safe to share
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -261,3 +286,95 @@ class Wsn:
             problems.append("label index is not a bijection")
         if problems:
             raise InvariantViolationError("; ".join(problems))
+
+
+class FlatEdges:
+    """Edge arrays in canonical (src, dst) order plus degree vectors.
+
+    The one representation that the engine sweeps and the attacks edit.
+    ``key`` is the sorted int64 ``src * n + dst``, which locates an edge by
+    binary search. An edit never writes an existing array: ``with_ratings``
+    returns a view that shares every array it does not change, copies ``w``
+    for weight updates and inserts new edges at their canonical position.
+    The view therefore holds exactly the arrays that flattening the edited
+    graph would give, and its scores are bit-identical to the rebuilt
+    graph's, because float accumulation follows the array order. All arrays
+    are read-only.
+    """
+
+    __slots__ = ("n", "src", "dst", "w", "key", "indeg", "outdeg")
+
+    def __init__(self, n, src, dst, w, key, indeg, outdeg):
+        for array in (src, dst, w, key, indeg, outdeg):
+            array.flags.writeable = False
+        self.n = n
+        self.src = src
+        self.dst = dst
+        self.w = w
+        self.key = key
+        self.indeg = indeg
+        self.outdeg = outdeg
+
+    @classmethod
+    def from_graph(cls, graph: Wsn) -> "FlatEdges":
+        n, m, succ = graph.node_count, graph.edge_count, graph._succ
+        outdeg = np.fromiter(map(len, succ), dtype=np.int64, count=n)
+        src = np.repeat(np.arange(n, dtype=np.int64), outdeg)
+        key = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.int64, count=m)
+        key += src * n
+        # src is already ascending, so the sort only orders each source's targets
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        w = np.fromiter(
+            itertools.chain.from_iterable(t.values() for t in succ), dtype=np.float64, count=m
+        )[order]
+        dst = key % n if n else key
+        indeg = np.bincount(dst, minlength=n).astype(np.float64)
+        return cls(n, src, dst, w, key, indeg, outdeg.astype(np.float64))
+
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion positions of ``keys`` and whether each edge is already present."""
+        pos = np.searchsorted(self.key, keys)
+        present = pos < len(self.key)
+        present[present] = self.key[pos[present]] == keys[present]
+        return pos, present
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self._find(np.array([u * self.n + v]))[1][0])
+
+    def with_rating(self, u: int, v: int, weight: float) -> "FlatEdges":
+        """View with (u, v) set to ``weight``, inserting the edge if absent."""
+        return self.with_ratings(((u, v, weight),))
+
+    def with_ratings(self, edits: Iterable[tuple[int, int, float]]) -> "FlatEdges":
+        """View with every (u, v, weight) edit applied; a later edit of one edge wins."""
+        n = self.n
+        pending: dict[int, float] = {}
+        for u, v, weight in edits:
+            for node in (u, v):
+                if not 0 <= node < n:
+                    raise KeyError(f"unknown node {node}")
+            if u == v:
+                raise ValueError(f"self-loop ({u}, {v}) not allowed")
+            pending[int(u) * n + int(v)] = Wsn._check_weight(weight)
+        keys = np.array(sorted(pending), dtype=np.int64)
+        values = np.array([pending[k] for k in keys.tolist()], dtype=np.float64)
+        pos, present = self._find(keys)
+        w = self.w
+        if present.any():
+            w = w.copy()
+            w[pos[present]] = values[present]
+        if present.all():
+            return FlatEdges(n, self.src, self.dst, w, self.key, self.indeg, self.outdeg)
+        new = ~present
+        at, new_keys = pos[new], keys[new]
+        new_src, new_dst = np.divmod(new_keys, n)
+        return FlatEdges(
+            n,
+            np.insert(self.src, at, new_src),
+            np.insert(self.dst, at, new_dst),
+            np.insert(w, at, values[new]),
+            np.insert(self.key, at, new_keys),
+            self.indeg + np.bincount(new_dst, minlength=n),
+            self.outdeg + np.bincount(new_src, minlength=n),
+        )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fga import attacks
 from fga.attacks import (
     ATTACK_CONFIG,
     AttackProblem,
@@ -511,6 +512,24 @@ class TestSelection:
         with pytest.raises(ValueError):
             qualifying_attackers(g, scores, criteria, "nope")
 
+    def test_pools_match_per_node_scan(self):
+        g, scores = self.make_scored_graph()
+        criteria = SelectionCriteria(target_max_indeg=4, fresh_max_indeg=3)
+        assert qualifying_targets(g, scores, criteria) == [
+            v for v in g.nodes()
+            if 0 < g.indeg(v) < criteria.target_max_indeg
+            and scores.goodness[v] >= criteria.target_min_goodness
+        ]
+        assert qualifying_attackers(g, scores, criteria, "established") == [
+            v for v in g.nodes()
+            if g.outdeg(v) > criteria.established_min_outdeg
+            and scores.fairness[v] > criteria.established_min_fairness
+        ]
+        assert qualifying_attackers(g, scores, criteria, "fresh") == [
+            v for v in g.nodes()
+            if 0 < g.indeg(v) < criteria.fresh_max_indeg and g.outdeg(v) == 0
+        ]
+
     def test_seeded_determinism_and_exclusion(self):
         g, scores = self.make_scored_graph()
         criteria = SelectionCriteria()
@@ -521,3 +540,59 @@ class TestSelection:
             g, scores, criteria, 3, np.random.default_rng(42), "established", exclude=set(a)
         )
         assert not (set(excluded) & set(a))
+
+
+class TestFlatCore:
+    """Attacks edit overlays of the graph's cached flat edges, never the base."""
+
+    ARRAYS = ("src", "dst", "w", "key", "indeg", "outdeg")
+
+    def run_every_attack(self, g, target, attackers, before):
+        return [
+            direct_attack(g, attackers, target, before=before),
+            indirect_attack_greedy(g, attackers, target, before=before),
+            indirect_attack_scaled(g, attackers, target, scale=2, max_edges=3, before=before),
+            mixed_attack(g, attackers, target, 1, 2, before=before),
+        ]
+
+    def scored_instance(self):
+        g = generate_random_graph(40, avg_out_degree=4.0, seed=23, positive_fraction=0.85)
+        scores = compute_fga(g, ATTACK_CONFIG)
+        target = qualifying_targets(g, scores, SelectionCriteria())[0]
+        attackers = [v for v in g.nodes() if v != target and g.has_edge(v, target)][:1]
+        attackers += [v for v in g.nodes() if v != target and v not in attackers][:3]
+        return g, scores, target, attackers
+
+    def test_base_flat_is_never_written(self):
+        g, scores, target, attackers = self.scored_instance()
+        base = g.flat()
+        snapshot = {name: getattr(base, name).copy() for name in self.ARRAYS}
+        self.run_every_attack(g, target, attackers, scores)
+        problem = AttackProblem(
+            graph=g, attackers=tuple(attackers[:2]), intermediaries=(target, 0, 1),
+            budget=2, threshold=0.0, targets=(target,),
+        )
+        solve_exhaustive(problem)
+        assert g.flat() is base
+        for name in self.ARRAYS:
+            array = getattr(base, name)
+            assert not array.flags.writeable
+            assert np.array_equal(array, snapshot[name]), name
+
+    def test_given_before_skips_the_cold_solve_and_changes_nothing(self, monkeypatch):
+        g, scores, target, attackers = self.scored_instance()
+        expected = self.run_every_attack(g, target, attackers, None)
+
+        def no_cold_solve(*args, **kwargs):
+            raise AssertionError("cold solve despite before=")
+
+        monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)
+        got = self.run_every_attack(g, target, attackers, scores)
+        for want, have in zip(expected, got):
+            assert np.array_equal(want.scores_after.goodness, have.scores_after.goodness)
+            assert want.graph_after == have.graph_after
+        for want, have in zip(expected[:3], got[:3]):
+            assert want.moves == have.moves
+        assert expected[3].direct_moves + expected[3].indirect_moves == (
+            got[3].direct_moves + got[3].indirect_moves
+        )

@@ -1,7 +1,9 @@
 import json
+import typing
 
 import pytest
 
+from fga import campaign
 from fga.campaign import (
     DATASET_SAMPLES,
     DATASET_TARGET_PARAMS,
@@ -12,6 +14,7 @@ from fga.campaign import (
     summarize,
 )
 from fga.cli import main
+from fga.engine import FgaConfig
 from fga.generators import generate_random_graph
 
 
@@ -207,6 +210,18 @@ class TestCampaignCommand:
         assert code == 0
         assert (tmp_path / "g" / "campaign.json").exists()
 
+    def test_dataset_samples_override_is_validated(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [f"{u},{v},{r}" for u, v, r in ((1, 2, 5), (2, 3, 4), (3, 1, -2), (4, 1, 7))]
+        (data / "soc-sign-bitcoinotc.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main([
+            "--data-dir", str(data), "campaign", "--dataset", "bitcoin-otc",
+            "--mode", "direct", "--samples", "-1", "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_out_dir_is_exit_2(self):
         assert main([
             "campaign", "--generate", "erdos:n=20", "--mode", "direct",
@@ -214,6 +229,9 @@ class TestCampaignCommand:
 
 
 class TestCampaignLibrary:
+    def test_type_hints_resolve(self):
+        assert typing.get_type_hints(campaign._run_sample)["attack_config"] is FgaConfig
+
     def test_dataset_defaults_match_parameter_table(self):
         config = ExperimentConfig.for_dataset("bitcoin-otc")
         assert config.criteria.target_max_indeg == 10

@@ -10,6 +10,7 @@ from fga.engine import (
     DEFAULT_CONFIG,
     HIGH_PRECISION,
     FgaConfig,
+    FlatEdges,
     compute_fga,
     export_scores_csv,
     predict_weight,
@@ -269,6 +270,76 @@ class TestFlatEdgeViews:
         cold = compute_fga(mutated, HIGH_PRECISION)
         assert np.max(np.abs(from_view.fairness - cold.fairness)) < TOL
         assert np.max(np.abs(from_view.goodness - cold.goodness)) < TOL
+
+    @staticmethod
+    def assert_same_flat(a, b):
+        for name in ("src", "dst", "w", "key", "indeg", "outdeg"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("where", ["update", "front", "middle", "end"])
+    def test_view_scores_equal_rebuilt_graph_exactly(self, where):
+        from fga.engine import recompute_flat
+
+        g = generate_random_graph(40, avg_out_degree=3.0, seed=47, positive_fraction=0.7)
+        base = g.flat()
+        n, m = g.node_count, g.edge_count
+        if where == "update":
+            u, v = int(base.src[m // 2]), int(base.dst[m // 2])
+        else:
+            missing = [
+                (u, v) for u in g.nodes() for v in g.nodes() if u != v and not g.has_edge(u, v)
+            ]
+            at = np.searchsorted(base.key, [u * n + v for u, v in missing])
+            wanted = {"front": at == 0, "end": at == m, "middle": (at > 0) & (at < m)}[where]
+            u, v = missing[int(np.flatnonzero(wanted)[len(np.flatnonzero(wanted)) // 2])]
+        warm = compute_fga(g, HIGH_PRECISION)
+        view = base.with_rating(u, v, -0.4)
+        rebuilt = g.copy()
+        rebuilt.rate(u, v, -0.4)
+        self.assert_same_flat(view, FlatEdges.from_graph(rebuilt))
+        from_view = recompute_flat(view, warm, HIGH_PRECISION)
+        from_graph = recompute_after(rebuilt, warm, HIGH_PRECISION)
+        assert np.array_equal(from_view.fairness, from_graph.fairness)
+        assert np.array_equal(from_view.goodness, from_graph.goodness)
+        assert from_view.iterations_run == from_graph.iterations_run
+
+    def test_multi_edit_overlay_equals_sequential_rates(self):
+        from fga.engine import recompute_flat
+
+        g = generate_random_graph(40, avg_out_degree=3.0, seed=48, positive_fraction=0.7)
+        base = g.flat()
+        u0, v0 = int(base.src[5]), int(base.dst[5])
+        free = [(u, v) for u in g.nodes() for v in g.nodes() if u != v and not g.has_edge(u, v)]
+        # an update, inserts at both ends and in the middle, two inserts into
+        # one gap, and an edge edited twice (the later edit wins)
+        edits = [
+            (u0, v0, 0.9),
+            free[-1] + (-1.0,),
+            free[0] + (0.25,),
+            free[len(free) // 2] + (1.0,),
+            free[len(free) // 2 + 1] + (-0.5,),
+            free[0] + (-0.75,),
+        ]
+        view = base.with_ratings(edits)
+        rebuilt = g.copy()
+        for u, v, w in edits:
+            rebuilt.rate(u, v, w)
+        self.assert_same_flat(view, FlatEdges.from_graph(rebuilt))
+        warm = compute_fga(g, HIGH_PRECISION)
+        from_view = recompute_flat(view, warm, HIGH_PRECISION)
+        from_graph = recompute_after(rebuilt, warm, HIGH_PRECISION)
+        assert np.array_equal(from_view.goodness, from_graph.goodness)
+        assert np.array_equal(from_view.fairness, from_graph.fairness)
+        assert g.flat() is base and len(base.src) == g.edge_count
+
+    def test_overlay_rejects_invalid_edits(self):
+        flat = generate_random_graph(10, seed=49).flat()
+        with pytest.raises(KeyError, match="unknown node"):
+            flat.with_rating(0, 10, 0.5)
+        with pytest.raises(ValueError, match="self-loop"):
+            flat.with_rating(3, 3, 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            flat.with_rating(0, 1, 1.5)
 
     def test_view_node_count_mismatch(self):
         from fga.engine import FlatEdges, recompute_flat

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fga.graph import InvariantViolationError, RatingScale, Wsn, normalize_rating
+from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn, normalize_rating
 
 
 def pair_graph(weight=0.5):
@@ -220,3 +221,78 @@ class TestCopy:
         g._succ[0][1] = 5.0  # bypass the API on purpose
         with pytest.raises(InvariantViolationError):
             g.validate()
+
+
+FLAT_ARRAYS = ("src", "dst", "w", "key", "indeg", "outdeg")
+
+
+def triangle_graph():
+    g = Wsn()
+    for label in ("a", "b", "c"):
+        g.add_node(label)
+    g.add_edge(0, 1, 0.5)
+    g.add_edge(1, 2, -0.25)
+    return g
+
+
+class TestCachedFlat:
+    def test_flat_is_canonical_and_cached(self):
+        g = Wsn()
+        for label in "abcd":
+            g.add_node(label)
+        for u, v, w in ((3, 0, 0.1), (0, 2, 0.2), (0, 1, -0.3), (2, 3, 1.0)):
+            g.add_edge(u, v, w)
+        flat = g.flat()
+        assert g.flat() is flat
+        assert flat.src.tolist() == [0, 0, 2, 3]
+        assert flat.dst.tolist() == [1, 2, 3, 0]
+        assert flat.w.tolist() == [-0.3, 0.2, 1.0, 0.1]
+        assert flat.key.tolist() == [1, 2, 11, 12]
+        assert flat.indeg.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert flat.outdeg.tolist() == [2.0, 0.0, 1.0, 1.0]
+        assert not any(getattr(flat, name).flags.writeable for name in FLAT_ARRAYS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_flat_matches_edge_iteration(self, g):
+        flat = FlatEdges.from_graph(g)
+        edges = list(g.edges())
+        n = g.node_count
+        assert flat.src.tolist() == [u for u, _, _ in edges]
+        assert flat.dst.tolist() == [v for _, v, _ in edges]
+        assert flat.w.tolist() == [w for _, _, w in edges]
+        assert flat.key.tolist() == [u * n + v for u, v, _ in edges]
+        assert flat.indeg.tolist() == [g.indeg(v) for v in g.nodes()]
+        assert flat.outdeg.tolist() == [g.outdeg(v) for v in g.nodes()]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_node("d"),
+            lambda g: g.ensure_node("d"),
+            lambda g: g.add_edge(2, 0, 1.0),
+            lambda g: g.update_weight(0, 1, -1.0),
+            lambda g: g.remove_edge(1, 2),
+            lambda g: g.rate(0, 2, 0.75),
+        ],
+        ids=["add_node", "ensure_node", "add_edge", "update_weight", "remove_edge", "rate"],
+    )
+    def test_every_mutator_clears_the_cache(self, mutate):
+        g = triangle_graph()
+        stale = g.flat()
+        mutate(g)
+        fresh = g.flat()
+        assert fresh is not stale
+        rebuilt = FlatEdges.from_graph(g)
+        for name in FLAT_ARRAYS:
+            assert np.array_equal(getattr(fresh, name), getattr(rebuilt, name))
+
+    def test_copy_shares_until_either_side_mutates(self):
+        g = triangle_graph()
+        flat = g.flat()
+        dup = g.copy()
+        assert dup.flat() is flat
+        dup.add_edge(2, 0, 1.0)
+        assert dup.flat() is not flat
+        assert g.flat() is flat
+        assert len(flat.src) == 2
