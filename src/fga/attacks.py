@@ -8,22 +8,32 @@ per step, whichever candidate edge lowers the target's recomputed goodness
 the most. Candidate scores within 1e-9 count as tied (fixed-point residual
 noise) and resolve to the smallest successor id, positive weight first, so
 runs are deterministic.
+
+The scan is screened: the first candidate of a step is solved in full, and
+every later one only until it provably cannot beat the incumbent. A warm
+re-solve's goodness never moves by more than twice the residual after it
+stops (the sweeps are nonexpansive and fairness steps halve; see
+``fga.engine``), so once g_t - 3 * residual - 1e-12 >= best - 1e-9 the
+candidate's converged score cannot undercut the incumbent by the tie
+tolerance and its solve is dropped. A candidate that is not dropped runs the
+same sweeps as an unscreened solve, so move logs and scores are unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
+from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
+from .engine import _screened_recompute
 from .engine import recompute_after  # noqa: F401  public re-export
 from .graph import Wsn
 
 #: Measurement-grade settings; attack deltas are asserted at 1e-9 downstream.
-ATTACK_CONFIG = FgaConfig(max_iterations=400, residual_tolerance=1e-12)
+ATTACK_CONFIG = HIGH_PRECISION
 
 #: Candidate scores closer than this are treated as equal when ranking moves.
 TIE_TOLERANCE = 1e-9
@@ -48,6 +58,36 @@ class AttackMove:
     weight: float
 
 
+class _GraphAfter:
+    """The attacked graph plus a move log, turned into a ``Wsn`` on first request.
+
+    Building it copies the whole graph, which most callers never need. The
+    attacked graph must be unchanged by then: every ``Wsn`` mutator drops the
+    cached ``FlatEdges``, so a ``flat()`` other than the one the attack scored
+    means the graph changed, and the request raises instead of guessing.
+    """
+
+    __slots__ = ("_graph", "_flat", "_moves", "_built")
+
+    def __init__(self, graph: Wsn, moves: list[AttackMove]) -> None:
+        self._graph = graph
+        self._flat = graph.flat()
+        self._moves = tuple(moves)
+        self._built: Wsn | None = None
+
+    def get(self) -> Wsn:
+        if self._built is None:
+            if self._graph.flat() is not self._flat:
+                raise RuntimeError(
+                    "the attacked graph changed after the attack; graph_after is lost"
+                )
+            work = self._graph.copy()
+            for move in self._moves:
+                work.rate(move.attacker, move.rated, move.weight)
+            self._built = work
+        return self._built
+
+
 @dataclass
 class AttackOutcome:
     """Before/after scores and the committed move log of one attack."""
@@ -55,11 +95,16 @@ class AttackOutcome:
     moves: list[AttackMove]
     scores_before: FgaScores
     scores_after: FgaScores
-    graph_after: Wsn
     targets: tuple[int, ...]
     delta_goodness: dict[int, float]
     exhausted: bool = False
     success: dict[int, bool] | None = None
+    _after: _GraphAfter = field(kw_only=True, repr=False, compare=False)
+
+    @property
+    def graph_after(self) -> Wsn:
+        """The attacked graph with ``moves`` applied, built on first read and cached."""
+        return self._after.get()
 
 
 @dataclass
@@ -75,10 +120,15 @@ class MixedAttackOutcome:
     indirect_moves: list[AttackMove]
     scores_before: FgaScores
     scores_after: FgaScores
-    graph_after: Wsn
     delta_direct: float
     delta_indirect: float
     delta_total: float
+    _after: _GraphAfter = field(kw_only=True, repr=False, compare=False)
+
+    @property
+    def graph_after(self) -> Wsn:
+        """The attacked graph with both move logs applied, built on first read and cached."""
+        return self._after.get()
 
 
 @dataclass(frozen=True)
@@ -149,7 +199,7 @@ class ExhaustiveSearchResult:
 
 # -- shared internals ------------------------------------------------------
 # Attacks re-solve overlays of the graph's cached FlatEdges, never writing the
-# base arrays, and build ``graph_after`` once, at the end, from the move log.
+# base arrays; ``graph_after`` is built from the move log only when read.
 
 
 def _by_descending_fairness(attackers, scores: FgaScores) -> list[int]:
@@ -174,13 +224,6 @@ def _rate_all(
     return view, recompute_flat(view, scores, config), moves
 
 
-def _graph_after(graph: Wsn, moves: list[AttackMove]) -> Wsn:
-    work = graph.copy()
-    for move in moves:
-        work.rate(move.attacker, move.rated, move.weight)
-    return work
-
-
 def _indirect_candidates(flat: FlatEdges, target: int, attacker: int) -> list[int]:
     """Successors of the target's raters, ascending, without the target and attacker."""
     rated = np.zeros(flat.n, dtype=bool)
@@ -197,13 +240,25 @@ def _best_candidate(
     Iteration runs in ascending id with +1 before -1, and a replacement must
     beat the incumbent by more than TIE_TOLERANCE, which implements the
     deterministic tie-break. Each candidate is scored on a single-edit view.
+    The first is solved in full; every later one is screened against
+    ``best_value - TIE_TOLERANCE`` and dropped once g_t - 3 * residual - 1e-12
+    reaches that floor, which proves it could not replace the incumbent (see
+    the module docstring). A candidate that is not dropped is solved exactly
+    as ``recompute_flat`` would, so its scores can stand as the step's.
     """
     best = None
     best_value = math.inf
     for rated in _indirect_candidates(flat, target, attacker):
         for weight in (1.0, -1.0):
             view = flat.with_rating(attacker, rated, weight)
-            after = recompute_flat(view, scores, config)
+            if best is None:
+                after = recompute_flat(view, scores, config)
+            else:
+                after = _screened_recompute(
+                    view, scores, config, target, best_value - TIE_TOLERANCE
+                )
+                if after is None:
+                    continue
             value = float(after.goodness[target])
             if best is None or value < best_value - TIE_TOLERANCE:
                 best, best_value = (rated, weight, view, after), value
@@ -248,7 +303,7 @@ def _outcome(
     moves: list[AttackMove],
     before: FgaScores,
     after: FgaScores,
-    graph_after: Wsn,
+    graph_after: _GraphAfter,
     targets: tuple[int, ...],
     exhausted: bool = False,
 ) -> AttackOutcome:
@@ -257,10 +312,10 @@ def _outcome(
         moves=moves,
         scores_before=before,
         scores_after=after,
-        graph_after=graph_after,
         targets=targets,
         delta_goodness=delta,
         exhausted=exhausted,
+        _after=graph_after,
     )
 
 
@@ -289,7 +344,7 @@ def direct_attack(
         before = compute_fga(graph, config)
     edits = [(attacker, target, -1.0) for attacker in attackers]
     _, after, moves = _rate_all(graph.flat(), before, edits, config)
-    return _outcome(moves, before, after, _graph_after(graph, moves), (target,))
+    return _outcome(moves, before, after, _GraphAfter(graph, moves), (target,))
 
 
 def indirect_attack_greedy(
@@ -336,7 +391,7 @@ def indirect_attack_scaled(
     after, moves, exhausted = _indirect_scan(
         graph.flat(), before, ordered, target, config, scale, max_edges
     )
-    return _outcome(moves, before, after, _graph_after(graph, moves), (target,), exhausted)
+    return _outcome(moves, before, after, _GraphAfter(graph, moves), (target,), exhausted)
 
 
 def mixed_attack(
@@ -377,10 +432,10 @@ def mixed_attack(
         indirect_moves=indirect_moves,
         scores_before=before,
         scores_after=current,
-        graph_after=_graph_after(graph, direct_moves + indirect_moves),
         delta_direct=delta_direct,
         delta_indirect=delta_total - delta_direct,
         delta_total=delta_total,
+        _after=_GraphAfter(graph, direct_moves + indirect_moves),
     )
 
 
@@ -473,8 +528,8 @@ def solve_exhaustive(
                 best_combo = combo
 
     moves = _moves(flat, best_combo)
-    final_graph = _graph_after(graph, moves)
-    final = compute_fga(final_graph, config)
+    final_graph = _GraphAfter(graph, moves)
+    final = compute_fga(final_graph.get(), config)
     targets = problem.targets if problem.targets is not None else tuple(
         node for pair in problem.target_pairs for node in pair
     )

@@ -80,6 +80,11 @@ def indirect_sybil_bound(graph: Wsn, intermediary: int, k: int) -> float:
         raise ValueError(
             f"minimum-{k}-neighbour certificate fails for {len(cert.violations)} nodes"
         )
+    return _indirect_cap(graph, intermediary, k)
+
+
+def _indirect_cap(graph: Wsn, intermediary: int, k: int) -> float:
+    """The indirect Sybil cap itself, for a graph already certified minimum-k-neighbour."""
     return 2.0 / ((graph.indeg(intermediary) + 1) * k)
 
 
@@ -166,7 +171,7 @@ def verify_indirect_sybil(
         while target == intermediary:
             target = int(rng.integers(0, graph.node_count))
         weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
-        bound = 2.0 / ((graph.indeg(intermediary) + 1) * k)
+        bound = _indirect_cap(graph, intermediary, k)
         attacked, _ = inject_sybil(graph, intermediary, weight)
         after = recompute_after(attacked, base, config)
         delta = float(after.goodness[target] - base.goodness[target])

@@ -175,29 +175,25 @@ def _run_sample(
     if config.mode == "direct":
         outcome = direct_attack(graph, attackers, target, **common)
         record["delta"] = outcome.delta_goodness[target]
-        graph_after = outcome.graph_after
     elif config.mode == "indirect":
         outcome = indirect_attack_greedy(graph, attackers, target, **common)
         record["delta"] = outcome.delta_goodness[target]
         record["moves"] = len(outcome.moves)
-        graph_after = outcome.graph_after
     elif config.mode == "indirect-scaled":
         outcome = indirect_attack_scaled(
             graph, attackers, target, scale=config.scale, max_edges=config.max_edges, **common
         )
         record["delta"] = outcome.delta_goodness[target]
         record["moves"] = len(outcome.moves)
-        graph_after = outcome.graph_after
     else:
-        mixed = mixed_attack(graph, attackers, target, cell[0], cell[1], **common)
-        record["delta"] = mixed.delta_total
-        record["delta_direct"] = mixed.delta_direct
-        record["delta_indirect"] = mixed.delta_indirect
-        graph_after = mixed.graph_after
+        outcome = mixed_attack(graph, attackers, target, cell[0], cell[1], **common)
+        record["delta"] = outcome.delta_total
+        record["delta_direct"] = outcome.delta_direct
+        record["delta_indirect"] = outcome.delta_indirect
     if config.cold:
         # Re-measure against a from-scratch recomputation instead of the
         # warm-started scores the attack used internally.
-        cold_after = compute_fga(graph_after, attack_config)
+        cold_after = compute_fga(outcome.graph_after, attack_config)
         record["delta"] = float(cold_after.goodness[target] - base_scores.goodness[target])
     record["abs_delta"] = abs(record["delta"])
     return record

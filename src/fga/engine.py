@@ -13,8 +13,20 @@ between what u says and what the rated node deserves:
 Unrated nodes have g = 1 and non-rating nodes have f = 1; these baselines are
 part of the definition and are re-applied on every sweep. Iteration starts
 from f = g = 1 and alternates a full goodness sweep (using the previous
-fairness) with a full fairness sweep (using the fresh goodness). Per-sweep
-error to the limit halves, so roughly 27 sweeps reach 1e-8.
+fairness) with a full fairness sweep (using the fresh goodness).
+
+Both sweeps are nonexpansive in the max norm: the goodness sweep is
+1-Lipschitz in f because |w| <= 1, the fairness sweep is 1/2-Lipschitz in g,
+and the clips and fixed baselines keep both properties. So the fairness step
+d_t = max|f_t - f_{t-1}| obeys d_{t+1} <= d_t / 2, and every later iterate T,
+the converged one included, has |g_T - g_t| <= d_t + d_t/2 + ... < 2 * d_t at
+every node. The residual reported after sweep t is at least d_t. From the
+all-ones start d_1 <= 1, so roughly 27 sweeps reach 1e-8.
+
+The greedy attack scan uses that bound through ``_screened_recompute``: a
+candidate's warm re-solve stops as soon as the watched goodness provably
+cannot end below a floor, g_t - 3 * residual - 1e-12 >= floor. The third
+residual and the absolute slack leave room for rounding in the sweep sums.
 
 Every solve sweeps a ``FlatEdges``: ``compute_fga`` and ``recompute_after``
 read the graph's cached one, and ``recompute_flat`` takes an edited view
@@ -85,8 +97,14 @@ class FgaScores:
 
 
 def _iterate_flat(
-    flat: FlatEdges, fairness: np.ndarray, goodness: np.ndarray, config: FgaConfig
-) -> FgaScores:
+    flat: FlatEdges,
+    fairness: np.ndarray,
+    goodness: np.ndarray,
+    config: FgaConfig,
+    watch: int | None = None,
+    floor: float = math.inf,
+) -> FgaScores | None:
+    """Sweep to the stopping rule; None if g[watch] provably stays >= floor first."""
     n = flat.n
     src, dst, w = flat.src, flat.dst, flat.w
     indeg_safe = np.maximum(flat.indeg, 1.0)
@@ -115,6 +133,9 @@ def _iterate_flat(
         g = g_new
         if residual < config.residual_tolerance:
             break
+        # Every later g[watch] lies within 2 * residual of this one (module docstring).
+        if watch is not None and g[watch] - 3.0 * residual - 1e-12 >= floor:
+            return None
     return FgaScores(fairness=f, goodness=g, iterations_run=iterations, max_residual=residual)
 
 
@@ -124,6 +145,18 @@ def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = 
     if warm.node_count != flat.n:
         raise ValueError(f"warm scores cover {warm.node_count} nodes, view has {flat.n}")
     return _iterate_flat(flat, warm.fairness.copy(), warm.goodness.copy(), config)
+
+
+def _screened_recompute(
+    flat: FlatEdges, warm: FgaScores, config: FgaConfig, node: int, floor: float
+) -> FgaScores | None:
+    """``recompute_flat``, abandoned (None) once goodness[node] provably ends >= floor.
+
+    Until it stops, it runs exactly the sweeps of ``recompute_flat``, so a
+    solve that is not abandoned returns the same scores bit for bit. Only the
+    greedy candidate scan calls it; an abandoned solve is not a result.
+    """
+    return _iterate_flat(flat, warm.fairness.copy(), warm.goodness.copy(), config, node, floor)
 
 
 def compute_fga(graph: Wsn, config: FgaConfig | None = None) -> FgaScores:

@@ -164,18 +164,68 @@ class TestIndirectGreedy:
         assert outcome.moves == []
         assert outcomed_exhausted(outcome)
 
-    def test_matches_per_step_scan(self):
-        g = generate_random_graph(30, avg_out_degree=3.0, seed=17, positive_fraction=0.8)
+    @pytest.mark.parametrize(
+        "n, seed, degree", [(30, 17, 3.0), (20, 5, 2.5), (45, 29, 3.5), (60, 3, 4.0)]
+    )
+    def test_matches_per_step_scan(self, n, seed, degree, monkeypatch):
+        g = generate_random_graph(n, avg_out_degree=degree, seed=seed, positive_fraction=0.8)
         scores = compute_fga(g, ATTACK_CONFIG)
         target = max(
             (v for v in g.nodes() if g.indeg(v) > 0),
             key=lambda v: (scores.goodness[v], -v),
         )
         attackers = [v for v in g.nodes() if v != target][:3]
-        outcome = indirect_attack_greedy(g, attackers, target)
+        full, dropped = [], []
+        solve, screened = attacks.recompute_flat, attacks._screened_recompute
+        monkeypatch.setattr(attacks, "recompute_flat", lambda *a: full.append(1) or solve(*a))
+
+        def counting(*args):
+            result = screened(*args)
+            dropped.append(result is None)
+            return result
+
+        monkeypatch.setattr(attacks, "_screened_recompute", counting)
+        outcome = indirect_attack_greedy(g, attackers, target, before=scores)
         oracle_moves, oracle_graph = greedy_scan_oracle(g, attackers, target)
         assert [(m.attacker, m.rated, m.weight) for m in outcome.moves] == oracle_moves
         assert outcome.graph_after == oracle_graph
+        # one full solve per step (its first candidate), and the screen cut some short
+        assert len(full) == len(outcome.moves)
+        assert any(dropped)
+
+    @staticmethod
+    def tie_gadget(weights):
+        """Rater p of target t also rates successors 0..len(weights)-1; two fresh attackers."""
+        g = Wsn()
+        for i in range(len(weights)):
+            g.add_node(f"s{i}")
+        t, p = g.add_node("t"), g.add_node("p")
+        for s, w in enumerate(weights):
+            g.add_edge(p, s, w)
+        g.add_edge(p, t, 1.0)
+        return g, t, [g.add_node("x1"), g.add_node("x2")]
+
+    @pytest.mark.parametrize(
+        "weights, tied",
+        [
+            # twin successors: (0, -1) and (1, -1) tie bit for bit; the smaller id wins
+            ((1.0, 1.0), ((0, -1.0), (1, -1.0))),
+            # a successor rated 0: rating it +1 or -1 mirrors exactly; +1 wins
+            ((0.0,), ((0, 1.0), (0, -1.0))),
+        ],
+    )
+    def test_exact_ties_follow_the_tie_rule(self, weights, tied):
+        g, t, attackers = self.tie_gadget(weights)
+        values = set()
+        for rated, weight in tied:
+            work = g.copy()
+            work.rate(attackers[0], rated, weight)
+            values.add(compute_fga(work, ATTACK_CONFIG).goodness[t])
+        assert len(values) == 1
+        outcome = indirect_attack_greedy(g, attackers, t)
+        oracle_moves, _ = greedy_scan_oracle(g, attackers, t)
+        assert [(m.attacker, m.rated, m.weight) for m in outcome.moves] == oracle_moves
+        assert (outcome.moves[0].rated, outcome.moves[0].weight) == tied[0]
 
     def test_budget_respected_and_step_optimality(self):
         g = generate_random_graph(25, avg_out_degree=3.0, seed=31, positive_fraction=0.8)
@@ -596,3 +646,54 @@ class TestFlatCore:
         assert expected[3].direct_moves + expected[3].indirect_moves == (
             got[3].direct_moves + got[3].indirect_moves
         )
+
+
+class TestGraphAfter:
+    """``graph_after`` is built from the attacked graph and the move log on first read."""
+
+    @staticmethod
+    def attacked():
+        """A graph and the outcomes of every attack on it, none of them read yet."""
+        core = TestFlatCore()
+        g, scores, target, attackers = core.scored_instance()
+        return g, core.run_every_attack(g, target, attackers, scores)
+
+    @staticmethod
+    def eager(g, moves):
+        work = g.copy()
+        for move in moves:
+            work.rate(move.attacker, move.rated, move.weight)
+        return work
+
+    @staticmethod
+    def all_moves(outcome):
+        if isinstance(outcome, attacks.MixedAttackOutcome):
+            return outcome.direct_moves + outcome.indirect_moves
+        return outcome.moves
+
+    def test_unread_graph_after_is_never_built(self, monkeypatch):
+        copies = []
+        original = Wsn.copy
+        monkeypatch.setattr(Wsn, "copy", lambda self: copies.append(1) or original(self))
+        _, outcomes = self.attacked()
+        assert copies == []
+        outcomes[0].graph_after
+        assert copies == [1]
+
+    def test_graph_after_equals_the_eager_build(self):
+        g, outcomes = self.attacked()
+        for outcome in outcomes:
+            built = outcome.graph_after
+            assert built == self.eager(g, self.all_moves(outcome))
+            assert built != g
+            assert outcome.graph_after is built
+
+    def test_read_after_the_attacked_graph_changed_raises(self):
+        g, (read_early, *outcomes) = self.attacked()
+        built = read_early.graph_after
+        u, v, _ = next(iter(g.edges()))
+        g.update_weight(u, v, 0.25)
+        assert read_early.graph_after is built
+        for outcome in outcomes:
+            with pytest.raises(RuntimeError, match="changed"):
+                outcome.graph_after

@@ -11,15 +11,46 @@ from fga.engine import (
     HIGH_PRECISION,
     FgaConfig,
     FlatEdges,
+    _screened_recompute,
     compute_fga,
     export_scores_csv,
     predict_weight,
     recompute_after,
+    recompute_flat,
 )
 from fga.generators import generate_random_graph
 from fga.graph import Wsn
 
 TOL = 1e-9
+
+
+def draw_graph(data, min_nodes: int, max_nodes: int) -> Wsn:
+    """A hypothesis-drawn graph: any edge set, weights anywhere in [-1, 1]."""
+    n = data.draw(st.integers(min_value=min_nodes, max_value=max_nodes), label="n")
+    g = Wsn()
+    for _ in range(n):
+        g.add_node()
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if pairs:
+        chosen = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)),
+            label="edges",
+        )
+        for u, v in chosen:
+            w = data.draw(st.floats(min_value=-1, max_value=1, allow_nan=False), label="w")
+            g.add_edge(u, v, w)
+    return g
+
+
+def draw_warm_edit(data):
+    """A drawn graph's converged scores and a one-edit view of it, as the greedy scan sees."""
+    g = draw_graph(data, 2, 8)
+    warm = compute_fga(g, HIGH_PRECISION)
+    u, v = data.draw(
+        st.sampled_from([(u, v) for u in g.nodes() for v in g.nodes() if u != v]), label="edit"
+    )
+    w = data.draw(st.sampled_from([-1.0, 1.0, 0.0, 0.5]), label="edit weight")
+    return warm, g.flat().with_rating(u, v, w)
 
 
 def antisymmetric_pair():
@@ -86,21 +117,7 @@ class TestAgainstOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_oracle_agreement_on_arbitrary_graphs(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=7), label="n")
-        g = Wsn()
-        for _ in range(n):
-            g.add_node()
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        if pairs:
-            chosen = data.draw(
-                st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)),
-                label="edges",
-            )
-            for u, v in chosen:
-                w = data.draw(
-                    st.floats(min_value=-1, max_value=1, allow_nan=False), label="w"
-                )
-                g.add_edge(u, v, w)
+        g = draw_graph(data, 1, 7)
         s = compute_fga(g, HIGH_PRECISION)
         oracle_f, oracle_g = fga_oracle.fixed_point(g, sweeps=500)
         for v in g.nodes():
@@ -121,6 +138,48 @@ class TestConvergenceRate:
                 g_gap = float(np.max(np.abs(ref.goodness - partial.goodness)))
                 assert f_gap < 0.5**t
                 assert g_gap < 0.5 ** (t - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_later_goodness_within_twice_the_residual(self, data):
+        # the contraction bound the screened scan relies on, at every sweep of a warm solve
+        warm, view = draw_warm_edit(data)
+        final = recompute_flat(view, warm, HIGH_PRECISION)
+        for t in range(1, final.iterations_run + 1):
+            capped = FgaConfig(max_iterations=t, residual_tolerance=HIGH_PRECISION.residual_tolerance)
+            partial = recompute_flat(view, warm, capped)
+            gap = np.abs(final.goodness - partial.goodness)
+            assert np.all(gap <= 2.0 * partial.max_residual + 1e-12), t
+
+
+class TestScreenedRecompute:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stops_only_when_the_floor_is_unreachable(self, data):
+        warm, view = draw_warm_edit(data)
+        full = recompute_flat(view, warm, HIGH_PRECISION)
+        node = data.draw(st.integers(min_value=0, max_value=view.n - 1), label="node")
+        final = float(full.goodness[node])
+        offset = data.draw(st.sampled_from([-0.5, -1e-3, -1e-6, -1e-9, 0.0]), label="offset")
+        # the smallest floor above the final value must never be ruled out
+        for floor in (final + offset, float(np.nextafter(final, np.inf))):
+            screened = _screened_recompute(view, warm, HIGH_PRECISION, node, floor)
+            if screened is None:
+                assert final >= floor
+            else:
+                assert screened.iterations_run == full.iterations_run
+                assert screened.max_residual == full.max_residual
+                assert np.array_equal(screened.fairness, full.fairness)
+                assert np.array_equal(screened.goodness, full.goodness)
+        assert screened is not None
+
+    def test_stops_a_clearly_losing_solve_early(self):
+        g = generate_random_graph(40, avg_out_degree=3.0, seed=5, positive_fraction=0.7)
+        warm = compute_fga(g, HIGH_PRECISION)
+        view = g.flat().with_rating(0, 1, -1.0)
+        full = recompute_flat(view, warm, HIGH_PRECISION)
+        assert full.iterations_run > 3
+        assert _screened_recompute(view, warm, HIGH_PRECISION, 1, full.goodness[1] - 0.5) is None
 
 
 class TestIterationBehaviour:
