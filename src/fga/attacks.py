@@ -442,14 +442,16 @@ def mixed_attack(
 def inject_sybil(graph: Wsn, rated: int, weight: float, label: str | None = None) -> tuple[Wsn, int]:
     """Return a copy of the graph plus a fresh fake identity with one outgoing rating."""
     work = graph.copy()
-    if label is None:
+    if label is not None:
+        sybil = work.add_node(label)
+    else:
         base = f"sybil{work.node_count}"
-        label = base
-        suffix = 0
-        while label in work.labels():
-            suffix += 1
-            label = f"{base}_{suffix}"
-    sybil = work.add_node(label)
+        for suffix in itertools.count():
+            try:
+                sybil = work.add_node(f"{base}_{suffix}" if suffix else base)
+                break
+            except ValueError:
+                pass  # label taken; try the next suffix
     work.add_edge(sybil, rated, weight)
     return work, sybil
 

@@ -61,15 +61,13 @@ def check_min_k_neighbour(graph: Wsn, k: int) -> MinKNeighbourCert:
     """List every node violating indeg >= k, outdeg >= k, or sum |w_in| <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    violations: list[tuple[int, str]] = []
-    for v in graph.nodes():
-        if graph.indeg(v) < k:
-            violations.append((v, "indeg"))
-        if graph.outdeg(v) < k:
-            violations.append((v, "outdeg"))
-        mass = sum(abs(graph.weight(u, v)) for u in graph.pred(v))
-        if mass > k + 1e-12:
-            violations.append((v, "weight-mass"))
+    flat = graph.flat()
+    mass = np.bincount(flat.dst, weights=np.abs(flat.w), minlength=flat.n)
+    failed = np.stack([flat.indeg < k, flat.outdeg < k, mass > k + 1e-12], axis=1)
+    # row-major: ascending node, then the conditions in the order named here
+    violations = [
+        (int(v), ("indeg", "outdeg", "weight-mass")[c]) for v, c in zip(*np.nonzero(failed))
+    ]
     return MinKNeighbourCert(k=k, holds=not violations, violations=violations)
 
 

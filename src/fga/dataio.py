@@ -26,7 +26,7 @@ class DatasetMissingError(FileNotFoundError):
     """A known dataset file is absent from the data directory."""
 
 
-def load_rating_csv(path, scale: RatingScale, dedup: bool = True) -> Wsn:
+def load_rating_csv(path, scale: RatingScale) -> Wsn:
     """Load ``source,target,rating[,timestamp]`` rows into a normalized graph.
 
     A header row is auto-detected. Duplicate (source, target) rows collapse to
@@ -76,8 +76,6 @@ def load_rating_csv(path, scale: RatingScale, dedup: bool = True) -> Wsn:
             if key not in latest:
                 order.append(key)
                 latest[key] = (stamp, raw)
-            elif not dedup:
-                raise ValueError(f"{path}: line {line_no}: duplicate rating for {key}")
             elif stamp >= latest[key][0]:
                 latest[key] = (stamp, raw)
     for key in order:
@@ -162,8 +160,9 @@ def compute_stats(
         raise ValueError("scores do not match graph")
     n = graph.node_count
     m = graph.edge_count
-    positive = sum(1 for _, _, w in graph.edges() if w > 0)
-    small = sum(1 for v in graph.nodes() if graph.indeg(v) < small_indegree_cutoff)
+    flat = graph.flat()
+    positive = int((flat.w > 0).sum())
+    small = int((flat.indeg < small_indegree_cutoff).sum())
 
     def node_fraction(count: int) -> float:
         return count / n if n else 0.0

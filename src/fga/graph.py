@@ -1,9 +1,10 @@
 """Weighted signed network data model: dense-id directed graphs with weights in [-1, 1].
 
-A ``Wsn`` holds labels, validation and the dict-of-dicts adjacency that
-loaders and generators grow edge by edge. Scoring and attacks work on its
-``FlatEdges``: edge arrays in canonical order, built on first use and cached
-on the graph until the next mutation.
+A ``Wsn`` holds labels, validation and the successor dicts that loaders and
+generators grow edge by edge; the dicts are its only edge store. Scoring,
+attacks and every in-degree or predecessor query read its ``FlatEdges``:
+edge arrays in canonical order, built on first use and cached on the graph
+until the next mutation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,17 +43,6 @@ class RatingScale:
         return weight * self.r_max
 
 
-def normalize_rating(raw: float, scale: RatingScale) -> float:
-    return scale.normalize(raw)
-
-
-class Neighbourhood(NamedTuple):
-    pred: frozenset[int]
-    succ: frozenset[int]
-    indeg: int
-    outdeg: int
-
-
 class Wsn:
     """Directed weighted signed network.
 
@@ -60,19 +50,22 @@ class Wsn:
     and self-loops are rejected. Node ids are dense non-negative integers
     assigned at creation; external string labels map bijectively to ids.
 
+    The successor dicts are the only edge store. ``succ`` and ``outdeg``
+    read them; ``indeg`` and ``pred`` read the cached ``FlatEdges``, so the
+    first such query after a mutation flattens the graph in O(m). Fill the
+    cache (``flat()`` or any solve) before threads share the graph.
+
     A graph handed out for reading must not be mutated concurrently; mutation
     belongs to whoever holds the only handle. ``copy()`` is cheap and the copy
     is fully independent.
     """
 
-    __slots__ = ("_succ", "_pred", "_labels", "_ids", "_edge_count", "_flat")
+    __slots__ = ("_succ", "_labels", "_ids", "_flat")
 
     def __init__(self) -> None:
         self._succ: list[dict[int, float]] = []
-        self._pred: list[set[int]] = []
         self._labels: list[str] = []
         self._ids: dict[str, int] = {}
-        self._edge_count = 0
         self._flat: FlatEdges | None = None
 
     # -- nodes ---------------------------------------------------------
@@ -83,7 +76,7 @@ class Wsn:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(map(len, self._succ))
 
     def add_node(self, label: str | None = None) -> int:
         node = len(self._succ)
@@ -93,7 +86,6 @@ class Wsn:
             raise ValueError(f"duplicate node label {label!r}")
         self._flat = None
         self._succ.append({})
-        self._pred.append(set())
         self._labels.append(label)
         self._ids[label] = node
         return node
@@ -148,8 +140,6 @@ class Wsn:
             raise ValueError(f"edge ({u}, {v}) already present; use update_weight")
         self._flat = None
         self._succ[u][v] = weight
-        self._pred[v].add(u)
-        self._edge_count += 1
 
     def update_weight(self, u: int, v: int, weight: float) -> None:
         self._check_node(u)
@@ -179,8 +169,6 @@ class Wsn:
             raise KeyError(f"edge ({u}, {v}) does not exist")
         self._flat = None
         del self._succ[u][v]
-        self._pred[v].discard(u)
-        self._edge_count -= 1
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -215,7 +203,8 @@ class Wsn:
 
     def pred(self, v: int) -> set[int]:
         self._check_node(v)
-        return set(self._pred[v])
+        flat = self.flat()
+        return set(flat.src[flat.dst == v].tolist())
 
     def succ(self, u: int) -> set[int]:
         self._check_node(u)
@@ -223,30 +212,19 @@ class Wsn:
 
     def indeg(self, v: int) -> int:
         self._check_node(v)
-        return len(self._pred[v])
+        return int(self.flat().indeg[v])
 
     def outdeg(self, u: int) -> int:
         self._check_node(u)
         return len(self._succ[u])
-
-    def neighbourhood(self, v: int) -> Neighbourhood:
-        self._check_node(v)
-        return Neighbourhood(
-            pred=frozenset(self._pred[v]),
-            succ=frozenset(self._succ[v]),
-            indeg=len(self._pred[v]),
-            outdeg=len(self._succ[v]),
-        )
 
     # -- whole-graph operations ------------------------------------------
 
     def copy(self) -> "Wsn":
         dup = Wsn.__new__(Wsn)
         dup._succ = [dict(targets) for targets in self._succ]
-        dup._pred = [set(sources) for sources in self._pred]
         dup._labels = list(self._labels)
         dup._ids = dict(self._ids)
-        dup._edge_count = self._edge_count
         dup._flat = self._flat  # never written, so safe to share
         return dup
 
@@ -264,22 +242,12 @@ class Wsn:
     def validate(self) -> None:
         """Full-scan check of the structural invariants; raises on any violation."""
         problems: list[str] = []
-        seen_edges = 0
         for u, targets in enumerate(self._succ):
             for v, w in targets.items():
-                seen_edges += 1
                 if u == v:
                     problems.append(f"self-loop at {u}")
                 if not (math.isfinite(w) and -1.0 <= w <= 1.0):
                     problems.append(f"weight {w} on ({u}, {v}) outside [-1, 1]")
-                if u not in self._pred[v]:
-                    problems.append(f"predecessor index missing ({u}, {v})")
-        for v, sources in enumerate(self._pred):
-            for u in sources:
-                if v not in self._succ[u]:
-                    problems.append(f"stale predecessor entry ({u}, {v})")
-        if seen_edges != self._edge_count:
-            problems.append(f"edge count {self._edge_count} != {seen_edges} stored edges")
         if len(self._ids) != len(self._labels) or any(
             self._ids.get(label) != node for node, label in enumerate(self._labels)
         ):
@@ -317,8 +285,9 @@ class FlatEdges:
 
     @classmethod
     def from_graph(cls, graph: Wsn) -> "FlatEdges":
-        n, m, succ = graph.node_count, graph.edge_count, graph._succ
+        n, succ = graph.node_count, graph._succ
         outdeg = np.fromiter(map(len, succ), dtype=np.int64, count=n)
+        m = int(outdeg.sum())
         src = np.repeat(np.arange(n, dtype=np.int64), outdeg)
         key = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.int64, count=m)
         key += src * n

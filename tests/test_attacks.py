@@ -380,6 +380,27 @@ class TestInjectSybil:
         attacked, sybil = inject_sybil(g, 0, 0.5)
         assert attacked.label_of(sybil) not in ("v", "sybil1")
 
+    @pytest.mark.parametrize(
+        "labels, expected",
+        [(("v", "sybil2"), "sybil2_1"), (("v", "sybil3", "sybil3_1"), "sybil3_2")],
+    )
+    def test_label_suffix_probe(self, labels, expected):
+        g = Wsn()
+        for label in labels:
+            g.add_node(label)
+        attacked, sybil = inject_sybil(g, 0, 0.5)
+        assert attacked.label_of(sybil) == expected
+        assert attacked.node_count == len(labels) + 1 and g.node_count == len(labels)
+        attacked.validate()
+
+    def test_default_and_explicit_labels(self):
+        g = Wsn()
+        g.add_node("v")
+        assert inject_sybil(g, 0, 0.5)[0].labels() == ["v", "sybil1"]
+        assert inject_sybil(g, 0, 0.5, label="s")[0].labels() == ["v", "s"]
+        with pytest.raises(ValueError, match="duplicate"):
+            inject_sybil(g, 0, 0.5, label="v")
+
 
 class TestAttackProblemValidation:
     def test_attacker_target_overlap(self):

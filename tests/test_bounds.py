@@ -47,6 +47,36 @@ class TestMinKNeighbourCert:
         with pytest.raises(ValueError):
             check_min_k_neighbour(generate_complete_positive(3), 0)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generate_complete_positive(4),
+            generate_min_k_neighbour(30, 3, seed=1),
+            generate_random_graph(40, seed=2),
+            generate_random_graph(25, avg_out_degree=5.0, seed=3, positive_fraction=0.5),
+            Wsn(),
+        ],
+        ids=["complete-4", "min-k-30", "erdos-40", "erdos-25-mixed", "empty"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_per_node_count_from_edges(self, graph, k):
+        indeg = [0] * graph.node_count
+        outdeg = [0] * graph.node_count
+        mass = [0.0] * graph.node_count
+        for u, v, w in graph.edges():
+            indeg[v] += 1
+            outdeg[u] += 1
+            mass[v] += abs(w)
+        expected = []
+        for v in graph.nodes():
+            expected += [(v, "indeg")] if indeg[v] < k else []
+            expected += [(v, "outdeg")] if outdeg[v] < k else []
+            expected += [(v, "weight-mass")] if mass[v] > k + 1e-12 else []
+        cert = check_min_k_neighbour(graph, k)
+        assert cert.violations == expected
+        assert cert.holds == (not expected)
+        assert all(type(v) is int for v, _ in cert.violations)
+
 
 class TestBoundFormulas:
     def test_indirect_bound_values(self):

@@ -131,6 +131,24 @@ class TestAttackCommand:
             payload["delta_direct"] + payload["delta_indirect"], abs=1e-12
         )
 
+    def test_indirect_scaled_mode(self, capsys):
+        argv = [
+            "--seed", "5", "attack", "--generate", "erdos:n=40,deg=4,pos=0.95",
+            "--mode", "indirect-scaled", "--k", "2", "--scale", "3", "--max-edges", "4",
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        payload = json.loads(first)
+        assert payload["mode"] == "indirect-scaled"
+        assert len(payload["attackers"]) == 2
+        assert 0 < len(payload["moves"]) <= 2 * 4
+        assert {m["kind"] for m in payload["moves"]} <= {"edge-addition", "weight-update"}
+        assert payload["goodness_after"] - payload["goodness_before"] == pytest.approx(
+            payload["delta_goodness"], abs=1e-12
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_insufficient_attackers_is_exit_3(self):
         assert main([
             "attack", "--generate", "complete:n=3", "--mode", "direct", "--k", "5",
@@ -324,6 +342,36 @@ class TestCampaignLibrary:
         assert result.records == []
         assert result.errors
         assert all("k=50" == e["cell"] for e in result.errors)
+
+    MODE_COLUMNS = {
+        "direct": ["cell", "sample", "target", "attackers", "delta", "abs_delta"],
+        "indirect": ["cell", "sample", "target", "attackers", "delta", "moves", "abs_delta"],
+        "indirect-scaled": ["cell", "sample", "target", "attackers", "delta", "moves", "abs_delta"],
+        "mixed": [
+            "cell", "sample", "target", "attackers",
+            "delta", "delta_direct", "delta_indirect", "abs_delta",
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", campaign.MODES)
+    def test_every_mode_reruns_byte_identical(self, mode, tmp_path):
+        assert set(self.MODE_COLUMNS) == set(campaign.MODES)
+        g = generate_random_graph(50, avg_out_degree=4.0, seed=32, positive_fraction=0.95)
+        config = ExperimentConfig(
+            mode=mode, samples=2, seed=7, k_values=(1, 2), k1_values=(1,), k2_values=(1, 2),
+            scale=2, max_edges=3,
+        )
+        outputs = []
+        for run in ("a", "b"):
+            result = run_campaign(g, config)
+            assert result.records and not result.errors
+            report(result, tmp_path / run, fmt="csv")
+            outputs.append([
+                (tmp_path / run / name).read_bytes() for name in ("records.csv", "summary.csv")
+            ])
+        assert outputs[0] == outputs[1]
+        header = outputs[0][0].decode().splitlines()[0]
+        assert header.split(",") == self.MODE_COLUMNS[mode]
 
     def test_cold_flag_matches_warm(self):
         g = generate_random_graph(50, avg_out_degree=4.0, seed=31, positive_fraction=0.95)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn, normalize_rating
+from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn
 
 
 def pair_graph(weight=0.5):
@@ -83,9 +83,8 @@ class TestNeighbourhood:
     def test_isolated_node(self):
         g = Wsn()
         g.add_node()
-        nb = g.neighbourhood(0)
-        assert nb.pred == frozenset() and nb.succ == frozenset()
-        assert nb.indeg == 0 and nb.outdeg == 0
+        assert g.pred(0) == set() and g.succ(0) == set()
+        assert g.indeg(0) == 0 and g.outdeg(0) == 0
 
     def test_pair(self):
         g = pair_graph()
@@ -104,23 +103,33 @@ class TestNeighbourhood:
             assert g.outdeg(v) == 1
 
     def test_unknown_node(self):
-        g = Wsn()
-        with pytest.raises(KeyError):
-            g.neighbourhood(0)
+        g = pair_graph()
+        for query in (g.pred, g.succ, g.indeg, g.outdeg):
+            for node in (2, -1, 1.0):
+                with pytest.raises(KeyError):
+                    query(node)
+        assert g._flat is None  # rejected before any flatten
+
+    def test_queries_share_the_cached_flat(self):
+        g = pair_graph()
+        flat = g.flat()
+        assert g.indeg(1) == 1 and g.pred(1) == {0}
+        assert g.flat() is flat
+        assert all(type(u) is int for u in g.pred(1))
 
 
 class TestNormalizeRating:
     def test_endpoints(self):
         scale = RatingScale(10)
-        assert normalize_rating(10, scale) == 1.0
-        assert normalize_rating(-10, scale) == -1.0
+        assert scale.normalize(10) == 1.0
+        assert scale.normalize(-10) == -1.0
 
     def test_linearity(self):
-        assert normalize_rating(3, RatingScale(10)) == pytest.approx(0.3)
+        assert RatingScale(10).normalize(3) == pytest.approx(0.3)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            normalize_rating(11, RatingScale(10))
+            RatingScale(10).normalize(11)
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
@@ -131,7 +140,7 @@ class TestNormalizeRating:
     @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
     def test_odd_function(self, raw):
         scale = RatingScale(10)
-        assert normalize_rating(-raw, scale) == -normalize_rating(raw, scale)
+        assert scale.normalize(-raw) == -scale.normalize(raw)
 
 
 @st.composite
@@ -157,6 +166,11 @@ class TestInvariants:
         assert all(-1.0 <= w <= 1.0 for w in weights)
         assert sum(g.indeg(v) for v in g.nodes()) == g.edge_count
         assert sum(g.outdeg(v) for v in g.nodes()) == g.edge_count
+        edges = list(g.edges())
+        for v in g.nodes():
+            sources = {u for u, x, _ in edges if x == v}
+            assert g.pred(v) == sources
+            assert g.indeg(v) == len(sources)
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(), st.floats(min_value=-1, max_value=1, allow_nan=False))
@@ -171,8 +185,13 @@ class TestInvariants:
             return
         before = g.copy()
         u, v = free[0]
+        sources = g.pred(v)
         g.add_edge(u, v, w)
+        assert g.pred(v) == sources | {u}
+        assert g.indeg(v) == len(sources) + 1
         g.remove_edge(u, v)
+        assert g.pred(v) == sources
+        assert g.indeg(v) == len(sources)
         assert g == before
 
     def test_rate_dispatches(self):
@@ -220,6 +239,42 @@ class TestCopy:
         g = pair_graph()
         g._succ[0][1] = 5.0  # bypass the API on purpose
         with pytest.raises(InvariantViolationError):
+            g.validate()
+
+
+class TestValidate:
+    """One corruption per remaining check, each written past the API on purpose."""
+
+    def test_clean_graph_passes(self):
+        triangle_graph().validate()
+
+    def test_self_loop(self):
+        g = triangle_graph()
+        g._succ[2][2] = 0.5
+        with pytest.raises(InvariantViolationError, match="self-loop at 2"):
+            g.validate()
+
+    @pytest.mark.parametrize("weight", [1.5, -1.0000001, float("nan"), float("inf")])
+    def test_weight_out_of_range(self, weight):
+        g = triangle_graph()
+        g._succ[1][2] = weight
+        with pytest.raises(InvariantViolationError, match=r"on \(1, 2\) outside \[-1, 1\]"):
+            g.validate()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda g: g._ids.__setitem__("a", 1),
+            lambda g: g._ids.pop("c"),
+            lambda g: g._ids.__setitem__("z", 0),
+            lambda g: g._labels.__setitem__(2, "z"),
+        ],
+        ids=["wrong-id", "missing-label", "extra-label", "renamed-node"],
+    )
+    def test_broken_label_map(self, corrupt):
+        g = triangle_graph()
+        corrupt(g)
+        with pytest.raises(InvariantViolationError, match="label index is not a bijection"):
             g.validate()
 
 
