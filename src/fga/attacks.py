@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
-from .engine import _screened_recompute
+from .engine import _BATCH_ITEMS, _screened_recompute, compute_fga_many
 from .engine import recompute_after  # noqa: F401  public re-export
 from .graph import Wsn
 
@@ -518,12 +518,19 @@ def solve_exhaustive(
     best_combo: tuple[tuple[int, int, float], ...] = ()
     enumerated = 1
     minimize = problem.direction == "decrease"
-    for size in range(1, problem.budget + 1):
-        for combo in itertools.combinations(pool, size):
-            touched = {(a, v) for a, v, _ in combo}
-            if len(touched) < size:
-                continue  # two moves on one edge collapse to the later one
-            value = _objective(problem, recompute_flat(flat.with_ratings(combo), base, config))
+    # two moves on one edge collapse to the later one, so such sets are skipped
+    combos = (
+        combo
+        for size in range(1, problem.budget + 1)
+        for combo in itertools.combinations(pool, size)
+        if len({(a, v) for a, v, _ in combo}) == size
+    )
+    # as many overlays per batched solve as fit one batch of the engine
+    per_solve = max(1, _BATCH_ITEMS // (flat.n + len(flat.src) + problem.budget))
+    while chunk := list(itertools.islice(combos, per_solve)):
+        views = [flat.with_ratings(combo) for combo in chunk]
+        for combo, scores in zip(chunk, compute_fga_many(views, [base] * len(chunk), config)):
+            value = _objective(problem, scores)
             enumerated += 1
             if (value < best_value) if minimize else (value > best_value):
                 best_value = value
@@ -531,7 +538,8 @@ def solve_exhaustive(
 
     moves = _moves(flat, best_combo)
     final_graph = _GraphAfter(graph, moves)
-    final = compute_fga(final_graph.get(), config)
+    # a cold solve of the overlay equals one of the rebuilt graph, which stays unbuilt
+    (final,) = compute_fga_many([flat.with_ratings(best_combo)], None, config)
     targets = problem.targets if problem.targets is not None else tuple(
         node for pair in problem.target_pairs for node in pair
     )

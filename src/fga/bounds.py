@@ -38,7 +38,7 @@ class MinKNeighbourCert:
     violations: list[tuple[int, str]]
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundReport:
     """One trial: the analytic cap versus the observed goodness shift."""
 

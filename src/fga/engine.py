@@ -32,6 +32,23 @@ Every solve sweeps a ``FlatEdges``: ``compute_fga`` and ``recompute_after``
 read the graph's cached one, and ``recompute_flat`` takes an edited view
 from ``FlatEdges.with_ratings`` directly, so a warm re-solve after k edits
 never re-flattens the graph.
+
+``compute_fga_many`` solves many graphs at once, for the thousands of tiny
+gadgets and move sets where per-call numpy overhead, not arithmetic, is the
+cost. It concatenates their arrays with node offsets into one disjoint
+union (still in canonical order) and sweeps it as one graph. The
+recurrences never couple two components, so each keeps its own fixed point,
+and each stops on its own rule: its residual is the maximum over its own
+nodes, and once that drops below the tolerance (or the sweep ceiling is
+hit) the component's scores, sweep count and residual are recorded, and
+what later sweeps do to it is ignored. Stopped components are cut out of the
+union once they hold half its nodes, so at most half of any sweep is spent
+on them and each cut at least halves the union. Every result is
+bit-identical to the component's solo solve: a sweep is elementwise except
+for ``bincount``, which adds each node's terms in array order, and that
+order within the union is the component's own canonical order; maxima are
+exact. Unions are cut at ``_BATCH_ITEMS`` nodes plus edges, so memory stays
+bounded. A single solve is a batch of one through the same loop.
 """
 
 from __future__ import annotations
@@ -39,10 +56,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .graph import FlatEdges, Wsn
+from .graph import FlatEdges, Wsn, node_index
 
 
 @dataclass(frozen=True)
@@ -96,55 +114,185 @@ class FgaScores:
         )
 
 
+#: Nodes plus edges of one batched union; larger inputs are cut into batches.
+_BATCH_ITEMS = 1 << 15
+
+
 def _iterate_flat(
-    flat: FlatEdges,
-    fairness: np.ndarray,
-    goodness: np.ndarray,
+    flats: list[FlatEdges],
+    starts: list[tuple[np.ndarray, np.ndarray]],
     config: FgaConfig,
     watch: int | None = None,
     floor: float = math.inf,
-) -> FgaScores | None:
-    """Sweep to the stopping rule; None if g[watch] provably stays >= floor first."""
-    n = flat.n
-    src, dst, w = flat.src, flat.dst, flat.w
-    indeg_safe = np.maximum(flat.indeg, 1.0)
-    outdeg_safe = np.maximum(flat.outdeg, 1.0)
-    rated = flat.indeg > 0
-    rating = flat.outdeg > 0
+) -> list[FgaScores] | None:
+    """The one sweep loop: solve the disjoint union of non-empty ``flats``.
 
-    f = fairness
-    g = goodness
-    residual = 0.0
-    iterations = 0
+    Each component stops on its own rule and keeps the scores, sweep count
+    and residual of that sweep. None if g[watch] of a batch of one provably
+    stays >= floor before it stops.
+    """
+    if len(flats) == 1:
+        (flat,) = flats
+        src, dst, w = flat.src, flat.dst, flat.w
+        indeg, outdeg = flat.indeg, flat.outdeg
+        f, g = starts[0]
+        sizes = np.array([flat.n])
+        edge_sizes = np.array([len(src)])
+    else:
+        sizes = np.array([flat.n for flat in flats])
+        edge_sizes = np.array([len(flat.src) for flat in flats])
+        shift = np.repeat(np.cumsum(sizes) - sizes, edge_sizes)
+        src = np.concatenate([flat.src for flat in flats]) + shift
+        dst = np.concatenate([flat.dst for flat in flats]) + shift
+        w = np.concatenate([flat.w for flat in flats])
+        indeg = np.concatenate([flat.indeg for flat in flats])
+        outdeg = np.concatenate([flat.outdeg for flat in flats])
+        f = np.concatenate([f for f, _ in starts])
+        g = np.concatenate([g for _, g in starts])
+    indeg_safe = np.maximum(indeg, 1.0)
+    outdeg_safe = np.maximum(outdeg, 1.0)
+    unrated = indeg == 0
+    silent = outdeg == 0
+    offsets = np.cumsum(sizes) - sizes
+    active = np.arange(len(flats))
+    stopped = np.zeros(len(flats), dtype=bool)
+    results: list[FgaScores | None] = [None] * len(flats)
+    tolerance = config.residual_tolerance
+    edge_buf = np.empty(len(src))
+    node_buf = np.empty(len(f))
+    node_buf2 = np.empty(len(f))
     for iterations in range(1, config.max_iterations + 1):
-        g_new = np.where(rated, np.bincount(dst, weights=f[src] * w, minlength=n) / indeg_safe, 1.0)
-        np.clip(g_new, -1.0, 1.0, out=g_new)
-        err = np.abs(w - g_new[dst]) * 0.5
-        f_new = np.where(rating, 1.0 - np.bincount(src, weights=err, minlength=n) / outdeg_safe, 1.0)
-        np.clip(f_new, 0.0, 1.0, out=f_new)
-        if n:
-            residual = max(
-                float(np.max(np.abs(f_new - f))),
-                float(np.max(np.abs(g_new - g))),
-            )
-        else:
-            residual = 0.0
-        f = f_new
-        g = g_new
-        if residual < config.residual_tolerance:
-            break
+        n = len(f)
+        # clip mode: every index is in range, and it skips the copy of out that raise mode makes
+        f.take(src, out=edge_buf, mode="clip")
+        edge_buf *= w
+        # bincount of no edges gives int zeros, which the in-place divide rejects
+        g_new = np.bincount(dst, weights=edge_buf, minlength=n) if len(w) else np.zeros(n)
+        g_new /= indeg_safe
+        np.copyto(g_new, 1.0, where=unrated)
+        np.minimum(g_new, 1.0, out=g_new)
+        np.maximum(g_new, -1.0, out=g_new)
+        g_new.take(dst, out=edge_buf, mode="clip")
+        np.subtract(w, edge_buf, out=edge_buf)
+        np.abs(edge_buf, out=edge_buf)
+        edge_buf *= 0.5
+        f_new = np.bincount(src, weights=edge_buf, minlength=n) if len(w) else np.zeros(n)
+        f_new /= outdeg_safe
+        np.subtract(1.0, f_new, out=f_new)
+        np.copyto(f_new, 1.0, where=silent)
+        np.minimum(f_new, 1.0, out=f_new)
+        np.maximum(f_new, 0.0, out=f_new)
+        # residual: max |change| of fairness and goodness over each component
+        delta = np.subtract(f_new, f, out=node_buf)
+        np.abs(delta, out=delta)
+        g_delta = np.subtract(g_new, g, out=node_buf2)
+        np.abs(g_delta, out=g_delta)
+        np.maximum(delta, g_delta, out=delta)
+        residuals = np.maximum.reduceat(delta, offsets)
+        f, g = f_new, g_new
+        done = residuals < tolerance
         # Every later g[watch] lies within 2 * residual of this one (module docstring).
-        if watch is not None and g[watch] - 3.0 * residual - 1e-12 >= floor:
+        if watch is not None and not done[0] and g[watch] - 3.0 * residuals[0] - 1e-12 >= floor:
             return None
-    return FgaScores(fairness=f, goodness=g, iterations_run=iterations, max_residual=residual)
+        if iterations == config.max_iterations:
+            done[:] = True
+        done &= ~stopped
+        if not done.any():
+            continue
+        if len(active) == 1:
+            results[active[0]] = FgaScores(f, g, iterations, float(residuals[0]))
+            break
+        for i in np.flatnonzero(done).tolist():
+            lo, hi = offsets[i], offsets[i] + sizes[i]
+            results[active[i]] = FgaScores(
+                f[lo:hi].copy(), g[lo:hi].copy(), iterations, float(residuals[i])
+            )
+        stopped |= done
+        if stopped.all():
+            break
+        if 2 * int(sizes[stopped].sum()) < len(f):
+            continue  # sweeping the stopped ones costs less than rebuilding the union
+        # Drop the stopped components; the rest keep their order and offsets shift down.
+        keep = ~stopped
+        node_keep = np.repeat(keep, sizes)
+        edge_keep = np.repeat(keep, edge_sizes)
+        removed = np.where(stopped, sizes, 0)
+        shift = np.repeat((np.cumsum(removed) - removed)[keep], edge_sizes[keep])
+        src = src[edge_keep] - shift
+        dst = dst[edge_keep] - shift
+        w = w[edge_keep]
+        indeg_safe, outdeg_safe = indeg_safe[node_keep], outdeg_safe[node_keep]
+        unrated, silent = unrated[node_keep], silent[node_keep]
+        f, g = f[node_keep], g[node_keep]
+        sizes, edge_sizes, active = sizes[keep], edge_sizes[keep], active[keep]
+        offsets = np.cumsum(sizes) - sizes
+        stopped = np.zeros(len(active), dtype=bool)
+        edge_buf = np.empty(len(src))
+        node_buf = np.empty(len(f))
+        node_buf2 = np.empty(len(f))
+    return results
+
+
+def _start(flat: FlatEdges, warm: FgaScores | None) -> tuple[np.ndarray, np.ndarray]:
+    """Start scores: the warm ones, with f = g = 1 for nodes added since."""
+    if warm is None:
+        return np.ones(flat.n), np.ones(flat.n)
+    n_old = warm.node_count
+    if n_old == flat.n:
+        return warm.fairness, warm.goodness
+    if flat.n < n_old:
+        raise ValueError(f"graph has {flat.n} nodes but warm scores cover {n_old}")
+    f = np.ones(flat.n)
+    g = np.ones(flat.n)
+    f[:n_old] = warm.fairness
+    g[:n_old] = warm.goodness
+    return f, g
+
+
+def compute_fga_many(
+    flats: Sequence[FlatEdges],
+    warm: Sequence[FgaScores | None] | None = None,
+    config: FgaConfig | None = None,
+) -> list[FgaScores]:
+    """Solve many graphs as one block-diagonal union, in input order.
+
+    ``warm[i]``, if given and not None, warm-starts ``flats[i]`` as in
+    ``recompute_after``; otherwise it starts cold. Every result is
+    bit-identical to the graph's own ``compute_fga`` or ``recompute_after``
+    (module docstring).
+    """
+    config = config or DEFAULT_CONFIG
+    warm = [None] * len(flats) if warm is None else list(warm)
+    if len(warm) != len(flats):
+        raise ValueError(f"{len(warm)} warm starts for {len(flats)} graphs")
+    starts = [_start(flat, scores) for flat, scores in zip(flats, warm)]
+    results: list[FgaScores | None] = [None] * len(flats)
+    batches: list[list[int]] = [[]]
+    items = 0
+    for index, flat in enumerate(flats):
+        if flat.n == 0:
+            # one sweep over no nodes: residual 0, so it stops at once
+            results[index] = FgaScores(np.ones(0), np.ones(0), 1, 0.0)
+            continue
+        size = flat.n + len(flat.src)
+        if batches[-1] and items + size > _BATCH_ITEMS:
+            batches.append([])
+            items = 0
+        batches[-1].append(index)
+        items += size
+    for batch in batches:
+        if batch:
+            solved = _iterate_flat([flats[i] for i in batch], [starts[i] for i in batch], config)
+            for index, scores in zip(batch, solved):
+                results[index] = scores
+    return results
 
 
 def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
     """Warm-started iteration on a flat edge view over an unchanged node set."""
-    config = config or DEFAULT_CONFIG
     if warm.node_count != flat.n:
         raise ValueError(f"warm scores cover {warm.node_count} nodes, view has {flat.n}")
-    return _iterate_flat(flat, warm.fairness.copy(), warm.goodness.copy(), config)
+    return compute_fga_many([flat], [warm], config)[0]
 
 
 def _screened_recompute(
@@ -156,7 +304,8 @@ def _screened_recompute(
     solve that is not abandoned returns the same scores bit for bit. Only the
     greedy candidate scan calls it; an abandoned solve is not a result.
     """
-    return _iterate_flat(flat, warm.fairness.copy(), warm.goodness.copy(), config, node, floor)
+    solved = _iterate_flat([flat], [(warm.fairness, warm.goodness)], config, node, floor)
+    return None if solved is None else solved[0]
 
 
 def compute_fga(graph: Wsn, config: FgaConfig | None = None) -> FgaScores:
@@ -165,9 +314,7 @@ def compute_fga(graph: Wsn, config: FgaConfig | None = None) -> FgaScores:
     Always returns; failure to converge within the sweep budget shows up as
     ``max_residual >= residual_tolerance`` on the result.
     """
-    config = config or DEFAULT_CONFIG
-    n = graph.node_count
-    return _iterate_flat(graph.flat(), np.ones(n), np.ones(n), config)
+    return compute_fga_many([graph.flat()], None, config)[0]
 
 
 def recompute_after(graph: Wsn, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
@@ -178,24 +325,12 @@ def recompute_after(graph: Wsn, warm: FgaScores, config: FgaConfig | None = None
     cold ``compute_fga`` within the residual tolerance, usually in far fewer
     sweeps. Shrinking the node set is not supported.
     """
-    config = config or DEFAULT_CONFIG
-    n = graph.node_count
-    n_old = warm.node_count
-    if n < n_old:
-        raise ValueError(f"graph has {n} nodes but warm scores cover {n_old}")
-    f = np.ones(n)
-    g = np.ones(n)
-    f[:n_old] = warm.fairness
-    g[:n_old] = warm.goodness
-    return _iterate_flat(graph.flat(), f, g, config)
+    return compute_fga_many([graph.flat()], [warm], config)[0]
 
 
 def predict_weight(scores: FgaScores, u: int, v: int) -> float:
     """Predicted rating of v by u: the product f(u) * g(v)."""
-    n = scores.node_count
-    for node in (u, v):
-        if not (isinstance(node, int) and 0 <= node < n):
-            raise KeyError(f"unknown node {node}")
+    u, v = node_index(u, scores.node_count), node_index(v, scores.node_count)
     return float(scores.fairness[u] * scores.goodness[v])
 
 

@@ -11,12 +11,28 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 NodeId = int
+
+
+def node_index(node, n: int) -> int:
+    """``node`` as a plain int below ``n``; any integer type but bool is accepted."""
+    index = node
+    if type(node) is not int:
+        if isinstance(node, (bool, np.bool_)):
+            raise TypeError(f"node id must be an integer, not {node!r}")
+        try:
+            index = operator.index(node)
+        except TypeError:
+            raise TypeError(f"node id must be an integer, not {node!r}") from None
+    if not 0 <= index < n:
+        raise KeyError(f"unknown node {node}")
+    return index
 
 
 class InvariantViolationError(RuntimeError):
@@ -48,7 +64,9 @@ class Wsn:
 
     Every weight lies in [-1, 1], there is at most one edge per ordered pair,
     and self-loops are rejected. Node ids are dense non-negative integers
-    assigned at creation; external string labels map bijectively to ids.
+    assigned at creation; external string labels map bijectively to ids. A
+    node added without a label is named str(id), and only explicit labels
+    are stored, so generated graphs and gadgets keep no label strings.
 
     The successor dicts are the only edge store. ``succ`` and ``outdeg``
     read them; ``indeg`` and ``pred`` read the cached ``FlatEdges``, so the
@@ -64,8 +82,8 @@ class Wsn:
 
     def __init__(self) -> None:
         self._succ: list[dict[int, float]] = []
-        self._labels: list[str] = []
-        self._ids: dict[str, int] = {}
+        self._labels: list[str | None] = []  # None: the node is named str(id)
+        self._ids: dict[str, int] = {}  # explicit labels only
         self._flat: FlatEdges | None = None
 
     # -- nodes ---------------------------------------------------------
@@ -79,46 +97,65 @@ class Wsn:
         return sum(map(len, self._succ))
 
     def add_node(self, label: str | None = None) -> int:
-        node = len(self._succ)
-        if label is None:
-            label = str(node)
-        if label in self._ids:
-            raise ValueError(f"duplicate node label {label!r}")
-        self._flat = None
-        self._succ.append({})
-        self._labels.append(label)
-        self._ids[label] = node
-        return node
+        """Add a node named ``label``, or str(id) when None; a name is used only once."""
+        name = str(len(self._succ)) if label is None else label
+        if name in self._ids or (label is not None and self._implied(label) is not None):
+            raise ValueError(f"duplicate node label {name!r}")
+        return self._append(label)
 
     def ensure_node(self, label: str) -> int:
         """Return the id for ``label``, creating the node on first sight."""
-        existing = self._ids.get(label)
-        if existing is not None:
-            return existing
-        return self.add_node(label)
+        node = self._ids.get(label)
+        if node is None:
+            node = self._implied(label)
+            if node is None:
+                return self._append(label)
+        return node
+
+    def _append(self, label: str | None) -> int:
+        node = len(self._succ)
+        self._flat = None
+        self._succ.append({})
+        self._labels.append(label)
+        if label is not None:
+            self._ids[label] = node
+        return node
+
+    def _implied(self, label) -> int | None:
+        """The unlabelled node whose name str(id) is ``label``, if any."""
+        if not (isinstance(label, str) and label.isascii() and label.isdecimal()):
+            return None
+        node = int(label)
+        if node < len(self._labels) and self._labels[node] is None and str(node) == label:
+            return node
+        return None
 
     def has_node(self, node: int) -> bool:
         return 0 <= node < len(self._succ)
 
     def id_of(self, label: str) -> int:
-        try:
-            return self._ids[label]
-        except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
+        node = self._ids.get(label)
+        if node is None:
+            node = self._implied(label)
+            if node is None:
+                raise KeyError(f"unknown node label {label!r}")
+        return node
 
     def label_of(self, node: int) -> str:
-        self._check_node(node)
-        return self._labels[node]
+        node = self._check_node(node)
+        label = self._labels[node]
+        return str(node) if label is None else label
 
     def labels(self) -> list[str]:
-        return list(self._labels)
+        return [str(node) if label is None else label for node, label in enumerate(self._labels)]
 
     def nodes(self) -> range:
         return range(len(self._succ))
 
-    def _check_node(self, node: int) -> None:
-        if not (isinstance(node, int) and 0 <= node < len(self._succ)):
-            raise KeyError(f"unknown node {node}")
+    def _check_node(self, node: int) -> int:
+        if type(node) is int and 0 <= node < len(self._succ):
+            return node  # the common case, without the call
+        return node_index(node, len(self._succ))
 
     # -- edges ---------------------------------------------------------
 
@@ -131,8 +168,7 @@ class Wsn:
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
         """Add the edge (u, v). Rejects duplicates; re-rating goes through update_weight."""
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         weight = self._check_weight(weight)
@@ -142,8 +178,7 @@ class Wsn:
         self._succ[u][v] = weight
 
     def update_weight(self, u: int, v: int, weight: float) -> None:
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         weight = self._check_weight(weight)
         if v not in self._succ[u]:
             raise KeyError(f"edge ({u}, {v}) does not exist")
@@ -163,21 +198,18 @@ class Wsn:
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the edge (u, v); edge deletion is not part of the attack move model."""
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         if v not in self._succ[u]:
             raise KeyError(f"edge ({u}, {v}) does not exist")
         self._flat = None
         del self._succ[u][v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         return v in self._succ[u]
 
     def weight(self, u: int, v: int) -> float:
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         try:
             return self._succ[u][v]
         except KeyError:
@@ -202,21 +234,19 @@ class Wsn:
     # -- neighbourhood queries ------------------------------------------
 
     def pred(self, v: int) -> set[int]:
-        self._check_node(v)
+        v = self._check_node(v)
         flat = self.flat()
         return set(flat.src[flat.dst == v].tolist())
 
     def succ(self, u: int) -> set[int]:
-        self._check_node(u)
-        return set(self._succ[u])
+        return set(self._succ[self._check_node(u)])
 
     def indeg(self, v: int) -> int:
-        self._check_node(v)
+        v = self._check_node(v)
         return int(self.flat().indeg[v])
 
     def outdeg(self, u: int) -> int:
-        self._check_node(u)
-        return len(self._succ[u])
+        return len(self._succ[self._check_node(u)])
 
     # -- whole-graph operations ------------------------------------------
 
@@ -231,7 +261,7 @@ class Wsn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Wsn):
             return NotImplemented
-        return self._labels == other._labels and self._succ == other._succ
+        return self._succ == other._succ and self.labels() == other.labels()
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("Wsn is mutable and unhashable")
@@ -248,8 +278,10 @@ class Wsn:
                     problems.append(f"self-loop at {u}")
                 if not (math.isfinite(w) and -1.0 <= w <= 1.0):
                     problems.append(f"weight {w} on ({u}, {v}) outside [-1, 1]")
-        if len(self._ids) != len(self._labels) or any(
-            self._ids.get(label) != node for node, label in enumerate(self._labels)
+        explicit = [(node, label) for node, label in enumerate(self._labels) if label is not None]
+        if len(self._ids) != len(explicit) or any(
+            self._ids.get(label) != node or self._implied(label) is not None
+            for node, label in explicit
         ):
             problems.append("label index is not a bijection")
         if problems:
@@ -274,7 +306,7 @@ class FlatEdges:
 
     def __init__(self, n, src, dst, w, key, indeg, outdeg):
         for array in (src, dst, w, key, indeg, outdeg):
-            array.flags.writeable = False
+            array.setflags(write=False)
         self.n = n
         self.src = src
         self.dst = dst
@@ -301,15 +333,10 @@ class FlatEdges:
         indeg = np.bincount(dst, minlength=n).astype(np.float64)
         return cls(n, src, dst, w, key, indeg, outdeg.astype(np.float64))
 
-    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Insertion positions of ``keys`` and whether each edge is already present."""
-        pos = np.searchsorted(self.key, keys)
-        present = pos < len(self.key)
-        present[present] = self.key[pos[present]] == keys[present]
-        return pos, present
-
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._find(np.array([u * self.n + v]))[1][0])
+        key = u * self.n + v
+        at = int(self.key.searchsorted(key))
+        return at < len(self.key) and bool(self.key[at] == key)
 
     def with_rating(self, u: int, v: int, weight: float) -> "FlatEdges":
         """View with (u, v) set to ``weight``, inserting the edge if absent."""
@@ -320,30 +347,46 @@ class FlatEdges:
         n = self.n
         pending: dict[int, float] = {}
         for u, v, weight in edits:
-            for node in (u, v):
-                if not 0 <= node < n:
-                    raise KeyError(f"unknown node {node}")
+            u, v = node_index(u, n), node_index(v, n)
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
-            pending[int(u) * n + int(v)] = Wsn._check_weight(weight)
-        keys = np.array(sorted(pending), dtype=np.int64)
-        values = np.array([pending[k] for k in keys.tolist()], dtype=np.float64)
-        pos, present = self._find(keys)
+            pending[u * n + v] = Wsn._check_weight(weight)
+        keys = sorted(pending)
+        m = len(self.key)
         w = self.w
-        if present.any():
-            w = w.copy()
-            w[pos[present]] = values[present]
-        if present.all():
+        inserts: list[tuple[int, int]] = []  # (position, key) of each absent edge
+        for key, at in zip(keys, self.key.searchsorted(keys).tolist()):
+            if at < m and self.key[at] == key:
+                if w is self.w:
+                    w = w.copy()
+                w[at] = pending[key]
+            else:
+                inserts.append((at, key))
+        if not inserts:
             return FlatEdges(n, self.src, self.dst, w, self.key, self.indeg, self.outdeg)
-        new = ~present
-        at, new_keys = pos[new], keys[new]
-        new_src, new_dst = np.divmod(new_keys, n)
+        # Splice each array in one pass: old run i moves up by i, new edge i lands after it.
+        cuts = [0, *(at for at, _ in inserts), m]
+
+        def spliced(old: np.ndarray, new: list) -> np.ndarray:
+            out = np.empty(m + len(new), dtype=old.dtype)
+            for i, value in enumerate(new):
+                out[cuts[i] + i : cuts[i + 1] + i] = old[cuts[i] : cuts[i + 1]]
+                out[cuts[i + 1] + i] = value
+            out[cuts[-2] + len(new) :] = old[cuts[-2] :]
+            return out
+
+        new_key = [key for _, key in inserts]
+        new_src, new_dst = zip(*(divmod(key, n) for key in new_key))
+        indeg, outdeg = self.indeg.copy(), self.outdeg.copy()
+        for u, v in zip(new_src, new_dst):
+            outdeg[u] += 1.0
+            indeg[v] += 1.0
         return FlatEdges(
             n,
-            np.insert(self.src, at, new_src),
-            np.insert(self.dst, at, new_dst),
-            np.insert(w, at, values[new]),
-            np.insert(self.key, at, new_keys),
-            self.indeg + np.bincount(new_dst, minlength=n),
-            self.outdeg + np.bincount(new_src, minlength=n),
+            spliced(self.src, new_src),
+            spliced(self.dst, new_dst),
+            spliced(w, [pending[key] for key in new_key]),
+            spliced(self.key, new_key),
+            indeg,
+            outdeg,
         )

@@ -430,7 +430,69 @@ class TestAttackProblemValidation:
             )
 
 
+def oracle_problems(seed):
+    """The four oracle instances of round 0 of the tiny-suite benchmark at ``seed``."""
+    rng = np.random.default_rng([seed, 0, 8])
+    for n, budget in ((6, 2), (8, 2), (12, 1), (9, 1)):
+        while True:
+            graph = generate_random_graph(
+                n, avg_out_degree=2.0, seed=int(rng.integers(0, 2**31)), positive_fraction=0.8
+            )
+            scores = compute_fga(graph, ATTACK_CONFIG)
+            targets = [v for v in graph.nodes() if graph.indeg(v) >= 1 and scores.goodness[v] > 0]
+            if targets:
+                break
+        target = int(targets[rng.integers(0, len(targets))])
+        pool = [v for v in graph.nodes() if v != target]
+        attackers = tuple(int(pool[i]) for i in rng.choice(len(pool), size=budget, replace=False))
+        yield AttackProblem(
+            graph=graph, attackers=attackers,
+            intermediaries=tuple(v for v in graph.nodes() if v != target),
+            budget=budget, threshold=0.0, direction="decrease", targets=(target,),
+        )
+
+
+#: (seed, objective, moves as (attacker, rated, weight), sets enumerated, feasible),
+#: as the unbatched oracle found them.
+PINNED_ORACLE = [
+    (1, 0.5192465814770022, ((1, 2, 1.0), (3, 2, 1.0)), 129, False),
+    (1, 0.35316179439233875, ((3, 1, -1.0), (7, 4, -1.0)), 289, False),
+    (1, 0.5539400467418463, ((10, 1, 1.0),), 21, False),
+    (1, -0.009011230970316239, ((7, 4, -1.0),), 15, True),
+    (2, 0.15050392429150397, ((3, 4, -1.0), (4, 3, -1.0)), 129, False),
+    (2, 0.3182806027382896, ((0, 4, 1.0), (1, 2, -1.0)), 289, False),
+    (2, 0.2379570584515524, ((5, 0, 1.0),), 21, False),
+    (2, 0.3661819718383664, ((5, 3, -1.0),), 15, False),
+    (3, 0.5117425470196492, ((0, 1, -1.0), (0, 3, -1.0)), 129, False),
+    (3, 0.0028825723169650487, ((5, 6, -1.0), (5, 7, -1.0)), 289, False),
+    (3, 0.7189117205146319, ((9, 1, -1.0),), 21, False),
+    (3, 0.2817059924770126, (), 15, False),
+]
+
+
 class TestSolveExhaustive:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pinned_tiny_suite_instances(self, seed):
+        pinned = [row[1:] for row in PINNED_ORACLE if row[0] == seed]
+        found = []
+        for problem in oracle_problems(seed):
+            result = solve_exhaustive(problem, weight_grid=(-1.0, 1.0))
+            moves = tuple((m.attacker, m.rated, m.weight) for m in result.moves)
+            found.append((result.objective_value, moves, result.sets_enumerated, result.feasible))
+        assert found == pinned
+
+    def test_batched_solves_match_one_at_a_time(self, monkeypatch):
+        from fga import engine
+
+        problem = list(oracle_problems(1))[1]
+        whole = solve_exhaustive(problem, weight_grid=(-1.0, 1.0))
+        monkeypatch.setattr(attacks, "_BATCH_ITEMS", 1)  # one overlay per solve
+        monkeypatch.setattr(engine, "_BATCH_ITEMS", 1)
+        single = solve_exhaustive(problem, weight_grid=(-1.0, 1.0))
+        assert single.objective_value == whole.objective_value
+        assert single.moves == whole.moves
+        assert single.sets_enumerated == whole.sets_enumerated == 289
+
     def test_zero_budget_infeasible(self):
         g = two_rater_chain()
         attacker = g.add_node("5")

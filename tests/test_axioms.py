@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fga.axioms import (
@@ -15,6 +16,7 @@ from fga.axioms import (
     measured_goodness,
     run_axiom_suite,
     smooth_fairness_gap,
+    smooth_goodness_gap,
 )
 from fga.engine import HIGH_PRECISION, compute_fga
 from fga.gadgets import (
@@ -222,6 +224,35 @@ class TestSuiteRunner:
         for verdict in verdicts:
             assert verdict.passed, f"{verdict.name}: worst error {verdict.worst_error}"
             assert verdict.samples == 15
+
+    def test_verdicts_pinned(self):
+        # worst_error of each axiom, as the unbatched per-draw solves gave it
+        pinned = {
+            "smooth_goodness": 1.878941446875615e-12,
+            "increase_weight": 3.7481129311345285e-13,
+            "monotonicity_goodness": 0.0,
+            "maximal_trust": 0.0,
+            "groups_goodness": 4.2521541843143495e-13,
+            "baseline_goodness": 0.0,
+            "smooth_fairness": 1.5210055437364645e-13,
+            "monotonicity_fairness": 0.0,
+            "obvious_fairness": 4.5441428397907657e-13,
+            "groups_fairness": 2.2215562722749382e-13,
+            "baseline_fairness": 0.0,
+        }
+        verdicts = run_axiom_suite(samples=20, seed=1)
+        assert {v.name: v.worst_error for v in verdicts} == pinned
+        assert all(v.samples == 20 and v.failures == 0 for v in verdicts)
+
+    def test_public_gaps_match_the_batched_suite(self):
+        # a one-draw suite measures the same gadgets as the public helper
+        rng = np.random.default_rng([5, 0])
+        f0 = float(rng.uniform(0.1, 0.8))
+        delta = float(rng.uniform(0.1, 1.0 - f0))
+        omega = float(rng.uniform(-1.0, 1.0))
+        raters = int(rng.integers(1, 4))
+        verdict = run_axiom_suite(samples=1, seed=5)[0]
+        assert verdict.worst_error == max(0.0, smooth_goodness_gap(f0, delta, omega, raters))
 
     def test_verdict_serialization(self):
         verdict = run_axiom_suite(samples=2, seed=0)[0]

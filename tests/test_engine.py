@@ -13,6 +13,7 @@ from fga.engine import (
     FlatEdges,
     _screened_recompute,
     compute_fga,
+    compute_fga_many,
     export_scores_csv,
     predict_weight,
     recompute_after,
@@ -294,6 +295,87 @@ class TestWarmStart:
         smaller = generate_random_graph(5, seed=1)
         with pytest.raises(ValueError, match="nodes"):
             recompute_after(smaller, warm)
+
+
+def assert_same_scores(got, want):
+    """Bit-for-bit equality of every field."""
+    assert got.iterations_run == want.iterations_run
+    assert got.max_residual == want.max_residual
+    assert got.fairness.tobytes() == want.fairness.tobytes()
+    assert got.goodness.tobytes() == want.goodness.tobytes()
+
+
+class TestComputeFgaMany:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_result_equals_its_own_solve(self, data):
+        config = data.draw(
+            st.sampled_from([DEFAULT_CONFIG, HIGH_PRECISION, FgaConfig(max_iterations=4)]),
+            label="config",
+        )
+        graphs, warm, want = [], [], []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="graphs")):
+            g = draw_graph(data, 0, 7)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=2), label="isolated")):
+                g.add_node()
+            if g.node_count and data.draw(st.booleans(), label="warm"):
+                start = compute_fga(g, config)
+                v = g.add_node()  # a node added since the warm scores start at 1
+                g.add_edge(v, 0, data.draw(st.sampled_from([-1.0, 0.25, 1.0]), label="w"))
+                warm.append(start)
+                want.append(recompute_after(g, start, config))
+            else:
+                warm.append(None)
+                want.append(compute_fga(g, config))
+            graphs.append(g)
+        got = compute_fga_many([g.flat() for g in graphs], warm, config)
+        assert len(got) == len(want)
+        for one, solo in zip(got, want):
+            assert_same_scores(one, solo)
+
+    def test_each_component_stops_on_its_own(self):
+        capped = FgaConfig(max_iterations=10, residual_tolerance=1e-12)
+        slow = generate_random_graph(30, avg_out_degree=3.0, seed=4)
+        edgeless = Wsn()
+        edgeless.add_node()
+        edgeless.add_node()
+        half = Wsn()
+        half.add_node()
+        half.add_node()
+        half.add_edge(0, 1, 0.5)  # g = 0.5 after sweep 1, unchanged after sweep 2
+        # the quick ones outnumber the slow one, so the union is cut down to it mid-solve
+        graphs = [edgeless, slow] + [half, edgeless] * 20 + [Wsn(), slow]
+        got = compute_fga_many([g.flat() for g in graphs], None, capped)
+        assert [s.iterations_run for s in got] == [1, 10] + [2, 1] * 20 + [1, 10]
+        assert got[1].max_residual >= capped.residual_tolerance
+        assert all(s.max_residual == 0.0 for s in got[2:-1])
+        for one, g in zip(got, graphs):
+            assert_same_scores(one, compute_fga(g, capped))
+            assert one.fairness.base is None and one.goodness.base is None  # owns its arrays
+
+    def test_more_graphs_than_one_batch_holds(self, monkeypatch):
+        from fga import engine
+
+        graphs = [
+            generate_random_graph(n, avg_out_degree=2.0, seed=n, positive_fraction=0.7)
+            for n in range(2, 30)
+        ]
+        whole = compute_fga_many([g.flat() for g in graphs], None, HIGH_PRECISION)
+        monkeypatch.setattr(engine, "_BATCH_ITEMS", 40)  # a few graphs per batch
+        cut = compute_fga_many([g.flat() for g in graphs], None, HIGH_PRECISION)
+        for a, b, g in zip(whole, cut, graphs):
+            assert_same_scores(a, b)
+            assert_same_scores(a, compute_fga(g, HIGH_PRECISION))
+
+    def test_warm_start_validation(self):
+        g = generate_random_graph(10, seed=1)
+        warm = compute_fga(g)
+        smaller = generate_random_graph(5, seed=1)
+        with pytest.raises(ValueError, match="nodes"):
+            compute_fga_many([smaller.flat()], [warm])
+        with pytest.raises(ValueError, match="warm starts"):
+            compute_fga_many([g.flat(), g.flat()], [warm])
+        assert compute_fga_many([]) == []
 
 
 class TestFlatEdgeViews:

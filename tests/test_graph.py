@@ -1,3 +1,4 @@
+import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,9 +106,11 @@ class TestNeighbourhood:
     def test_unknown_node(self):
         g = pair_graph()
         for query in (g.pred, g.succ, g.indeg, g.outdeg):
-            for node in (2, -1, 1.0):
+            for node in (2, -1):
                 with pytest.raises(KeyError):
                     query(node)
+            with pytest.raises(TypeError):
+                query(1.0)  # not an integer, so not a node id at all
         assert g._flat is None  # rejected before any flatten
 
     def test_queries_share_the_cached_flat(self):
@@ -116,6 +119,61 @@ class TestNeighbourhood:
         assert g.indeg(1) == 1 and g.pred(1) == {0}
         assert g.flat() is flat
         assert all(type(u) is int for u in g.pred(1))
+
+
+class TestNodeIds:
+    """Any integer type names a node; bools and non-integers are type errors."""
+
+    @pytest.mark.parametrize("node", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_integer_types_accepted(self, node):
+        from fga.engine import compute_fga, predict_weight
+
+        g = pair_graph(0.5)
+        assert g.indeg(node) == 1
+        assert g.weight(0, node) == 0.5
+        assert g.pred(node) == {0}
+        scores = compute_fga(g)
+        assert predict_weight(scores, 0, node) == predict_weight(scores, 0, 1)
+        view = g.flat().with_rating(node, 0, -1.0)
+        assert view.has_edge(1, 0) and view.w.tolist() == [0.5, -1.0]
+
+    @pytest.mark.parametrize("node", [True, np.True_, 1.0, np.float64(1.0), "1", None])
+    def test_non_integers_rejected_by_name(self, node):
+        from fga.engine import compute_fga, predict_weight
+
+        g = pair_graph(0.5)
+        scores = compute_fga(g)
+        flat = g.flat()
+        for query in (
+            lambda: g.indeg(node),
+            lambda: g.weight(0, node),
+            lambda: predict_weight(scores, 0, node),
+            lambda: flat.with_rating(node, 0, -1.0),
+        ):
+            with pytest.raises(TypeError, match=re.escape(f"not {node!r}")):
+                query()
+
+    def test_out_of_range_integers_are_unknown(self):
+        from fga.engine import compute_fga, predict_weight
+
+        g = pair_graph(0.5)
+        scores = compute_fga(g)
+        for node in (2, np.int64(-1)):
+            for query in (
+                lambda: g.indeg(node),
+                lambda: g.weight(0, node),
+                lambda: predict_weight(scores, 0, node),
+                lambda: g.flat().with_rating(node, 0, -1.0),
+            ):
+                with pytest.raises(KeyError, match="unknown node"):
+                    query()
+
+    def test_stored_ids_are_plain_ints(self):
+        g = pair_graph(0.5)
+        g.add_node()
+        g.add_edge(np.int64(2), np.int64(0), 1.0)
+        assert all(type(v) is int for v in g.succ(2))
+        assert g.edges().__next__() == (0, 1, 0.5)
 
 
 class TestNormalizeRating:
@@ -225,6 +283,41 @@ class TestLabels:
         assert g.add_node() == 0
         assert g.label_of(0) == "0"
 
+    def test_default_names_are_implied_not_stored(self):
+        g = Wsn()
+        for _ in range(3):
+            g.add_node()
+        assert g._ids == {} and g._labels == [None, None, None]
+        assert g.labels() == ["0", "1", "2"]
+        assert [g.id_of(label) for label in ("0", "1", "2")] == [0, 1, 2]
+        assert g.ensure_node("2") == 2 and g.node_count == 3
+        for other in ("00", "+1", " 1", "3", "\u0661", "x"):  # not the name of a node
+            with pytest.raises(KeyError):
+                g.id_of(other)
+        g.validate()
+
+    def test_default_and_explicit_names_never_collide(self):
+        g = Wsn()
+        g.add_node()  # "0"
+        with pytest.raises(ValueError, match="duplicate node label '0'"):
+            g.add_node("0")
+        g.add_node("2")  # node 1, explicitly named like node 2's default
+        with pytest.raises(ValueError, match="duplicate node label '2'"):
+            g.add_node()
+        assert g.labels() == ["0", "2"] and g.id_of("2") == 1
+        assert g.ensure_node("3") == 2 and g.label_of(2) == "3"
+        g.validate()
+
+    def test_equality_compares_names_not_storage(self):
+        implied, named = Wsn(), Wsn()
+        for node in range(2):
+            implied.add_node()
+            named.add_node(str(node))
+        assert implied == named
+        named.add_node("x")
+        implied.add_node()
+        assert implied != named
+
 
 class TestCopy:
     def test_copy_is_independent(self):
@@ -268,8 +361,9 @@ class TestValidate:
             lambda g: g._ids.pop("c"),
             lambda g: g._ids.__setitem__("z", 0),
             lambda g: g._labels.__setitem__(2, "z"),
+            lambda g: g._labels.__setitem__(0, None),
         ],
-        ids=["wrong-id", "missing-label", "extra-label", "renamed-node"],
+        ids=["wrong-id", "missing-label", "extra-label", "renamed-node", "unnamed-node"],
     )
     def test_broken_label_map(self, corrupt):
         g = triangle_graph()
