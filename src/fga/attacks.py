@@ -17,13 +17,19 @@ stops (the sweeps are nonexpansive and fairness steps halve; see
 candidate's converged score cannot undercut the incumbent by the tie
 tolerance and its solve is dropped. A candidate that is not dropped runs the
 same sweeps as an unscreened solve, so move logs and scores are unchanged.
+
+Attacks never edit the attacked graph. They score overlays of its edge store
+(``FlatEdges.with_ratings``), and an outcome's ``graph_after`` is the graph's
+labels plus the final overlay.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -58,34 +64,22 @@ class AttackMove:
     weight: float
 
 
-class _GraphAfter:
-    """The attacked graph plus a move log, turned into a ``Wsn`` on first request.
+def _graph_after(graph: Wsn, final: FlatEdges) -> Callable[[], Wsn]:
+    """Getter of the attacked graph's labels plus the attack's final overlay, made on first call.
 
-    Building it copies the whole graph, which most callers never need. The
-    attacked graph must be unchanged by then: every ``Wsn`` mutator drops the
-    cached ``FlatEdges``, so a ``flat()`` other than the one the attack scored
-    means the graph changed, and the request raises instead of guessing.
+    The attacked graph must be unchanged by then: every ``Wsn`` edit replaces
+    its ``FlatEdges``, so a ``flat()`` other than the one the attack scored
+    means the graph changed, and the call raises instead of guessing.
     """
+    base = graph.flat()
 
-    __slots__ = ("_graph", "_flat", "_moves", "_built")
+    @functools.cache
+    def get() -> Wsn:
+        if graph.flat() is not base:
+            raise RuntimeError("the attacked graph changed after the attack; graph_after is lost")
+        return graph.with_edges(final)
 
-    def __init__(self, graph: Wsn, moves: list[AttackMove]) -> None:
-        self._graph = graph
-        self._flat = graph.flat()
-        self._moves = tuple(moves)
-        self._built: Wsn | None = None
-
-    def get(self) -> Wsn:
-        if self._built is None:
-            if self._graph.flat() is not self._flat:
-                raise RuntimeError(
-                    "the attacked graph changed after the attack; graph_after is lost"
-                )
-            work = self._graph.copy()
-            for move in self._moves:
-                work.rate(move.attacker, move.rated, move.weight)
-            self._built = work
-        return self._built
+    return get
 
 
 @dataclass
@@ -99,12 +93,12 @@ class AttackOutcome:
     delta_goodness: dict[int, float]
     exhausted: bool = False
     success: dict[int, bool] | None = None
-    _after: _GraphAfter = field(kw_only=True, repr=False, compare=False)
+    _after: Callable[[], Wsn] = field(kw_only=True, repr=False, compare=False)
 
     @property
     def graph_after(self) -> Wsn:
-        """The attacked graph with ``moves`` applied, built on first read and cached."""
-        return self._after.get()
+        """The attacked graph with ``moves`` applied, made on first read and cached."""
+        return self._after()
 
 
 @dataclass
@@ -123,12 +117,12 @@ class MixedAttackOutcome:
     delta_direct: float
     delta_indirect: float
     delta_total: float
-    _after: _GraphAfter = field(kw_only=True, repr=False, compare=False)
+    _after: Callable[[], Wsn] = field(kw_only=True, repr=False, compare=False)
 
     @property
     def graph_after(self) -> Wsn:
-        """The attacked graph with both move logs applied, built on first read and cached."""
-        return self._after.get()
+        """The attacked graph with both move logs applied, made on first read and cached."""
+        return self._after()
 
 
 @dataclass(frozen=True)
@@ -198,8 +192,8 @@ class ExhaustiveSearchResult:
 
 
 # -- shared internals ------------------------------------------------------
-# Attacks re-solve overlays of the graph's cached FlatEdges, never writing the
-# base arrays; ``graph_after`` is built from the move log only when read.
+# Attacks re-solve overlays of the graph's FlatEdges, never writing the base
+# arrays; ``graph_after`` wraps the final overlay.
 
 
 def _by_descending_fairness(attackers, scores: FgaScores) -> list[int]:
@@ -273,8 +267,8 @@ def _indirect_scan(
     config: FgaConfig,
     scale: int,
     max_edges: int,
-) -> tuple[FgaScores, list[AttackMove], bool]:
-    """Greedy picks for the attackers in order; returns (scores, moves, exhausted).
+) -> tuple[FlatEdges, FgaScores, list[AttackMove], bool]:
+    """Greedy picks for the attackers in order; returns (view, scores, moves, exhausted).
 
     Each pick, scanned for the attacker at the cursor, is rated by the next
     min(scale * indeg(rated), max_edges, attackers left) attackers; scale and
@@ -285,7 +279,7 @@ def _indirect_scan(
     while i < len(ordered):
         best = _best_candidate(flat, scores, ordered[i], target, config)
         if best is None:
-            return scores, moves, True
+            return flat, scores, moves, True
         rated, weight, view, after = best
         size = min(scale * int(flat.indeg[rated]), max_edges, len(ordered) - i)
         edits = [(a, rated, weight) for a in ordered[i : i + size] if a != rated]
@@ -296,14 +290,14 @@ def _indirect_scan(
             flat, scores, batch = _rate_all(flat, scores, edits, config)
             moves += batch
         i += size
-    return scores, moves, False
+    return flat, scores, moves, False
 
 
 def _outcome(
     moves: list[AttackMove],
     before: FgaScores,
     after: FgaScores,
-    graph_after: _GraphAfter,
+    graph_after: Callable[[], Wsn],
     targets: tuple[int, ...],
     exhausted: bool = False,
 ) -> AttackOutcome:
@@ -343,8 +337,8 @@ def direct_attack(
     if before is None:
         before = compute_fga(graph, config)
     edits = [(attacker, target, -1.0) for attacker in attackers]
-    _, after, moves = _rate_all(graph.flat(), before, edits, config)
-    return _outcome(moves, before, after, _GraphAfter(graph, moves), (target,))
+    view, after, moves = _rate_all(graph.flat(), before, edits, config)
+    return _outcome(moves, before, after, _graph_after(graph, view), (target,))
 
 
 def indirect_attack_greedy(
@@ -388,10 +382,10 @@ def indirect_attack_scaled(
     ordered = _by_descending_fairness(attackers, before)
     if target in ordered:
         raise ValueError("the target cannot attack itself")
-    after, moves, exhausted = _indirect_scan(
+    view, after, moves, exhausted = _indirect_scan(
         graph.flat(), before, ordered, target, config, scale, max_edges
     )
-    return _outcome(moves, before, after, _GraphAfter(graph, moves), (target,), exhausted)
+    return _outcome(moves, before, after, _graph_after(graph, view), (target,), exhausted)
 
 
 def mixed_attack(
@@ -422,7 +416,7 @@ def mixed_attack(
     edits = [(attacker, target, -1.0) for attacker in ordered[:k1]]
     flat, mid, direct_moves = _rate_all(graph.flat(), before, edits, config)
     delta_direct = float(mid.goodness[target] - before.goodness[target])
-    current, indirect_moves, _ = _indirect_scan(
+    view, current, indirect_moves, _ = _indirect_scan(
         flat, mid, ordered[k1 : k1 + k2], target, config, scale=1, max_edges=1
     )
     delta_total = float(current.goodness[target] - before.goodness[target])
@@ -435,7 +429,7 @@ def mixed_attack(
         delta_direct=delta_direct,
         delta_indirect=delta_total - delta_direct,
         delta_total=delta_total,
-        _after=_GraphAfter(graph, direct_moves + indirect_moves),
+        _after=_graph_after(graph, view),
     )
 
 
@@ -537,13 +531,12 @@ def solve_exhaustive(
                 best_combo = combo
 
     moves = _moves(flat, best_combo)
-    final_graph = _GraphAfter(graph, moves)
-    # a cold solve of the overlay equals one of the rebuilt graph, which stays unbuilt
-    (final,) = compute_fga_many([flat.with_ratings(best_combo)], None, config)
+    view = flat.with_ratings(best_combo)
+    (final,) = compute_fga_many([view], None, config)
     targets = problem.targets if problem.targets is not None else tuple(
         node for pair in problem.target_pairs for node in pair
     )
-    outcome = _outcome(moves, base, final, final_graph, tuple(targets))
+    outcome = _outcome(moves, base, final, _graph_after(graph, view), tuple(targets))
     if problem.targets is not None:
         outcome.success = {
             t: _meets_threshold(problem, float(final.goodness[t])) for t in problem.targets

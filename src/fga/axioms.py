@@ -102,10 +102,6 @@ def measured_goodness(num_raters: int, fairness: float, rating: float) -> float:
     return _measure([_goodness_probe([(num_raters, fairness, rating)])])[0]
 
 
-def measured_group_goodness(groups: list[tuple[int, float, float]]) -> float:
-    return _measure([_goodness_probe(groups)])[0]
-
-
 def measured_fairness(errors: list[float]) -> float:
     return _measure([_fairness_probe(errors)])[0]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -96,27 +97,10 @@ class ExperimentConfig:
         return ExperimentConfig(**defaults)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k_values": list(self.k_values),
-            "k1_values": list(self.k1_values),
-            "k2_values": list(self.k2_values),
-            "samples": self.samples,
-            "attacker_class": self.attacker_class,
-            "criteria": {
-                "target_max_indeg": self.criteria.target_max_indeg,
-                "target_min_goodness": self.criteria.target_min_goodness,
-                "established_min_outdeg": self.criteria.established_min_outdeg,
-                "established_min_fairness": self.criteria.established_min_fairness,
-                "fresh_max_indeg": self.criteria.fresh_max_indeg,
-            },
-            "seed": self.seed,
-            "scale": self.scale,
-            "max_edges": self.max_edges,
-            "cold": self.cold,
-            "dataset": self.dataset,
-            "generator": self.generator,
-        }
+        """Every field but ``jobs``, which changes no result, with tuples as lists."""
+        fields = dataclasses.asdict(self)
+        del fields["jobs"]
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in fields.items()}
 
 
 @dataclass
@@ -207,7 +191,6 @@ def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
     field enough qualifying nodes are reported in ``errors``, not raised.
     """
     attack_config = ATTACK_CONFIG
-    # Also fills the graph's cached flat edges before any worker thread reads them.
     base_scores = compute_fga(graph, attack_config)
     cells = _cells(config)
     tasks = [

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid configuration, 3 insufficient data
-(missing dataset files or too few qualifying nodes), 4 structural invariant
-violation.
+Exit codes: 0 success, 2 invalid configuration (a path that cannot be
+read or written included), 3 insufficient data (missing dataset files or too
+few qualifying nodes), 4 structural invariant violation.
 """
 
 from __future__ import annotations
@@ -95,21 +95,20 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--generate", help="synthetic graph spec, e.g. erdos:n=80,deg=4")
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(args, payload: dict | str) -> None:
+    """Write ``payload`` (text, or a dict as JSON) to ``--out`` or stdout."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(payload, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _cmd_compute(args) -> int:
     graph = _load_graph(args)
     scores = compute_fga(graph, FgaConfig(args.max_iterations, args.tolerance))
-    if args.out:
-        export_scores_csv(graph, scores, args.out)
-    else:
-        export_scores_csv(graph, scores, sys.stdout)
+    export_scores_csv(graph, scores, args.out or sys.stdout)
     print(
         f"# nodes={graph.node_count} edges={graph.edge_count} "
         f"iterations={scores.iterations_run} max_residual={scores.max_residual:.3g}",
@@ -182,15 +181,7 @@ def _cmd_attack(args) -> int:
         "target": graph.label_of(target),
         "attackers": [graph.label_of(a) for a in attackers],
     }
-    if args.mode == "direct":
-        outcome = direct_attack(graph, attackers, target, before=scores)
-    elif args.mode == "indirect":
-        outcome = indirect_attack_greedy(graph, attackers, target, before=scores)
-    elif args.mode == "indirect-scaled":
-        outcome = indirect_attack_scaled(
-            graph, attackers, target, scale=args.scale, max_edges=args.max_edges, before=scores
-        )
-    elif args.mode == "mixed":
+    if args.mode == "mixed":
         mixed = mixed_attack(graph, attackers, target, args.k1, args.k2, before=scores)
         payload.update({
             "delta_direct": mixed.delta_direct,
@@ -198,9 +189,7 @@ def _cmd_attack(args) -> int:
             "delta_total": mixed.delta_total,
             "moves": _move_rows(graph, mixed.direct_moves + mixed.indirect_moves),
         })
-        _emit(args, payload)
-        return EXIT_OK
-    else:  # exhaustive over direct+indirect single-target moves
+    elif args.mode == "exhaustive":  # over direct+indirect single-target moves
         from .attacks import AttackProblem, solve_exhaustive
 
         intermediaries = tuple(v for v in graph.nodes() if v != target and v not in set(attackers))
@@ -220,15 +209,23 @@ def _cmd_attack(args) -> int:
             "sets_enumerated": result.sets_enumerated,
             "moves": _move_rows(graph, result.moves),
         })
-        _emit(args, payload)
-        return EXIT_OK
-    payload.update({
-        "delta_goodness": outcome.delta_goodness[target],
-        "goodness_before": float(outcome.scores_before.goodness[target]),
-        "goodness_after": float(outcome.scores_after.goodness[target]),
-        "exhausted": outcome.exhausted,
-        "moves": _move_rows(graph, outcome.moves),
-    })
+    else:
+        if args.mode == "direct":
+            outcome = direct_attack(graph, attackers, target, before=scores)
+        elif args.mode == "indirect":
+            outcome = indirect_attack_greedy(graph, attackers, target, before=scores)
+        else:
+            outcome = indirect_attack_scaled(
+                graph, attackers, target, scale=args.scale, max_edges=args.max_edges,
+                before=scores,
+            )
+        payload.update({
+            "delta_goodness": outcome.delta_goodness[target],
+            "goodness_before": float(outcome.scores_before.goodness[target]),
+            "goodness_after": float(outcome.scores_after.goodness[target]),
+            "exhausted": outcome.exhausted,
+            "moves": _move_rows(graph, outcome.moves),
+        })
     _emit(args, payload)
     return EXIT_OK
 
@@ -247,11 +244,7 @@ def _cmd_bounds(args) -> int:
     for r in reports:
         context = ";".join(f"{k}={v}" for k, v in sorted(r.context.items()))
         lines.append(f"{r.bound_value:.12g},{r.observed_delta:.12g},{r.satisfied},{context}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if all(r.satisfied for r in reports) else EXIT_INVARIANT
 
 
@@ -376,7 +369,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, KeyError, GadgetError, InstanceTooLargeError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, GadgetError, InstanceTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

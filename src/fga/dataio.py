@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -34,11 +35,10 @@ def load_rating_csv(path, scale: RatingScale) -> Wsn:
     timestamps are missing or tied; a re-rating is a weight update, never a
     second edge. Node ids follow first appearance in the file.
     """
-    graph = Wsn()
+    ids: dict[str, int] = {}
     # (timestamp, line_no) orders duplicates; raw ratings are normalized late
     # so an out-of-scale row still reports its line number.
     latest: dict[tuple[int, int], tuple[tuple[float, int], float]] = {}
-    order: list[tuple[int, int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
@@ -69,19 +69,17 @@ def load_rating_csv(path, scale: RatingScale) -> Wsn:
                 raise ValueError(
                     f"{path}: line {line_no}: rating {raw} outside [-{scale.r_max}, {scale.r_max}]"
                 )
-            u = graph.ensure_node(source_label)
-            v = graph.ensure_node(target_label)
-            key = (u, v)
+            key = (ids.setdefault(source_label, len(ids)), ids.setdefault(target_label, len(ids)))
             stamp = (timestamp, line_no)
-            if key not in latest:
-                order.append(key)
+            if key not in latest or stamp >= latest[key][0]:
                 latest[key] = (stamp, raw)
-            elif stamp >= latest[key][0]:
-                latest[key] = (stamp, raw)
-    for key in order:
-        u, v = key
-        graph.add_edge(u, v, scale.normalize(latest[key][1]))
-    return graph
+    return Wsn.from_arrays(
+        len(ids),
+        [u for u, _ in latest],
+        [v for _, v in latest],
+        [scale.normalize(raw) for _, raw in latest.values()],
+        labels=list(ids),
+    )
 
 
 def export_rating_csv(graph: Wsn, path, scale: RatingScale) -> None:
@@ -137,15 +135,10 @@ class DatasetStats:
     goodness_le: dict[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "positive_edge_fraction": self.positive_edge_fraction,
-            "small_indegree_fraction": self.small_indegree_fraction,
-            "fairness_ge": {str(t): v for t, v in self.fairness_ge.items()},
-            "goodness_ge": {str(t): v for t, v in self.goodness_ge.items()},
-            "goodness_le": {str(t): v for t, v in self.goodness_le.items()},
-        }
+        """Every field, with the threshold keys of the fraction maps as strings."""
+        fields = dataclasses.asdict(self)
+        return {name: {str(t): v for t, v in value.items()} if isinstance(value, dict) else value
+                for name, value in fields.items()}
 
 
 def compute_stats(

@@ -28,10 +28,9 @@ candidate's warm re-solve stops as soon as the watched goodness provably
 cannot end below a floor, g_t - 3 * residual - 1e-12 >= floor. The third
 residual and the absolute slack leave room for rounding in the sweep sums.
 
-Every solve sweeps a ``FlatEdges``: ``compute_fga`` and ``recompute_after``
-read the graph's cached one, and ``recompute_flat`` takes an edited view
-from ``FlatEdges.with_ratings`` directly, so a warm re-solve after k edits
-never re-flattens the graph.
+Every solve sweeps a ``FlatEdges``: the graph's own edge store
+(``compute_fga``, ``recompute_after``) or an overlay of it from
+``FlatEdges.with_ratings`` (``recompute_flat``), so no solve copies a graph.
 
 ``compute_fga_many`` solves many graphs at once, for the thousands of tiny
 gadgets and move sets where per-call numpy overhead, not arithmetic, is the
@@ -76,14 +75,6 @@ class FgaConfig:
         if not self.residual_tolerance > 0:
             raise ValueError("residual_tolerance must be > 0")
 
-    @staticmethod
-    def for_epsilon(epsilon: float) -> "FgaConfig":
-        """Sweep budget sized by the halving rate: error < 1/2^(t-1) after t sweeps."""
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        sweeps = math.ceil(math.log2(1.0 / epsilon)) + 1
-        return FgaConfig(max_iterations=max(2 * sweeps, 16), residual_tolerance=epsilon)
-
 
 #: Default settings sized for the 1/2^t convergence rate.
 DEFAULT_CONFIG = FgaConfig()
@@ -104,14 +95,6 @@ class FgaScores:
     @property
     def node_count(self) -> int:
         return len(self.fairness)
-
-    def copy(self) -> "FgaScores":
-        return FgaScores(
-            fairness=self.fairness.copy(),
-            goodness=self.goodness.copy(),
-            iterations_run=self.iterations_run,
-            max_residual=self.max_residual,
-        )
 
 
 #: Nodes plus edges of one batched union; larger inputs are cut into batches.

@@ -18,6 +18,26 @@ from typing import Sequence
 
 from .graph import Wsn
 
+
+class _EdgeList:
+    """Unlabelled nodes and edges, grown like a ``Wsn`` and then built in one call."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.edges: list[tuple[int, int, float]] = []
+
+    def add_node(self) -> int:
+        self.n += 1
+        return self.n - 1
+
+    def add_edge(self, u: int, v: int, weight: float) -> None:
+        self.edges.append((u, v, weight))
+
+    def build(self) -> Wsn:
+        src, dst, w = zip(*self.edges)  # every gadget has an edge
+        return Wsn.from_arrays(self.n, src, dst, w)
+
+
 class GadgetError(ValueError):
     """The requested score configuration cannot be realized by a finite graph."""
 
@@ -53,7 +73,7 @@ def _sink_weight(error: float, rater_fairness: float, m: int) -> float:
 
 
 def attach_fairness_ballast(
-    graph: Wsn,
+    graph: Wsn | _EdgeList,
     rater: int,
     target_fairness: float,
     existing_errors: Sequence[float] = (),
@@ -135,7 +155,7 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
     total = sum(size for size, _, _ in groups)
     centre_goodness = sum(size * f0 * omega for size, f0, omega in groups) / total
 
-    graph = Wsn()
+    graph = _EdgeList()
     centre = graph.add_node()
     rater_groups: list[list[int]] = []
     for size, f0, omega in groups:
@@ -148,7 +168,7 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
             )
             raters.append(rater)
         rater_groups.append(raters)
-    return graph, centre, rater_groups
+    return graph.build(), centre, rater_groups
 
 
 def fairness_fan(errors: Sequence[float]) -> tuple[Wsn, int, list[int]]:
@@ -164,7 +184,7 @@ def fairness_fan(errors: Sequence[float]) -> tuple[Wsn, int, list[int]]:
             raise GadgetError(f"rating error {d} not realizable (must be in [0, 2))")
     rater_fairness = 1.0 - sum(errors) / (2.0 * len(errors))
 
-    graph = Wsn()
+    graph = _EdgeList()
     rater = graph.add_node()
     rated_ids = []
     for d in errors:
@@ -176,7 +196,7 @@ def fairness_fan(errors: Sequence[float]) -> tuple[Wsn, int, list[int]]:
             pinner = graph.add_node()
             graph.add_edge(pinner, rated, 1.0)
         rated_ids.append(rated)
-    return graph, rater, rated_ids
+    return graph.build(), rater, rated_ids
 
 
 def stabilised_star(
@@ -196,7 +216,7 @@ def stabilised_star(
         raise GadgetError(f"fairness {f0} not realizable")
     centre_goodness = (2.0 * k * f0 + l) / (2.0 * k + l)
 
-    graph = Wsn()
+    graph = _EdgeList()
     centre = graph.add_node()
     influencers = []
     for _ in range(k):
@@ -211,4 +231,4 @@ def stabilised_star(
         s = graph.add_node()
         graph.add_edge(s, centre, 1.0)
         stabilisers.append(s)
-    return graph, centre, influencers, stabilisers
+    return graph.build(), centre, influencers, stabilisers

@@ -51,26 +51,16 @@ def generate_min_k_neighbour(
         edges[i] = (u1, v2)
         edges[j] = (u2, v1)
 
-    graph = Wsn()
-    for _ in range(n):
-        graph.add_node()
-    for u, v in sorted(present):
-        graph.add_edge(u, v, float(rng.uniform(lo, hi)))
-    return graph
+    src, dst = zip(*sorted(present))
+    return Wsn.from_arrays(n, src, dst, [float(rng.uniform(lo, hi)) for _ in src])
 
 
 def generate_complete_positive(n: int) -> Wsn:
     """Every ordered pair rated with the maximum weight 1.0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    graph = Wsn()
-    for _ in range(n):
-        graph.add_node()
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                graph.add_edge(u, v, 1.0)
-    return graph
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    return Wsn.from_arrays(n, src, dst, np.ones(len(src)))
 
 
 def generate_random_graph(
@@ -96,11 +86,10 @@ def generate_random_graph(
         v = int(rng.integers(0, n))
         if u != v:
             chosen.add((u, v))
-    graph = Wsn()
-    for _ in range(n):
-        graph.add_node()
-    for u, v in sorted(chosen):
+    pairs = sorted(chosen)
+    weights = []
+    for _ in pairs:
         magnitude = float(rng.uniform(0.05, 1.0))
         sign = 1.0 if rng.random() < positive_fraction else -1.0
-        graph.add_edge(u, v, sign * magnitude)
-    return graph
+        weights.append(sign * magnitude)
+    return Wsn.from_arrays(n, [u for u, _ in pairs], [v for _, v in pairs], weights)

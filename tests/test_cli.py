@@ -49,6 +49,10 @@ class TestComputeCommand:
         bad.write_text("a,a,5\n", encoding="utf-8")
         assert main(["compute", "--input", str(bad)]) == 2
 
+    def test_directory_as_input_is_exit_2(self, tmp_path, capsys):
+        assert main(["compute", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_convergence_is_reported_not_fatal(self, ratings_csv, capsys):
         code = main([
             "compute", "--input", str(ratings_csv), "--max-iterations", "1",
@@ -81,6 +85,10 @@ class TestStatsCommand:
         assert payload["node_count"] == 4
         assert payload["edge_count"] == 3
         assert payload["positive_edge_fraction"] == 1.0
+
+    def test_directory_as_out_is_exit_2(self, ratings_csv, tmp_path, capsys):
+        assert main(["stats", "--input", str(ratings_csv), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_dataset_is_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FGA_DATA_DIR", str(tmp_path))
@@ -239,6 +247,15 @@ class TestCampaignCommand:
         ])
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_out_dir_that_is_a_file_is_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main([
+            "campaign", "--generate", "erdos:n=20", "--mode", "direct", "--samples", "1",
+            "--out-dir", str(taken),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_out_dir_is_exit_2(self):
         assert main([

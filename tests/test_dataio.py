@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fga.bounds import check_min_k_neighbour
 from fga.dataio import (
@@ -89,6 +91,95 @@ class TestLoader:
         assert [g.label_of(v) for v in g.nodes()] == ["b", "a", "c"]
         again = load_rating_csv(path, SCALE10)
         assert [again.label_of(v) for v in again.nodes()] == ["b", "a", "c"]
+
+
+#: A rating row: source, target, raw rating, and a timestamp that is absent
+#: (None: three columns), empty (a fourth column with nothing in it) or a
+#: number from a small set, so ties are common.
+RATING_ROWS = st.tuples(
+    st.sampled_from(["a", "b", "c", "7", "10", " d "]),
+    st.sampled_from(["a", "b", "c", "7", "10", " d "]),
+    st.integers(-20, 20).map(lambda half: half / 2),
+    st.one_of(st.none(), st.just(""), st.sampled_from([1, 2, 3, 1.5])),
+).filter(lambda row: row[0].strip() != row[1].strip())
+
+#: Malformed rows and the message each must raise after "path: line N: ".
+BAD_ROWS = [
+    ("q,w", "expected 3 or 4 columns, got 2"),
+    ("q,w,1,2,3", "expected 3 or 4 columns, got 5"),
+    ("q,w,zzz", "rating 'zzz' is not a number"),
+    ("q,q,5", "self-rating 'q'"),
+    ("q,w,11", "rating 11.0 outside [-10, 10]"),
+    ("q,w,5,later", "timestamp 'later' is not a number"),
+    ("q,w,5,inf", "timestamp 'inf' is not finite"),
+]
+
+
+def rating_lines(rows, header: bool, blanks: list[int]) -> tuple[list[str], list[int]]:
+    """CSV lines for ``rows`` with a header and blank lines mixed in, and each row's line number."""
+    lines = ["SOURCE,TARGET,RATING,TIME"] if header else []
+    numbers = []
+    for index, (source, target, rating, stamp) in enumerate(rows):
+        lines += ["", "  "][: blanks[index % len(blanks)]] if blanks else []
+        cells = [source, target, str(rating)] + ([] if stamp is None else [str(stamp)])
+        lines.append(",".join(cells))
+        numbers.append(len(lines))
+    return lines, numbers
+
+
+def last_wins(rows, numbers):
+    """Independent parse: labels by first appearance, then per pair the row with the
+    largest (timestamp, line), a missing or empty timestamp counting as 0."""
+    labels: list[str] = []
+    groups: dict[tuple[str, str], list] = {}
+    for (source, target, rating, stamp), line in zip(rows, numbers):
+        source, target = source.strip(), target.strip()
+        labels += [label for label in (source, target) if label not in labels]
+        groups.setdefault((source, target), []).append((float(stamp or 0), line, rating))
+    edges = []
+    for (source, target), group in groups.items():
+        _, _, rating = max(group)
+        edges.append((labels.index(source), labels.index(target), rating / 10.0))
+    return labels, sorted(edges)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(RATING_ROWS, max_size=25),
+        header=st.booleans(),
+        blanks=st.lists(st.integers(0, 2), max_size=4),
+    )
+    def test_matches_an_independent_last_wins_parse(self, tmp_path_factory, rows, header, blanks):
+        lines, numbers = rating_lines(rows, header, blanks)
+        path = tmp_path_factory.mktemp("fuzz") / "ratings.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        g = load_rating_csv(path, SCALE10)
+        labels, edges = last_wins(rows, numbers)
+        assert g.labels() == labels
+        assert list(g.edges()) == edges
+        g.validate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(RATING_ROWS, min_size=1, max_size=10),
+        header=st.booleans(),
+        blanks=st.lists(st.integers(0, 2), max_size=4),
+        bad=st.sampled_from(BAD_ROWS),
+        at=st.integers(1, 10),
+    )
+    def test_malformed_rows_name_path_and_line(
+        self, tmp_path_factory, rows, header, blanks, bad, at
+    ):
+        lines, numbers = rating_lines(rows, header, blanks)
+        # after the first row, so a bad rating is never taken for a header
+        line = numbers[min(at, len(numbers)) - 1] + 1
+        lines.insert(line - 1, bad[0])
+        path = tmp_path_factory.mktemp("fuzz") / "ratings.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_rating_csv(path, SCALE10)
+        assert str(caught.value) == f"{path}: line {line}: {bad[1]}"
 
 
 class TestRoundTrip:

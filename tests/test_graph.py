@@ -3,8 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from fga.engine import HIGH_PRECISION, compute_fga, compute_fga_many
 from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn
+
+WEIGHTS = st.floats(min_value=-1, max_value=1, allow_nan=False)
 
 
 def pair_graph(weight=0.5):
@@ -111,7 +115,6 @@ class TestNeighbourhood:
                     query(node)
             with pytest.raises(TypeError):
                 query(1.0)  # not an integer, so not a node id at all
-        assert g._flat is None  # rejected before any flatten
 
     def test_queries_share_the_cached_flat(self):
         g = pair_graph()
@@ -202,16 +205,25 @@ class TestNormalizeRating:
 
 
 @st.composite
-def small_graphs(draw):
+def edge_lists(draw):
+    """A node count and distinct weighted edges, in drawn (not canonical) order."""
     n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if not pairs:
+        return n, []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=min(20, len(pairs))))
+    return n, [(u, v, draw(WEIGHTS)) for u, v in chosen]
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph grown edge by edge, through the overlays."""
+    n, edges = draw(edge_lists())
     g = Wsn()
     for _ in range(n):
         g.add_node()
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    if pairs:
-        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=min(20, len(pairs))))
-        for u, v in chosen:
-            g.add_edge(u, v, draw(st.floats(min_value=-1, max_value=1, allow_nan=False)))
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
     return g
 
 
@@ -330,9 +342,25 @@ class TestCopy:
 
     def test_validate_catches_corruption(self):
         g = pair_graph()
-        g._succ[0][1] = 5.0  # bypass the API on purpose
+        raw_store(g, [(0, 1, 5.0)])  # bypass the API on purpose
         with pytest.raises(InvariantViolationError):
             g.validate()
+
+
+def raw_store(g, edges, n=None):
+    """Give ``g`` an edge store built by the raw constructor, past every check."""
+    n = g.node_count if n is None else n
+    src = np.array([u for u, _, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v, _ in edges], dtype=np.int64)
+    g._edges = FlatEdges(
+        n,
+        src,
+        dst,
+        np.array([w for _, _, w in edges], dtype=np.float64),
+        src * n + dst,
+        np.bincount(dst, minlength=n).astype(np.float64),
+        np.bincount(src, minlength=n).astype(np.float64),
+    )
 
 
 class TestValidate:
@@ -343,15 +371,21 @@ class TestValidate:
 
     def test_self_loop(self):
         g = triangle_graph()
-        g._succ[2][2] = 0.5
+        raw_store(g, [(0, 1, 0.5), (1, 2, -0.25), (2, 2, 0.5)])
         with pytest.raises(InvariantViolationError, match="self-loop at 2"):
             g.validate()
 
     @pytest.mark.parametrize("weight", [1.5, -1.0000001, float("nan"), float("inf")])
     def test_weight_out_of_range(self, weight):
         g = triangle_graph()
-        g._succ[1][2] = weight
+        raw_store(g, [(0, 1, 0.5), (1, 2, weight)])
         with pytest.raises(InvariantViolationError, match=r"on \(1, 2\) outside \[-1, 1\]"):
+            g.validate()
+
+    def test_store_of_another_node_count(self):
+        g = triangle_graph()
+        raw_store(g, [(0, 1, 0.5), (1, 2, -0.25)], n=4)
+        with pytest.raises(InvariantViolationError, match="covers 4 nodes, the graph 3"):
             g.validate()
 
     @pytest.mark.parametrize(
@@ -384,7 +418,23 @@ def triangle_graph():
     return g
 
 
+def bulk(n, edges):
+    """The independent reference: ``edges`` built in one ``from_arrays`` call."""
+    return FlatEdges.from_arrays(
+        n, [u for u, _, _ in edges], [v for _, v, _ in edges], [w for _, _, w in edges]
+    )
+
+
+def assert_same_store(flat, reference):
+    assert flat.n == reference.n
+    for name in FLAT_ARRAYS:
+        have, want = getattr(flat, name), getattr(reference, name)
+        assert have.dtype == want.dtype and np.array_equal(have, want), name
+
+
 class TestCachedFlat:
+    """``flat()`` is the graph's one edge store; every edit replaces it with an overlay."""
+
     def test_flat_is_canonical_and_cached(self):
         g = Wsn()
         for label in "abcd":
@@ -402,39 +452,51 @@ class TestCachedFlat:
         assert not any(getattr(flat, name).flags.writeable for name in FLAT_ARRAYS)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_graphs())
-    def test_flat_matches_edge_iteration(self, g):
-        flat = FlatEdges.from_graph(g)
-        edges = list(g.edges())
-        n = g.node_count
+    @given(edge_lists())
+    def test_flat_matches_edge_iteration(self, drawn):
+        n, drawn_edges = drawn
+        g = Wsn()
+        for _ in range(n):
+            g.add_node()
+        for u, v, w in drawn_edges:
+            g.add_edge(u, v, w)
+        edges = sorted(drawn_edges)
+        flat = g.flat()
+        assert flat is FlatEdges.from_graph(g)
+        assert list(g.edges()) == edges
         assert flat.src.tolist() == [u for u, _, _ in edges]
         assert flat.dst.tolist() == [v for _, v, _ in edges]
         assert flat.w.tolist() == [w for _, _, w in edges]
         assert flat.key.tolist() == [u * n + v for u, v, _ in edges]
-        assert flat.indeg.tolist() == [g.indeg(v) for v in g.nodes()]
-        assert flat.outdeg.tolist() == [g.outdeg(v) for v in g.nodes()]
+        assert flat.indeg.tolist() == [sum(v == x for _, x, _ in edges) for v in range(n)]
+        assert flat.outdeg.tolist() == [sum(u == x for x, _, _ in edges) for u in range(n)]
+        for u in range(n):
+            assert g.succ(u) == {v for x, v, _ in edges if x == u}
+            assert g.outdeg(u) == len(g.succ(u))
+        assert_same_store(flat, bulk(n, drawn_edges))
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, n, edges",
         [
-            lambda g: g.add_node("d"),
-            lambda g: g.ensure_node("d"),
-            lambda g: g.add_edge(2, 0, 1.0),
-            lambda g: g.update_weight(0, 1, -1.0),
-            lambda g: g.remove_edge(1, 2),
-            lambda g: g.rate(0, 2, 0.75),
+            (lambda g: g.add_node("d"), 4, [(0, 1, 0.5), (1, 2, -0.25)]),
+            (lambda g: g.ensure_node("d"), 4, [(0, 1, 0.5), (1, 2, -0.25)]),
+            (lambda g: g.add_edge(2, 0, 1.0), 3, [(0, 1, 0.5), (1, 2, -0.25), (2, 0, 1.0)]),
+            (lambda g: g.update_weight(0, 1, -1.0), 3, [(0, 1, -1.0), (1, 2, -0.25)]),
+            (lambda g: g.remove_edge(1, 2), 3, [(0, 1, 0.5)]),
+            (lambda g: g.rate(0, 2, 0.75), 3, [(0, 1, 0.5), (0, 2, 0.75), (1, 2, -0.25)]),
         ],
         ids=["add_node", "ensure_node", "add_edge", "update_weight", "remove_edge", "rate"],
     )
-    def test_every_mutator_clears_the_cache(self, mutate):
+    def test_every_mutator_clears_the_cache(self, mutate, n, edges):
         g = triangle_graph()
         stale = g.flat()
+        snapshot = {name: getattr(stale, name).copy() for name in FLAT_ARRAYS}
         mutate(g)
         fresh = g.flat()
         assert fresh is not stale
-        rebuilt = FlatEdges.from_graph(g)
-        for name in FLAT_ARRAYS:
-            assert np.array_equal(getattr(fresh, name), getattr(rebuilt, name))
+        assert_same_store(fresh, bulk(n, edges))
+        for name in FLAT_ARRAYS:  # the replaced store is never written
+            assert np.array_equal(getattr(stale, name), snapshot[name])
 
     def test_copy_shares_until_either_side_mutates(self):
         g = triangle_graph()
@@ -445,3 +507,151 @@ class TestCachedFlat:
         assert dup.flat() is not flat
         assert g.flat() is flat
         assert len(flat.src) == 2
+
+    def test_add_node_shares_the_edge_arrays(self):
+        g = triangle_graph()
+        flat = g.flat()
+        g.add_node()
+        grown = g.flat()
+        assert grown.src is flat.src and grown.dst is flat.dst and grown.w is flat.w
+        assert_same_store(grown, bulk(4, [(0, 1, 0.5), (1, 2, -0.25)]))
+
+
+class TestFromArrays:
+    """The bulk constructor sorts once and rejects what ``add_edge`` rejects."""
+
+    def test_sorts_any_input_order(self):
+        edges = [(3, 0, 0.1), (0, 2, 0.2), (0, 1, -0.3), (2, 3, 1.0)]
+        flat = bulk(4, edges)
+        assert flat.key.tolist() == [1, 2, 11, 12]
+        assert flat.w.tolist() == [-0.3, 0.2, 1.0, 0.1]
+        assert not any(getattr(flat, name).flags.writeable for name in FLAT_ARRAYS)
+        assert_same_store(flat, bulk(4, edges[::-1]))
+
+    def test_ids_of_any_integer_dtype(self):
+        reference = bulk(3, [(0, 1, 0.5), (1, 2, -0.5)])
+        for ids in (np.array([0, 1], dtype=object), np.array([0, 1], dtype=np.uint8)):
+            assert_same_store(FlatEdges.from_arrays(3, ids, [1, 2], [0.5, -0.5]), reference)
+
+    def test_empty(self):
+        for n in (0, 3):
+            flat = bulk(n, [])
+            assert flat.n == n and len(flat.key) == 0
+            assert flat.indeg.tolist() == flat.outdeg.tolist() == [0.0] * n
+
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            ([(0, 1, 0.5), (0, 5, 0.1)], KeyError, "unknown node 5"),
+            ([(-1, 1, 0.5)], KeyError, "unknown node -1"),
+            ([(0, 1, 0.5), (2, 2, 0.1)], ValueError, r"self-loop \(2, 2\) not allowed"),
+            ([(0, 1, 1.2)], ValueError, r"weight 1.2 outside \[-1, 1\]"),
+            ([(0, 1, float("nan"))], ValueError, r"weight nan outside \[-1, 1\]"),
+            ([(0, 1, 0.5), (1, 2, 0.1), (0, 1, 0.3)], ValueError,
+             r"edge \(0, 1\) already present; use update_weight"),
+            ([(0, 1.0, 0.5)], TypeError, "node id must be an integer, not 1.0"),
+            ([(True, 1, 0.5)], TypeError, "node id must be an integer, not True"),
+        ],
+        ids=["unknown", "negative", "self-loop", "weight", "nan", "duplicate", "float-id", "bool"],
+    )
+    def test_rejects_what_add_edge_rejects(self, edges, error, message):
+        with pytest.raises(error, match=message):
+            bulk(3, edges)
+        g = Wsn()
+        for _ in range(3):
+            g.add_node()
+        with pytest.raises(error, match=message):
+            for u, v, w in edges:
+                g.add_edge(u, v, w)
+
+    def test_first_repeat_in_input_order_is_named(self):
+        with pytest.raises(ValueError, match=r"edge \(2, 0\)"):
+            bulk(3, [(2, 0, 0.1), (0, 1, 0.5), (2, 0, 0.2), (0, 1, 0.3)])
+
+    def test_wsn_labels(self):
+        g = Wsn.from_arrays(3, [0], [2], [0.5], labels=["a", "1", "0"])
+        assert g.labels() == ["a", "1", "0"] and g.id_of("0") == 2 and g.weight(0, 2) == 0.5
+        g.validate()
+        assert Wsn.from_arrays(2, [], [], []).labels() == ["0", "1"]
+        for labels in (["a", "a", "b"], ["a", "b"], ["a", "b", "c", "d"]):
+            with pytest.raises(ValueError, match="labels must name the 3 nodes"):
+                Wsn.from_arrays(3, [], [], [], labels=labels)
+
+
+class EditPathMachine(RuleBasedStateMachine):
+    """Random edits applied to a ``Wsn`` and to a plain dict model of its edges.
+
+    After every step the graph's store must equal ``from_arrays`` of the
+    model's edge list, array for array, and its scores must be bit-identical
+    to the scores of that independent build.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.graph = Wsn()
+        self.n = 0
+        self.model: dict[tuple[int, int], float] = {}
+
+    def pair(self, data):
+        u = data.draw(st.integers(0, self.n - 1), label="u")
+        v = data.draw(st.integers(0, self.n - 2), label="v")
+        return u, v + (v >= u)  # any node but u
+
+    @rule()
+    def add_node(self):
+        assert self.graph.add_node() == self.n
+        self.n += 1
+
+    @precondition(lambda self: self.n >= 2)
+    @rule(data=st.data(), w=WEIGHTS)
+    def add_edge(self, data, w):
+        u, v = self.pair(data)
+        if (u, v) in self.model:
+            with pytest.raises(ValueError, match="already present"):
+                self.graph.add_edge(u, v, w)
+        else:
+            self.graph.add_edge(u, v, w)
+            self.model[u, v] = w
+
+    @precondition(lambda self: self.n >= 2)
+    @rule(data=st.data(), w=WEIGHTS)
+    def update_weight(self, data, w):
+        u, v = self.pair(data)
+        if (u, v) in self.model:
+            self.graph.update_weight(u, v, w)
+            self.model[u, v] = w
+        else:
+            with pytest.raises(KeyError, match="does not exist"):
+                self.graph.update_weight(u, v, w)
+
+    @precondition(lambda self: self.n >= 2)
+    @rule(data=st.data(), w=WEIGHTS)
+    def rate(self, data, w):
+        u, v = self.pair(data)
+        kind = "weight-update" if (u, v) in self.model else "edge-addition"
+        assert self.graph.rate(u, v, w) == kind
+        self.model[u, v] = w
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def remove_edge(self, data):
+        u, v = data.draw(st.sampled_from(sorted(self.model)), label="edge")
+        self.graph.remove_edge(u, v)
+        del self.model[u, v]
+
+    @invariant()
+    def matches_the_bulk_build(self):
+        edges = [(u, v, w) for (u, v), w in self.model.items()]
+        reference = bulk(self.n, edges)
+        assert_same_store(self.graph.flat(), reference)
+        assert list(self.graph.edges()) == sorted(edges)
+        self.graph.validate()
+        have = compute_fga(self.graph, HIGH_PRECISION)
+        (want,) = compute_fga_many([reference], config=HIGH_PRECISION)
+        assert np.array_equal(have.fairness, want.fairness)
+        assert np.array_equal(have.goodness, want.goodness)
+        assert have.iterations_run == want.iterations_run
+
+
+TestEditPath = EditPathMachine.TestCase
+TestEditPath.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
