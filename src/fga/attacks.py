@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
-from .engine import _BATCH_ITEMS, _screened_recompute, compute_fga_many
+from .engine import _screened_recompute, compute_fga_many
 from .engine import recompute_after  # noqa: F401  public re-export
 from .graph import Wsn
 
@@ -43,6 +43,9 @@ ATTACK_CONFIG = HIGH_PRECISION
 
 #: Candidate scores closer than this are treated as equal when ranking moves.
 TIE_TOLERANCE = 1e-9
+
+#: ``solve_exhaustive`` refuses instances with more candidate move sets than this.
+MAX_MOVE_SETS = 1_000_000
 
 KIND_ADD = "edge-addition"
 KIND_UPDATE = "weight-update"
@@ -478,14 +481,13 @@ def solve_exhaustive(
     problem: AttackProblem,
     weight_grid: tuple[float, ...] = (-1.0, 1.0),
     config: FgaConfig | None = None,
-    max_sets: int = 1_000_000,
 ) -> ExhaustiveSearchResult:
     """Enumerate every move set within budget and return the extremal outcome.
 
     Feasible means some enumerated set pushes every target (or one prediction
     per pair) past the threshold. The returned outcome is the best found by
     the objective whether or not it is feasible. Instances whose move-set
-    count exceeds ``max_sets`` are rejected outright.
+    count exceeds ``MAX_MOVE_SETS`` are rejected outright.
     """
     config = config or ATTACK_CONFIG
     graph = problem.graph
@@ -501,9 +503,9 @@ def solve_exhaustive(
                 pool.append((attacker, rated, float(weight)))
 
     total_sets = sum(math.comb(len(pool), size) for size in range(0, problem.budget + 1))
-    if total_sets > max_sets:
+    if total_sets > MAX_MOVE_SETS:
         raise InstanceTooLargeError(
-            f"{total_sets} candidate move sets exceed the {max_sets} limit"
+            f"{total_sets} candidate move sets exceed the {MAX_MOVE_SETS} limit"
         )
 
     base = compute_fga(graph, config)
@@ -519,16 +521,15 @@ def solve_exhaustive(
         for combo in itertools.combinations(pool, size)
         if len({(a, v) for a, v, _ in combo}) == size
     )
-    # as many overlays per batched solve as fit one batch of the engine
-    per_solve = max(1, _BATCH_ITEMS // (flat.n + len(flat.src) + problem.budget))
-    while chunk := list(itertools.islice(combos, per_solve)):
-        views = [flat.with_ratings(combo) for combo in chunk]
-        for combo, scores in zip(chunk, compute_fga_many(views, [base] * len(chunk), config)):
-            value = _objective(problem, scores)
-            enumerated += 1
-            if (value < best_value) if minimize else (value > best_value):
-                best_value = value
-                best_combo = combo
+    # the engine reads the overlays a batch ahead of the sets they are paired with
+    combos, ahead = itertools.tee(combos)
+    views = (flat.with_ratings(combo) for combo in ahead)
+    for combo, scores in zip(combos, compute_fga_many(views, itertools.repeat(base), config)):
+        value = _objective(problem, scores)
+        enumerated += 1
+        if (value < best_value) if minimize else (value > best_value):
+            best_value = value
+            best_combo = combo
 
     moves = _moves(flat, best_combo)
     view = flat.with_ratings(best_combo)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gadgets
 from .attacks import ATTACK_CONFIG, inject_sybil
-from .engine import FgaConfig, FgaScores, compute_fga, recompute_after
+from .engine import FgaScores, compute_fga, recompute_after
 from .graph import Wsn
 
 #: Absolute slack on bound comparisons, absorbing fixed-point residual.
@@ -27,6 +27,9 @@ BOUND_TOLERANCE = 1e-9
 
 #: Sybil rating weights swept by the empirical harnesses.
 WEIGHT_SWEEP = (-1.0, -0.5, 0.5, 1.0)
+
+#: Fairness the stabiliser harness pins its influencers at when 1 - delta is lower.
+STABILISER_MIN_FAIRNESS = 0.05
 
 
 @dataclass
@@ -126,12 +129,9 @@ def stabiliser_lower_bound(k: int, l: int, delta: float) -> float:
 # -- empirical harnesses -----------------------------------------------------
 
 
-def verify_direct_sybil(
-    graph: Wsn, trials: int, seed: int = 0, config: FgaConfig | None = None
-) -> list[BoundReport]:
+def verify_direct_sybil(graph: Wsn, trials: int, seed: int = 0) -> list[BoundReport]:
     """Inject one fake rater straight at random targets; compare |shift| to 2/indeg."""
-    config = config or ATTACK_CONFIG
-    base = compute_fga(graph, config)
+    base = compute_fga(graph, ATTACK_CONFIG)
     eligible = [v for v in graph.nodes() if graph.indeg(v) >= 1]
     if not eligible:
         raise ValueError("no node has an incoming edge")
@@ -142,7 +142,7 @@ def verify_direct_sybil(
         weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
         bound = direct_sybil_bound(graph, target)
         attacked, _ = inject_sybil(graph, target, weight)
-        after = recompute_after(attacked, base, config)
+        after = recompute_after(attacked, base, ATTACK_CONFIG)
         delta = float(after.goodness[target] - base.goodness[target])
         reports.append(
             BoundReport.from_trial(bound, delta, {"trial": trial, "target": target, "weight": weight})
@@ -150,17 +150,14 @@ def verify_direct_sybil(
     return reports
 
 
-def verify_indirect_sybil(
-    graph: Wsn, k: int, trials: int, seed: int = 0, config: FgaConfig | None = None
-) -> list[BoundReport]:
+def verify_indirect_sybil(graph: Wsn, k: int, trials: int, seed: int = 0) -> list[BoundReport]:
     """Inject one fake rater at an intermediary; check the shift of a distinct target."""
-    config = config or ATTACK_CONFIG
     cert = check_min_k_neighbour(graph, k)
     if not cert.holds:
         raise ValueError(f"graph is not a minimum-{k}-neighbour network")
     if graph.node_count < 2:
         raise ValueError("need at least two nodes")
-    base = compute_fga(graph, config)
+    base = compute_fga(graph, ATTACK_CONFIG)
     rng = np.random.default_rng([seed, 9])
     reports = []
     for trial in range(trials):
@@ -171,7 +168,7 @@ def verify_indirect_sybil(
         weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
         bound = _indirect_cap(graph, intermediary, k)
         attacked, _ = inject_sybil(graph, intermediary, weight)
-        after = recompute_after(attacked, base, config)
+        after = recompute_after(attacked, base, ATTACK_CONFIG)
         delta = float(after.goodness[target] - base.goodness[target])
         reports.append(
             BoundReport.from_trial(
@@ -193,23 +190,20 @@ def verify_stabiliser(
     k_values: Iterable[int] = (1, 2, 3, 4, 5),
     l_values: Iterable[int] = (0, 5, 50, 200),
     deltas: Iterable[float] = (0.1, 0.5, 1.0),
-    min_fairness: float = 0.05,
-    config: FgaConfig | None = None,
 ) -> list[BoundReport]:
     """Build stabilised stars whose influencers really lose fairness; check the floor.
 
     Fairness exactly 0 is unattainable, so for large deltas the influencers
-    are pinned at ``min_fairness``; the realized drop is then below delta and
-    the floor must hold a fortiori.
+    are pinned at ``STABILISER_MIN_FAIRNESS``; the realized drop is then below
+    delta and the floor must hold a fortiori.
     """
-    config = config or ATTACK_CONFIG
     reports = []
     for k in k_values:
         for l in l_values:
             for delta in deltas:
-                fairness = max(1.0 - delta, min_fairness)
+                fairness = max(1.0 - delta, STABILISER_MIN_FAIRNESS)
                 graph, centre, _, _ = gadgets.stabilised_star(k, l, influencer_fairness=fairness)
-                scores = compute_fga(graph, config)
+                scores = compute_fga(graph, ATTACK_CONFIG)
                 drop = 1.0 - float(scores.goodness[centre])
                 cap = 1.0 - stabiliser_lower_bound(k, l, delta)
                 reports.append(
@@ -226,17 +220,19 @@ def verify_bound_empirically(
     trials: int = 100,
     seed: int = 0,
     k: int = 3,
-    config: FgaConfig | None = None,
 ) -> list[BoundReport]:
-    """Dispatch one of the bound scenarios: direct-sybil, indirect-sybil, stabiliser."""
+    """Dispatch one of the bound scenarios: direct-sybil, indirect-sybil, stabiliser.
+
+    The Sybil scenarios attack ``graph``; the stabiliser builds its own stars.
+    """
     if scenario == "direct-sybil":
         if graph is None:
             raise ValueError("direct-sybil needs a graph")
-        return verify_direct_sybil(graph, trials, seed, config)
+        return verify_direct_sybil(graph, trials, seed)
     if scenario == "indirect-sybil":
         if graph is None:
             raise ValueError("indirect-sybil needs a graph")
-        return verify_indirect_sybil(graph, k, trials, seed, config)
+        return verify_indirect_sybil(graph, k, trials, seed)
     if scenario == "stabiliser":
-        return verify_stabiliser(config=config)
+        return verify_stabiliser()
     raise ValueError(f"unknown scenario {scenario!r}")

@@ -22,7 +22,7 @@ from .attacks import (
     select_attackers,
     select_targets,
 )
-from .engine import FgaConfig, FgaScores, compute_fga
+from .engine import FgaScores, compute_fga
 from .graph import Wsn
 
 MODES = ("direct", "indirect", "indirect-scaled", "mixed")
@@ -135,7 +135,6 @@ def _run_sample(
     cell: tuple,
     cell_index: int,
     sample_index: int,
-    attack_config: FgaConfig,
 ) -> dict:
     rng = np.random.default_rng([config.seed, cell_index, sample_index])
     target = select_targets(graph, base_scores, config.criteria, 1, rng)[0]
@@ -155,7 +154,7 @@ def _run_sample(
         "target": graph.label_of(target),
         "attackers": [graph.label_of(a) for a in attackers],
     }
-    common = {"config": attack_config, "before": base_scores}
+    common = {"config": ATTACK_CONFIG, "before": base_scores}
     if config.mode == "direct":
         outcome = direct_attack(graph, attackers, target, **common)
         record["delta"] = outcome.delta_goodness[target]
@@ -177,7 +176,7 @@ def _run_sample(
     if config.cold:
         # Re-measure against a from-scratch recomputation instead of the
         # warm-started scores the attack used internally.
-        cold_after = compute_fga(outcome.graph_after, attack_config)
+        cold_after = compute_fga(outcome.graph_after, ATTACK_CONFIG)
         record["delta"] = float(cold_after.goodness[target] - base_scores.goodness[target])
     record["abs_delta"] = abs(record["delta"])
     return record
@@ -190,8 +189,7 @@ def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
     serial and parallel execution produce identical records. Cells that cannot
     field enough qualifying nodes are reported in ``errors``, not raised.
     """
-    attack_config = ATTACK_CONFIG
-    base_scores = compute_fga(graph, attack_config)
+    base_scores = compute_fga(graph, ATTACK_CONFIG)
     cells = _cells(config)
     tasks = [
         (cell, cell_index, sample_index)
@@ -202,9 +200,7 @@ def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
     def run(task):
         cell, cell_index, sample_index = task
         try:
-            return _run_sample(
-                graph, base_scores, config, cell, cell_index, sample_index, attack_config
-            ), None
+            return _run_sample(graph, base_scores, config, cell, cell_index, sample_index), None
         except InsufficientCandidatesError as exc:
             return None, {
                 "cell": _cell_label(cell),

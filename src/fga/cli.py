@@ -231,15 +231,14 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.scenario == "stabiliser":
-        reports = bounds.verify_stabiliser()
-    else:
+    graph = None
+    if args.scenario != "stabiliser":
         if args.scenario == "indirect-sybil" and not args.generate and not args.input and not args.dataset:
             args.generate = f"min-k:n=30,k={args.k}"
         graph = _load_graph(args)
-        reports = bounds.verify_bound_empirically(
-            args.scenario, graph=graph, trials=args.trials, seed=args.seed, k=args.k
-        )
+    reports = bounds.verify_bound_empirically(
+        args.scenario, graph=graph, trials=args.trials, seed=args.seed, k=args.k
+    )
     lines = ["bound_value,observed_delta,satisfied,context"]
     for r in reports:
         context = ";".join(f"{k}={v}" for k, v in sorted(r.context.items()))
@@ -253,7 +252,6 @@ def _cmd_campaign(args) -> int:
     if not out_dir:
         raise ValueError("campaign needs --out-dir (per command or global)")
     fmt = args.format or args.global_format or "csv"
-    graph = _load_graph(args)
     if args.dataset:
         config = campaign_mod.ExperimentConfig.for_dataset(
             args.dataset, mode=args.mode, seed=args.seed,
@@ -272,6 +270,9 @@ def _cmd_campaign(args) -> int:
         overrides.update(k_values=ks, k1_values=ks, k2_values=ks)
     # replace() re-runs the config's validation on the overridden fields
     config = dataclasses.replace(config, **overrides)
+    # a bad output path fails here, before the graph loads or any sample runs
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    graph = _load_graph(args)
     result = campaign_mod.run_campaign(graph, config)
     written = campaign_mod.report(result, out_dir, fmt=fmt)
     for path in written:

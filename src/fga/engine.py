@@ -34,28 +34,30 @@ Every solve sweeps a ``FlatEdges``: the graph's own edge store
 
 ``compute_fga_many`` solves many graphs at once, for the thousands of tiny
 gadgets and move sets where per-call numpy overhead, not arithmetic, is the
-cost. It concatenates their arrays with node offsets into one disjoint
-union (still in canonical order) and sweeps it as one graph. The
-recurrences never couple two components, so each keeps its own fixed point,
-and each stops on its own rule: its residual is the maximum over its own
-nodes, and once that drops below the tolerance (or the sweep ceiling is
-hit) the component's scores, sweep count and residual are recorded, and
-what later sweeps do to it is ignored. Stopped components are cut out of the
-union once they hold half its nodes, so at most half of any sweep is spent
-on them and each cut at least halves the union. Every result is
-bit-identical to the component's solo solve: a sweep is elementwise except
-for ``bincount``, which adds each node's terms in array order, and that
-order within the union is the component's own canonical order; maxima are
-exact. Unions are cut at ``_BATCH_ITEMS`` nodes plus edges, so memory stays
-bounded. A single solve is a batch of one through the same loop.
+cost. It reads its graphs as a stream and cuts it into batches of at most
+``_BATCH_ITEMS`` nodes plus edges (a larger graph is a batch of its own), so
+memory stays bounded however many graphs come; only the engine sizes
+batches. Each batch is concatenated with node offsets into one disjoint
+union (still in canonical order) and swept as one graph. The recurrences
+never couple two components, so each keeps its own fixed point, and each
+stops on its own rule: its residual is the maximum over its own nodes, and
+once that drops below the tolerance (or the sweep ceiling is hit) the
+component's scores, sweep count and residual are copied out, and what later
+sweeps of the batch do to it is ignored. Every result is bit-identical to
+the component's solo solve: a sweep is elementwise except for ``bincount``,
+which adds each node's terms in array order, and that order within the
+union is the component's own canonical order; maxima are exact. Results are
+yielded in input order, batch by batch. A single solve is a batch of one
+through the same loop.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -114,17 +116,15 @@ def _iterate_flat(
     and residual of that sweep. None if g[watch] of a batch of one provably
     stays >= floor before it stops.
     """
+    sizes = np.array([flat.n for flat in flats])
+    offsets = np.cumsum(sizes) - sizes
     if len(flats) == 1:
         (flat,) = flats
         src, dst, w = flat.src, flat.dst, flat.w
         indeg, outdeg = flat.indeg, flat.outdeg
         f, g = starts[0]
-        sizes = np.array([flat.n])
-        edge_sizes = np.array([len(src)])
     else:
-        sizes = np.array([flat.n for flat in flats])
-        edge_sizes = np.array([len(flat.src) for flat in flats])
-        shift = np.repeat(np.cumsum(sizes) - sizes, edge_sizes)
+        shift = np.repeat(offsets, [len(flat.src) for flat in flats])
         src = np.concatenate([flat.src for flat in flats]) + shift
         dst = np.concatenate([flat.dst for flat in flats]) + shift
         w = np.concatenate([flat.w for flat in flats])
@@ -132,20 +132,18 @@ def _iterate_flat(
         outdeg = np.concatenate([flat.outdeg for flat in flats])
         f = np.concatenate([f for f, _ in starts])
         g = np.concatenate([g for _, g in starts])
+    n = len(f)
     indeg_safe = np.maximum(indeg, 1.0)
     outdeg_safe = np.maximum(outdeg, 1.0)
     unrated = indeg == 0
     silent = outdeg == 0
-    offsets = np.cumsum(sizes) - sizes
-    active = np.arange(len(flats))
     stopped = np.zeros(len(flats), dtype=bool)
     results: list[FgaScores | None] = [None] * len(flats)
     tolerance = config.residual_tolerance
     edge_buf = np.empty(len(src))
-    node_buf = np.empty(len(f))
-    node_buf2 = np.empty(len(f))
+    node_buf = np.empty(n)
+    node_buf2 = np.empty(n)
     for iterations in range(1, config.max_iterations + 1):
-        n = len(f)
         # clip mode: every index is in range, and it skips the copy of out that raise mode makes
         f.take(src, out=edge_buf, mode="clip")
         edge_buf *= w
@@ -182,37 +180,15 @@ def _iterate_flat(
         done &= ~stopped
         if not done.any():
             continue
-        if len(active) == 1:
-            results[active[0]] = FgaScores(f, g, iterations, float(residuals[0]))
-            break
+        # a stopped component is swept on with the rest, but what it does is ignored
         for i in np.flatnonzero(done).tolist():
             lo, hi = offsets[i], offsets[i] + sizes[i]
-            results[active[i]] = FgaScores(
+            results[i] = FgaScores(
                 f[lo:hi].copy(), g[lo:hi].copy(), iterations, float(residuals[i])
             )
         stopped |= done
         if stopped.all():
             break
-        if 2 * int(sizes[stopped].sum()) < len(f):
-            continue  # sweeping the stopped ones costs less than rebuilding the union
-        # Drop the stopped components; the rest keep their order and offsets shift down.
-        keep = ~stopped
-        node_keep = np.repeat(keep, sizes)
-        edge_keep = np.repeat(keep, edge_sizes)
-        removed = np.where(stopped, sizes, 0)
-        shift = np.repeat((np.cumsum(removed) - removed)[keep], edge_sizes[keep])
-        src = src[edge_keep] - shift
-        dst = dst[edge_keep] - shift
-        w = w[edge_keep]
-        indeg_safe, outdeg_safe = indeg_safe[node_keep], outdeg_safe[node_keep]
-        unrated, silent = unrated[node_keep], silent[node_keep]
-        f, g = f[node_keep], g[node_keep]
-        sizes, edge_sizes, active = sizes[keep], edge_sizes[keep], active[keep]
-        offsets = np.cumsum(sizes) - sizes
-        stopped = np.zeros(len(active), dtype=bool)
-        edge_buf = np.empty(len(src))
-        node_buf = np.empty(len(f))
-        node_buf2 = np.empty(len(f))
     return results
 
 
@@ -233,49 +209,49 @@ def _start(flat: FlatEdges, warm: FgaScores | None) -> tuple[np.ndarray, np.ndar
 
 
 def compute_fga_many(
-    flats: Sequence[FlatEdges],
-    warm: Sequence[FgaScores | None] | None = None,
+    flats: Iterable[FlatEdges],
+    warm: Iterable[FgaScores | None] | None = None,
     config: FgaConfig | None = None,
-) -> list[FgaScores]:
-    """Solve many graphs as one block-diagonal union, in input order.
+) -> Iterator[FgaScores]:
+    """Solve many graphs as block-diagonal unions, yielding results in input order.
 
-    ``warm[i]``, if given and not None, warm-starts ``flats[i]`` as in
-    ``recompute_after``; otherwise it starts cold. Every result is
-    bit-identical to the graph's own ``compute_fga`` or ``recompute_after``
-    (module docstring).
+    ``flats`` is read one batch at a time: the first result comes once a
+    batch of at most ``_BATCH_ITEMS`` nodes plus edges is full or the graphs
+    run out. The i-th warm start, if not None, warm-starts the i-th graph as
+    in ``recompute_after``; otherwise it starts cold. ``warm`` may be longer
+    than ``flats``, even endless. Every result is bit-identical to the
+    graph's own ``compute_fga`` or ``recompute_after`` (module docstring).
     """
     config = config or DEFAULT_CONFIG
-    warm = [None] * len(flats) if warm is None else list(warm)
-    if len(warm) != len(flats):
-        raise ValueError(f"{len(warm)} warm starts for {len(flats)} graphs")
-    starts = [_start(flat, scores) for flat, scores in zip(flats, warm)]
-    results: list[FgaScores | None] = [None] * len(flats)
-    batches: list[list[int]] = [[]]
+    warm = itertools.repeat(None) if warm is None else iter(warm)
+    batch: list[FlatEdges] = []
+    starts: list[tuple[np.ndarray, np.ndarray]] = []
     items = 0
-    for index, flat in enumerate(flats):
+    for flat in flats:
+        try:
+            start = _start(flat, next(warm))
+        except StopIteration:
+            raise ValueError("fewer warm starts than graphs") from None
+        size = flat.n + len(flat.src)
+        if batch and (items + size > _BATCH_ITEMS or flat.n == 0):
+            yield from _iterate_flat(batch, starts, config)
+            batch, starts, items = [], [], 0
         if flat.n == 0:
             # one sweep over no nodes: residual 0, so it stops at once
-            results[index] = FgaScores(np.ones(0), np.ones(0), 1, 0.0)
+            yield FgaScores(np.ones(0), np.ones(0), 1, 0.0)
             continue
-        size = flat.n + len(flat.src)
-        if batches[-1] and items + size > _BATCH_ITEMS:
-            batches.append([])
-            items = 0
-        batches[-1].append(index)
+        batch.append(flat)
+        starts.append(start)
         items += size
-    for batch in batches:
-        if batch:
-            solved = _iterate_flat([flats[i] for i in batch], [starts[i] for i in batch], config)
-            for index, scores in zip(batch, solved):
-                results[index] = scores
-    return results
+    if batch:
+        yield from _iterate_flat(batch, starts, config)
 
 
 def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
     """Warm-started iteration on a flat edge view over an unchanged node set."""
     if warm.node_count != flat.n:
         raise ValueError(f"warm scores cover {warm.node_count} nodes, view has {flat.n}")
-    return compute_fga_many([flat], [warm], config)[0]
+    return next(compute_fga_many([flat], [warm], config))
 
 
 def _screened_recompute(
@@ -297,7 +273,7 @@ def compute_fga(graph: Wsn, config: FgaConfig | None = None) -> FgaScores:
     Always returns; failure to converge within the sweep budget shows up as
     ``max_residual >= residual_tolerance`` on the result.
     """
-    return compute_fga_many([graph.flat()], None, config)[0]
+    return next(compute_fga_many([graph.flat()], None, config))
 
 
 def recompute_after(graph: Wsn, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
@@ -308,7 +284,7 @@ def recompute_after(graph: Wsn, warm: FgaScores, config: FgaConfig | None = None
     cold ``compute_fga`` within the residual tolerance, usually in far fewer
     sweeps. Shrinking the node set is not supported.
     """
-    return compute_fga_many([graph.flat()], [warm], config)[0]
+    return next(compute_fga_many([graph.flat()], [warm], config))
 
 
 def predict_weight(scores: FgaScores, u: int, v: int) -> float:

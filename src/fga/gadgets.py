@@ -38,6 +38,11 @@ class _EdgeList:
         return Wsn.from_arrays(self.n, src, dst, w)
 
 
+#: Most sink nodes, and most pinners per sink, one pinned rater may need.
+MAX_SINKS = 512
+MAX_PINNERS = 4096
+
+
 class GadgetError(ValueError):
     """The requested score configuration cannot be realized by a finite graph."""
 
@@ -53,12 +58,12 @@ class BallastSpec:
     sink_goodness: float
 
 
-def _pinner_count(error: float, rater_fairness: float, max_pinners: int) -> int:
+def _pinner_count(error: float, rater_fairness: float) -> int:
     # Feasibility of the sink weight needs error <= (2m + 2 - 2f) / (m + 2).
     if error >= 2.0:
         raise GadgetError(f"rating error {error} is unrealizable (must be < 2)")
     m = max(4, math.ceil((2.0 * error + 2.0 * rater_fairness - 2.0) / (2.0 - error)) + 2)
-    if m > max_pinners:
+    if m > MAX_PINNERS:
         raise GadgetError(f"error {error} at fairness {rater_fairness} needs {m} pinners")
     return m
 
@@ -77,8 +82,6 @@ def attach_fairness_ballast(
     rater: int,
     target_fairness: float,
     existing_errors: Sequence[float] = (),
-    max_sinks: int = 512,
-    max_pinners: int = 4096,
 ) -> BallastSpec | None:
     """Attach sink structure so the rater's converged fairness equals ``target_fairness``.
 
@@ -113,12 +116,12 @@ def attach_fairness_ballast(
             sinks = math.ceil(leftover / f0)
     else:
         sinks = max(1, math.ceil(-leftover / (2.0 * (1.0 - f0))))
-    if sinks > max_sinks:
+    if sinks > MAX_SINKS:
         raise GadgetError(f"pinning fairness {f0} would need {sinks} sinks")
     d = (2.0 * (count + sinks) * (1.0 - f0) - total) / sinks
     d = max(0.0, d)
 
-    m = _pinner_count(d, f0, max_pinners)
+    m = _pinner_count(d, f0)
     w = _sink_weight(d, f0, m)
     for _ in range(sinks):
         sink = graph.add_node()
@@ -188,7 +191,7 @@ def fairness_fan(errors: Sequence[float]) -> tuple[Wsn, int, list[int]]:
     rater = graph.add_node()
     rated_ids = []
     for d in errors:
-        m = _pinner_count(d, rater_fairness, max_pinners=4096)
+        m = _pinner_count(d, rater_fairness)
         w = _sink_weight(d, rater_fairness, m)
         rated = graph.add_node()
         graph.add_edge(rater, rated, w)

@@ -486,8 +486,7 @@ class TestSolveExhaustive:
 
         problem = list(oracle_problems(1))[1]
         whole = solve_exhaustive(problem, weight_grid=(-1.0, 1.0))
-        monkeypatch.setattr(attacks, "_BATCH_ITEMS", 1)  # one overlay per solve
-        monkeypatch.setattr(engine, "_BATCH_ITEMS", 1)
+        monkeypatch.setattr(engine, "_BATCH_ITEMS", 1)  # one overlay per solve
         single = solve_exhaustive(problem, weight_grid=(-1.0, 1.0))
         assert single.objective_value == whole.objective_value
         assert single.moves == whole.moves

@@ -14,7 +14,7 @@ from fga.campaign import (
     summarize,
 )
 from fga.cli import main
-from fga.engine import FgaConfig
+from fga.engine import FgaScores
 from fga.generators import generate_random_graph
 
 
@@ -257,6 +257,18 @@ class TestCampaignCommand:
         ]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_out_dir_is_checked_before_the_campaign_runs(self, tmp_path, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the campaign ran before its output directory was checked")
+
+        monkeypatch.setattr(campaign, "run_campaign", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main([
+            "campaign", "--generate", "erdos:n=20", "--mode", "direct", "--samples", "1",
+            "--out-dir", str(taken),
+        ]) == 2
+
     def test_missing_out_dir_is_exit_2(self):
         assert main([
             "campaign", "--generate", "erdos:n=20", "--mode", "direct",
@@ -265,7 +277,7 @@ class TestCampaignCommand:
 
 class TestCampaignLibrary:
     def test_type_hints_resolve(self):
-        assert typing.get_type_hints(campaign._run_sample)["attack_config"] is FgaConfig
+        assert typing.get_type_hints(campaign._run_sample)["base_scores"] is FgaScores
 
     def test_dataset_defaults_match_parameter_table(self):
         config = ExperimentConfig.for_dataset("bitcoin-otc")

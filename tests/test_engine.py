@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -327,7 +328,7 @@ class TestComputeFgaMany:
                 warm.append(None)
                 want.append(compute_fga(g, config))
             graphs.append(g)
-        got = compute_fga_many([g.flat() for g in graphs], warm, config)
+        got = list(compute_fga_many([g.flat() for g in graphs], warm, config))
         assert len(got) == len(want)
         for one, solo in zip(got, want):
             assert_same_scores(one, solo)
@@ -342,9 +343,9 @@ class TestComputeFgaMany:
         half.add_node()
         half.add_node()
         half.add_edge(0, 1, 0.5)  # g = 0.5 after sweep 1, unchanged after sweep 2
-        # the quick ones outnumber the slow one, so the union is cut down to it mid-solve
+        # the quick ones stop after a sweep or two; the union sweeps on until both slow ones stop
         graphs = [edgeless, slow] + [half, edgeless] * 20 + [Wsn(), slow]
-        got = compute_fga_many([g.flat() for g in graphs], None, capped)
+        got = list(compute_fga_many([g.flat() for g in graphs], None, capped))
         assert [s.iterations_run for s in got] == [1, 10] + [2, 1] * 20 + [1, 10]
         assert got[1].max_residual >= capped.residual_tolerance
         assert all(s.max_residual == 0.0 for s in got[2:-1])
@@ -359,9 +360,9 @@ class TestComputeFgaMany:
             generate_random_graph(n, avg_out_degree=2.0, seed=n, positive_fraction=0.7)
             for n in range(2, 30)
         ]
-        whole = compute_fga_many([g.flat() for g in graphs], None, HIGH_PRECISION)
+        whole = list(compute_fga_many([g.flat() for g in graphs], None, HIGH_PRECISION))
         monkeypatch.setattr(engine, "_BATCH_ITEMS", 40)  # a few graphs per batch
-        cut = compute_fga_many([g.flat() for g in graphs], None, HIGH_PRECISION)
+        cut = list(compute_fga_many([g.flat() for g in graphs], None, HIGH_PRECISION))
         for a, b, g in zip(whole, cut, graphs):
             assert_same_scores(a, b)
             assert_same_scores(a, compute_fga(g, HIGH_PRECISION))
@@ -371,10 +372,34 @@ class TestComputeFgaMany:
         warm = compute_fga(g)
         smaller = generate_random_graph(5, seed=1)
         with pytest.raises(ValueError, match="nodes"):
-            compute_fga_many([smaller.flat()], [warm])
+            list(compute_fga_many([smaller.flat()], [warm]))
         with pytest.raises(ValueError, match="warm starts"):
-            compute_fga_many([g.flat(), g.flat()], [warm])
-        assert compute_fga_many([]) == []
+            list(compute_fga_many([g.flat(), g.flat()], [warm]))
+        assert list(compute_fga_many([])) == []
+
+    def test_reads_its_graphs_one_batch_at_a_time(self, monkeypatch):
+        from fga import engine
+
+        g = generate_random_graph(8, seed=1)
+        monkeypatch.setattr(engine, "_BATCH_ITEMS", 3 * (g.node_count + g.edge_count))
+        handed = 0
+
+        def stream():
+            nonlocal handed
+            for _ in range(12):
+                handed += 1
+                yield g.flat()
+
+        warm = compute_fga(g, DEFAULT_CONFIG)
+        want = recompute_after(g, warm)
+        solved = compute_fga_many(stream(), itertools.repeat(warm))
+        assert handed == 0
+        assert_same_scores(next(solved), want)
+        assert handed <= 3 + 1  # one batch, plus the graph that did not fit in it
+        rest = list(solved)
+        assert handed == 12 and len(rest) == 11
+        for got in rest:
+            assert_same_scores(got, want)
 
 
 class TestFlatEdgeViews:
