@@ -95,7 +95,6 @@ class AttackOutcome:
     targets: tuple[int, ...]
     delta_goodness: dict[int, float]
     exhausted: bool = False
-    success: dict[int, bool] | None = None
     _after: Callable[[], Wsn] = field(kw_only=True, repr=False, compare=False)
 
     @property
@@ -190,7 +189,6 @@ class ExhaustiveSearchResult:
     feasible: bool
     objective_value: float
     moves: tuple[AttackMove, ...]
-    outcome: AttackOutcome
     sets_enumerated: int
 
 
@@ -471,25 +469,16 @@ def _objective(problem: AttackProblem, scores: FgaScores) -> float:
     return max(per_pair) if problem.direction == "decrease" else min(per_pair)
 
 
-def _meets_threshold(problem: AttackProblem, value: float) -> bool:
-    if problem.direction == "decrease":
-        return value <= problem.threshold
-    return value >= problem.threshold
-
-
 def solve_exhaustive(
-    problem: AttackProblem,
-    weight_grid: tuple[float, ...] = (-1.0, 1.0),
-    config: FgaConfig | None = None,
+    problem: AttackProblem, weight_grid: tuple[float, ...] = (-1.0, 1.0)
 ) -> ExhaustiveSearchResult:
-    """Enumerate every move set within budget and return the extremal outcome.
+    """Enumerate every move set within budget and return the extremal one.
 
     Feasible means some enumerated set pushes every target (or one prediction
-    per pair) past the threshold. The returned outcome is the best found by
-    the objective whether or not it is feasible. Instances whose move-set
+    per pair) past the threshold. The returned moves are the best set found
+    by the objective whether or not it is feasible. Instances whose move-set
     count exceeds ``MAX_MOVE_SETS`` are rejected outright.
     """
-    config = config or ATTACK_CONFIG
     graph = problem.graph
     pool: list[tuple[int, int, float]] = []
     for attacker in sorted(set(problem.attackers)):
@@ -508,7 +497,7 @@ def solve_exhaustive(
             f"{total_sets} candidate move sets exceed the {MAX_MOVE_SETS} limit"
         )
 
-    base = compute_fga(graph, config)
+    base = compute_fga(graph, ATTACK_CONFIG)
     flat = graph.flat()
     best_value = _objective(problem, base)
     best_combo: tuple[tuple[int, int, float], ...] = ()
@@ -524,30 +513,19 @@ def solve_exhaustive(
     # the engine reads the overlays a batch ahead of the sets they are paired with
     combos, ahead = itertools.tee(combos)
     views = (flat.with_ratings(combo) for combo in ahead)
-    for combo, scores in zip(combos, compute_fga_many(views, itertools.repeat(base), config)):
+    solved = compute_fga_many(views, itertools.repeat(base), ATTACK_CONFIG)
+    for combo, scores in zip(combos, solved):
         value = _objective(problem, scores)
         enumerated += 1
         if (value < best_value) if minimize else (value > best_value):
             best_value = value
             best_combo = combo
 
-    moves = _moves(flat, best_combo)
-    view = flat.with_ratings(best_combo)
-    (final,) = compute_fga_many([view], None, config)
-    targets = problem.targets if problem.targets is not None else tuple(
-        node for pair in problem.target_pairs for node in pair
-    )
-    outcome = _outcome(moves, base, final, _graph_after(graph, view), tuple(targets))
-    if problem.targets is not None:
-        outcome.success = {
-            t: _meets_threshold(problem, float(final.goodness[t])) for t in problem.targets
-        }
-    feasible = _meets_threshold(problem, best_value)
+    threshold = problem.threshold
     return ExhaustiveSearchResult(
-        feasible=feasible,
+        feasible=best_value <= threshold if minimize else best_value >= threshold,
         objective_value=best_value,
-        moves=tuple(moves),
-        outcome=outcome,
+        moves=tuple(_moves(flat, best_combo)),
         sets_enumerated=enumerated,
     )
 

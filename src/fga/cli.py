@@ -46,7 +46,8 @@ def _parse_generate(spec: str, seed: int) -> Wsn:
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
-            if not value:
+            # an empty or non-finite value is rejected: int(inf) would overflow
+            if not value or not np.isfinite(float(value)):
                 raise ValueError(f"bad generator parameter {item!r}")
             params[key.strip()] = float(value)
     if kind == "erdos":
@@ -231,11 +232,10 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    graph = None
-    if args.scenario != "stabiliser":
-        if args.scenario == "indirect-sybil" and not args.generate and not args.input and not args.dataset:
-            args.generate = f"min-k:n=30,k={args.k}"
-        graph = _load_graph(args)
+    if args.scenario == "indirect-sybil" and not (args.input or args.dataset or args.generate):
+        args.generate = f"min-k:n=30,k={args.k}"
+    # the stabiliser builds its own stars and rejects a graph (exit 2)
+    graph = _load_graph(args) if args.input or args.dataset or args.generate else None
     reports = bounds.verify_bound_empirically(
         args.scenario, graph=graph, trials=args.trials, seed=args.seed, k=args.k
     )

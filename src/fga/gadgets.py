@@ -13,7 +13,6 @@ the realizable range raise GadgetError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Wsn
@@ -47,17 +46,6 @@ class GadgetError(ValueError):
     """The requested score configuration cannot be realized by a finite graph."""
 
 
-@dataclass(frozen=True)
-class BallastSpec:
-    """What was attached to pin one rater's fairness."""
-
-    sinks: int
-    pinners_per_sink: int
-    sink_weight: float
-    sink_error: float
-    sink_goodness: float
-
-
 def _pinner_count(error: float, rater_fairness: float) -> int:
     # Feasibility of the sink weight needs error <= (2m + 2 - 2f) / (m + 2).
     if error >= 2.0:
@@ -82,12 +70,12 @@ def attach_fairness_ballast(
     rater: int,
     target_fairness: float,
     existing_errors: Sequence[float] = (),
-) -> BallastSpec | None:
+) -> None:
     """Attach sink structure so the rater's converged fairness equals ``target_fairness``.
 
     ``existing_errors`` are the rating errors the rater's current out-edges
     will carry at the intended fixed point; the ballast absorbs whatever error
-    budget they leave over. Returns None when no ballast is needed.
+    budget they leave over. Fairness 1 needs no ballast.
     """
     f0 = float(target_fairness)
     if not 0.0 < f0 <= 1.0:
@@ -101,7 +89,7 @@ def attach_fairness_ballast(
     if f0 == 1.0:
         if total > 1e-12:
             raise GadgetError("fairness 1 is incompatible with nonzero rating error")
-        return None
+        return
 
     # Want f0 = 1 - (total + sinks * d) / (2 (count + sinks)); solve for the
     # per-sink error d given an integer sink count. The per-sink error floors
@@ -129,13 +117,6 @@ def attach_fairness_ballast(
         for _ in range(m):
             pinner = graph.add_node()
             graph.add_edge(pinner, sink, 1.0)
-    return BallastSpec(
-        sinks=sinks,
-        pinners_per_sink=m,
-        sink_weight=w,
-        sink_error=d,
-        sink_goodness=(2.0 * f0 * w + m) / (m + 2),
-    )
 
 
 def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int, list[list[int]]]:

@@ -552,7 +552,10 @@ class TestSolveExhaustive:
         )
         result = solve_exhaustive(problem)
         assert result.feasible
-        final = compute_fga(result.outcome.graph_after, HIGH_PRECISION)
+        attacked = g.copy()
+        for move in result.moves:
+            attacked.rate(move.attacker, move.rated, move.weight)
+        final = compute_fga(attacked, HIGH_PRECISION)
         predictions = (
             predict_weight(final, 0, 1),
             predict_weight(final, 1, 0),

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
+from fga import engine
+from fga.attacks import ATTACK_CONFIG, inject_sybil
 from fga.bounds import (
+    WEIGHT_SWEEP,
     BoundReport,
     check_min_k_neighbour,
     direct_flip_budget,
@@ -12,7 +16,7 @@ from fga.bounds import (
     verify_indirect_sybil,
     verify_stabiliser,
 )
-from fga.engine import HIGH_PRECISION, compute_fga
+from fga.engine import HIGH_PRECISION, compute_fga, recompute_after
 from fga.generators import (
     generate_complete_positive,
     generate_min_k_neighbour,
@@ -228,3 +232,76 @@ class TestEmpiricalHarnesses:
         assert report.satisfied  # inside the 1e-9 slack
         report = BoundReport.from_trial(0.5, 0.51, {})
         assert not report.satisfied
+
+
+def _one_at_a_time(graph, rated, watched, weight, base):
+    """The shift of ``watched`` after one fake rater, solved on its own."""
+    after = recompute_after(inject_sybil(graph, rated, weight)[0], base, ATTACK_CONFIG)
+    return float(after.goodness[watched] - base.goodness[watched])
+
+
+def reference_direct_sybil(graph, trials, seed):
+    """``verify_direct_sybil`` as a per-trial loop: same draws, one solve per trial."""
+    base = compute_fga(graph, ATTACK_CONFIG)
+    eligible = [v for v in graph.nodes() if graph.indeg(v) >= 1]
+    rng = np.random.default_rng([seed, 8])
+    reports = []
+    for trial in range(trials):
+        target = int(eligible[rng.integers(0, len(eligible))])
+        weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
+        delta = _one_at_a_time(graph, target, target, weight, base)
+        context = {"trial": trial, "target": target, "weight": weight}
+        reports.append(BoundReport.from_trial(direct_sybil_bound(graph, target), delta, context))
+    return reports
+
+
+def reference_indirect_sybil(graph, k, trials, seed):
+    """``verify_indirect_sybil`` as a per-trial loop: same draws, one solve per trial."""
+    base = compute_fga(graph, ATTACK_CONFIG)
+    n = graph.node_count
+    rng = np.random.default_rng([seed, 9])
+    reports = []
+    for trial in range(trials):
+        intermediary = int(rng.integers(0, n))
+        target = int(rng.integers(0, n))
+        while target == intermediary:
+            target = int(rng.integers(0, n))
+        weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
+        delta = _one_at_a_time(graph, intermediary, target, weight, base)
+        context = {
+            "trial": trial, "target": target, "intermediary": intermediary, "k": k, "weight": weight,
+        }
+        bound = indirect_sybil_bound(graph, intermediary, k)
+        reports.append(BoundReport.from_trial(bound, delta, context))
+    return reports
+
+
+def _fields(reports):
+    # context items as a list, so key order counts too
+    return [(r.bound_value, r.observed_delta, r.satisfied, list(r.context.items())) for r in reports]
+
+
+class TestSybilStream:
+    """One ``compute_fga_many`` stream gives the reports of one solve per trial, bit for bit."""
+
+    @pytest.fixture(params=[None, 400], ids=["one-batch", "many-batches"])
+    def batch_items(self, request, monkeypatch):
+        if request.param is not None:
+            # each overlay is 62-202 nodes plus edges: two to six trials per batch
+            monkeypatch.setattr(engine, "_BATCH_ITEMS", request.param)
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_direct_matches_one_trial_at_a_time(self, batch_items, seed):
+        graph = generate_random_graph(40, seed=60 + seed, positive_fraction=0.6 + 0.03 * seed)
+        want = reference_direct_sybil(graph, 20, seed)
+        assert _fields(verify_direct_sybil(graph, 20, seed)) == _fields(want)
+
+    @pytest.mark.parametrize("n, k, seed", [(20, 2, 1), (30, 3, 5), (40, 4, 8)])
+    def test_indirect_matches_one_trial_at_a_time(self, batch_items, n, k, seed):
+        graph = generate_min_k_neighbour(n, k, seed=70 + seed)
+        want = reference_indirect_sybil(graph, k, 20, seed)
+        assert _fields(verify_indirect_sybil(graph, k, 20, seed)) == _fields(want)
+
+    def test_stabiliser_rejects_a_graph(self):
+        with pytest.raises(ValueError, match="takes no graph"):
+            verify_bound_empirically("stabiliser", graph=generate_random_graph(10, seed=1))

@@ -2,6 +2,8 @@ import json
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fga import campaign
 from fga.campaign import (
@@ -186,6 +188,19 @@ class TestBoundsCommand:
         ])
         assert code == 0
         assert all(",True," in line for line in out.read_text().strip().split("\n")[1:])
+
+    def test_stabiliser_rejects_a_graph(self, capsys):
+        # the stabiliser builds its own stars; a given graph is an error, not ignored
+        assert main(["bounds", "--scenario", "stabiliser", "--generate", "erdos:n=60"]) == 2
+        assert "takes no graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, item",
+        [("erdos:n=1e400", "n=1e400"), ("min-k:n=inf,k=3", "n=inf"), ("star:k=inf", "k=inf")],
+    )
+    def test_non_finite_generator_parameter_is_exit_2(self, capsys, spec, item):
+        assert main(["bounds", "--scenario", "direct-sybil", "--generate", spec]) == 2
+        assert f"bad generator parameter {item!r}" in capsys.readouterr().err
 
 
 class TestCampaignCommand:
@@ -410,3 +425,48 @@ class TestCampaignLibrary:
         )
         for a, b in zip(warm.records, cold.records):
             assert a["delta"] == pytest.approx(b["delta"], abs=1e-9)
+
+
+def _bounds_sources(tmp_dir):
+    """``fga bounds`` graph options: none, small valid specs, malformed specs, bad paths."""
+    valid = st.sampled_from(["erdos:n=20,deg=3", "min-k:n=12,k=3", "complete:n=5", "star:k=2,l=3"])
+    malformed = st.builds(
+        "{0[0]}:{0[1]}={1}".format,
+        st.sampled_from(
+            [("erdos", "n"), ("erdos", "deg"), ("min-k", "n"), ("min-k", "k"), ("complete", "n"),
+             ("star", "k"), ("star", "l")]
+        ),
+        st.sampled_from(["1e400", "inf", "nan", "-3", "x"]),
+    )
+    return st.one_of(
+        st.just([]),
+        valid.map(lambda spec: ["--generate", spec]),
+        malformed.map(lambda spec: ["--generate", spec]),
+        st.just(["--input", str(tmp_dir / "missing.csv")]),
+        st.just(["--input", str(tmp_dir)]),
+    )
+
+
+@pytest.fixture(scope="module")
+def bounds_tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bounds")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    scenario=st.sampled_from(["direct-sybil", "indirect-sybil", "stabiliser"]),
+    k=st.none() | st.integers(-1, 4),
+    trials=st.none() | st.integers(-1, 5),
+)
+def test_bounds_exit_codes(bounds_tmp_dir, data, scenario, k, trials):
+    """Every ``fga bounds`` run ends in 0, 2, 3 or 4; argparse may only exit 2."""
+    argv = ["bounds", "--scenario", scenario, *data.draw(_bounds_sources(bounds_tmp_dir))]
+    argv += [] if k is None else ["--k", str(k)]
+    argv += [] if trials is None else ["--trials", str(trials)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 2, 3, 4), argv
