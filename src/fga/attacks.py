@@ -9,14 +9,23 @@ the most. Candidate scores within 1e-9 count as tied (fixed-point residual
 noise) and resolve to the smallest successor id, positive weight first, so
 runs are deterministic.
 
-The scan is screened: the first candidate of a step is solved in full, and
-every later one only until it provably cannot beat the incumbent. A warm
-re-solve's goodness never moves by more than twice the residual after it
-stops (the sweeps are nonexpansive and fairness steps halve; see
-``fga.engine``), so once g_t - 3 * residual - 1e-12 >= best - 1e-9 the
-candidate's converged score cannot undercut the incumbent by the tie
-tolerance and its solve is dropped. A candidate that is not dropped runs the
-same sweeps as an unscreened solve, so move logs and scores are unchanged.
+The greedy scan solves only its winners to the end. Each candidate is an
+``EditSolve`` (``fga.engine``): a warm re-solve of its one-edit overlay that
+starts from two sweeps of the step's store, shared by all the step's
+candidates, and recomputes its own sweeps 1 and 2 on the edit's frontier
+only. After sweep t its converged goodness lies in [g_t - 3 * residual -
+1e-12, g_t + 3 * residual + 1e-12] (the sweeps are nonexpansive and
+fairness steps halve, so it moves by less than 2 * residual), and the
+interval collapses to the exact value once the solve stops. Scanning in
+order, a challenger replaces the incumbent when hi_c < lo_b - 1e-9, since
+then its exact value beats the incumbent's by more than the tie tolerance,
+and is dropped when lo_c >= hi_b - 1e-9, since then it cannot. Otherwise
+the wider of the two unfinished solves runs one more sweep; two stopped
+solves always decide. So every comparison ends as the sequential rule on
+exact values would. A loser runs to the end only when its value is too
+close to the incumbent's to tell apart sooner, as in an exact tie. A
+winner whose scores the scan uses is finished with the same sweeps, scores
+and residual as ``recompute_flat``; a scaled batch re-solves instead.
 
 Attacks never edit the attacked graph. They score overlays of its edge store
 (``FlatEdges.with_ratings``), and an outcome's ``graph_after`` is the graph's
@@ -34,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
-from .engine import _screened_recompute, compute_fga_many
+from .engine import EditSolve, WarmEdits, compute_fga_many
 from .engine import recompute_after  # noqa: F401  public re-export
 from .graph import Wsn
 
@@ -229,34 +238,40 @@ def _indirect_candidates(flat: FlatEdges, target: int, attacker: int) -> list[in
 
 def _best_candidate(
     flat: FlatEdges, scores: FgaScores, attacker: int, target: int, config: FgaConfig
-) -> tuple[int, float, FlatEdges, FgaScores] | None:
-    """Scan (successor, +-1) candidates; return (rated, weight, view, scores after) or None.
+) -> EditSolve | None:
+    """The winning (successor, +-1) candidate's solve, maybe unfinished, or None.
 
     Iteration runs in ascending id with +1 before -1, and a replacement must
     beat the incumbent by more than TIE_TOLERANCE, which implements the
-    deterministic tie-break. Each candidate is scored on a single-edit view.
-    The first is solved in full; every later one is screened against
-    ``best_value - TIE_TOLERANCE`` and dropped once g_t - 3 * residual - 1e-12
-    reaches that floor, which proves it could not replace the incumbent (see
-    the module docstring). A candidate that is not dropped is solved exactly
-    as ``recompute_flat`` would, so its scores can stand as the step's.
+    deterministic tie-break. Each candidate is one ``EditSolve`` from the
+    step's shared first sweeps, and each comparison is decided on the two
+    solves' intervals (module docstring), sweeping the wider unfinished one
+    until they decide it. The caller finishes the winner's solve if it needs
+    the scores.
     """
+    candidates = _indirect_candidates(flat, target, attacker)
+    if not candidates:
+        return None
+    edits = WarmEdits(flat, scores, config)
     best = None
-    best_value = math.inf
-    for rated in _indirect_candidates(flat, target, attacker):
+    for rated in candidates:
         for weight in (1.0, -1.0):
-            view = flat.with_rating(attacker, rated, weight)
+            challenger = edits.solve(attacker, rated, weight)
             if best is None:
-                after = recompute_flat(view, scores, config)
-            else:
-                after = _screened_recompute(
-                    view, scores, config, target, best_value - TIE_TOLERANCE
-                )
-                if after is None:
-                    continue
-            value = float(after.goodness[target])
-            if best is None or value < best_value - TIE_TOLERANCE:
-                best, best_value = (rated, weight, view, after), value
+                best = challenger
+                continue
+            while True:
+                best_lo, best_hi = best.bounds(target)
+                lo, hi = challenger.bounds(target)
+                if hi < best_lo - TIE_TOLERANCE:
+                    best = challenger  # it ends below the incumbent by more than the tolerance
+                    break
+                if lo >= best_hi - TIE_TOLERANCE:
+                    break  # it cannot end below the incumbent by more than the tolerance
+                if best.stopped or (not challenger.stopped and hi - lo >= best_hi - best_lo):
+                    challenger.advance()
+                else:
+                    best.advance()
     return best
 
 
@@ -281,12 +296,12 @@ def _indirect_scan(
         best = _best_candidate(flat, scores, ordered[i], target, config)
         if best is None:
             return flat, scores, moves, True
-        rated, weight, view, after = best
+        _, rated, weight = best.edit
         size = min(scale * int(flat.indeg[rated]), max_edges, len(ordered) - i)
         edits = [(a, rated, weight) for a in ordered[i : i + size] if a != rated]
-        if len(edits) == 1:  # exactly the scanned candidate, already solved
+        if len(edits) == 1:  # exactly the scanned candidate, whose solve is finished here
             moves += _moves(flat, edits)
-            flat, scores = view, after
+            flat, scores = best.view, best.finish()
         else:
             flat, scores, batch = _rate_all(flat, scores, edits, config)
             moves += batch

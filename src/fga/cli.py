@@ -38,18 +38,42 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
+#: ``fga bounds`` defaults of the Sybil scenarios.
+BOUNDS_TRIALS = 100
+BOUNDS_K = 3
+
+
+#: The parameters of each generator spec, and whether each must be an integer.
+_GENERATOR_PARAMS = {
+    "erdos": {"n": True, "deg": False, "pos": False},
+    "min-k": {"n": True, "k": True},
+    "complete": {"n": True},
+    "star": {"k": True, "l": True, "fairness": False},
+}
+
 
 def _parse_generate(spec: str, seed: int) -> Wsn:
     """Build a graph from a compact spec like ``erdos:n=80,deg=4,pos=0.9``."""
     kind, _, rest = spec.partition(":")
+    known = _GENERATOR_PARAMS.get(kind)
+    if known is None:
+        raise ValueError(f"unknown generator {kind!r} (use {', '.join(_GENERATOR_PARAMS)})")
     params: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            # an empty or non-finite value is rejected: int(inf) would overflow
-            if not value or not np.isfinite(float(value)):
-                raise ValueError(f"bad generator parameter {item!r}")
-            params[key.strip()] = float(value)
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise ValueError(f"unknown parameter {key!r} for {kind} (use {', '.join(known)})")
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"bad generator parameter {item!r}") from None
+        # a non-finite value is rejected: int(inf) would overflow
+        if not np.isfinite(number):
+            raise ValueError(f"bad generator parameter {item!r}")
+        if known[key] and not number.is_integer():
+            raise ValueError(f"generator parameter {key!r} must be an integer, got {value.strip()!r}")
+        params[key] = number
     if kind == "erdos":
         return generators.generate_random_graph(
             int(params.get("n", 80)),
@@ -63,13 +87,11 @@ def _parse_generate(spec: str, seed: int) -> Wsn:
         )
     if kind == "complete":
         return generators.generate_complete_positive(int(params.get("n", 5)))
-    if kind == "star":
-        graph, _, _, _ = gadgets.stabilised_star(
-            int(params.get("k", 2)), int(params.get("l", 5)),
-            influencer_fairness=params.get("fairness", 1.0),
-        )
-        return graph
-    raise ValueError(f"unknown generator {kind!r} (use erdos, min-k, complete, star)")
+    graph, _, _, _ = gadgets.stabilised_star(
+        int(params.get("k", 2)), int(params.get("l", 5)),
+        influencer_fairness=params.get("fairness", 1.0),
+    )
+    return graph
 
 
 def _load_graph(args) -> Wsn:
@@ -232,6 +254,15 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.scenario == "stabiliser":
+        # its grid of stars is fixed: it draws nothing and takes no trial count or k
+        given = [flag for flag, value in (("--trials", args.trials), ("--k", args.k))
+                 if value is not None]
+        if given:
+            raise ValueError(f"--scenario stabiliser takes no {' or '.join(given)}")
+    else:
+        args.trials = BOUNDS_TRIALS if args.trials is None else args.trials
+        args.k = BOUNDS_K if args.k is None else args.k
     if args.scenario == "indirect-sybil" and not (args.input or args.dataset or args.generate):
         args.generate = f"min-k:n=30,k={args.k}"
     # the stabiliser builds its own stars and rejects a graph (exit 2)
@@ -339,8 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--scenario", required=True,
                    choices=["direct-sybil", "indirect-sybil", "stabiliser"])
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--k", type=int, default=None,
+                   help=f"k of indirect-sybil's minimum-k-neighbour graph (default {BOUNDS_K})")
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"fake-rater trials, Sybil scenarios only (default {BOUNDS_TRIALS})")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(handler=_cmd_bounds)
 

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fga import attacks
+from fga import attacks, engine
 from fga.attacks import (
     ATTACK_CONFIG,
     AttackProblem,
@@ -20,6 +24,7 @@ from fga.attacks import (
     solve_exhaustive,
 )
 from fga.bounds import direct_flip_budget
+from fga.campaign import ExperimentConfig, report, run_campaign
 from fga.engine import HIGH_PRECISION, compute_fga, predict_weight
 from fga.generators import generate_random_graph
 from fga.graph import Wsn
@@ -175,23 +180,21 @@ class TestIndirectGreedy:
             key=lambda v: (scores.goodness[v], -v),
         )
         attackers = [v for v in g.nodes() if v != target][:3]
-        full, dropped = [], []
-        solve, screened = attacks.recompute_flat, attacks._screened_recompute
+        full, solves = [], []
+        solve, start = attacks.recompute_flat, engine.WarmEdits.solve
         monkeypatch.setattr(attacks, "recompute_flat", lambda *a: full.append(1) or solve(*a))
-
-        def counting(*args):
-            result = screened(*args)
-            dropped.append(result is None)
-            return result
-
-        monkeypatch.setattr(attacks, "_screened_recompute", counting)
+        monkeypatch.setattr(
+            engine.WarmEdits, "solve", lambda self, *a: solves.append(start(self, *a)) or solves[-1]
+        )
         outcome = indirect_attack_greedy(g, attackers, target, before=scores)
         oracle_moves, oracle_graph = greedy_scan_oracle(g, attackers, target)
-        assert [(m.attacker, m.rated, m.weight) for m in outcome.moves] == oracle_moves
+        moves = [(m.attacker, m.rated, m.weight) for m in outcome.moves]
+        assert moves == oracle_moves
         assert outcome.graph_after == oracle_graph
-        # one full solve per step (its first candidate), and the screen cut some short
-        assert len(full) == len(outcome.moves)
-        assert any(dropped)
+        # one converged solve per step, the winner's; every loser was decided unconverged
+        assert not full
+        assert [s.edit for s in solves if s.stopped] == moves
+        assert len(solves) > len(moves)
 
     @staticmethod
     def tie_gadget(weights):
@@ -227,6 +230,54 @@ class TestIndirectGreedy:
         assert [(m.attacker, m.rated, m.weight) for m in outcome.moves] == oracle_moves
         assert (outcome.moves[0].rated, outcome.moves[0].weight) == tied[0]
 
+    @settings(deadline=None)  # examples: the hypothesis profile's (tests/conftest.py)
+    @given(
+        base=st.floats(min_value=-0.9, max_value=0.9),
+        offsets=st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=4),
+        extra=st.sampled_from([None, -1.0, 0.3, 1.0]),
+    )
+    def test_near_ties_follow_the_sequential_rule(self, base, offsets, extra):
+        # a successor weight moves g(t) by about 0.04 of its change, so weights up to 100 tau
+        # apart put candidate values up to a few tau apart, where the intervals decide late
+        g, t, attackers = self.tie_gadget([base + k * attacks.TIE_TOLERANCE for k in offsets])
+        if extra is not None:  # a second rater of the target, which rates successor 0 too
+            q = g.add_node("q")
+            g.add_edge(q, t, extra)
+            g.add_edge(q, 0, 1.0)
+        outcome = indirect_attack_greedy(g, attackers, t)
+        oracle_moves, oracle_graph = greedy_scan_oracle(g, attackers, t)
+        assert [(m.attacker, m.rated, m.weight) for m in outcome.moves] == oracle_moves
+        assert outcome.graph_after == oracle_graph
+
+    @pytest.mark.parametrize("miss", [-3e-12, -1e-13, 1e-13, 3e-12])
+    def test_comparisons_at_the_tie_tolerance(self, miss, monkeypatch):
+        # (1, -1) ends `miss` away from beating the incumbent (0, -1) by exactly the tolerance,
+        # closer than the intervals' slack, so only the two converged values can decide
+        def gap(delta):
+            g, t, attackers = self.tie_gadget((0.3, 0.3 + delta))
+            values = []
+            for rated in (0, 1):
+                work = g.copy()
+                work.rate(attackers[0], rated, -1.0)
+                values.append(compute_fga(work, ATTACK_CONFIG).goodness[t])
+            return values[1] - values[0] + attacks.TIE_TOLERANCE
+
+        slope = (gap(25e-9) - gap(0.0)) / 25e-9
+        delta = (miss - gap(0.0)) / slope
+        delta += (miss - gap(delta)) / slope  # one more secant step lands within 1e-15
+        assert gap(delta) == pytest.approx(miss, abs=1e-14)
+        g, t, attackers = self.tie_gadget((0.3, 0.3 + delta))
+        solves = []
+        start = engine.WarmEdits.solve
+        monkeypatch.setattr(
+            engine.WarmEdits, "solve", lambda self, *a: solves.append(start(self, *a)) or solves[-1]
+        )
+        outcome = indirect_attack_greedy(g, attackers[:1], t)
+        oracle_moves, _ = greedy_scan_oracle(g, attackers[:1], t)
+        assert [(m.attacker, m.rated, m.weight) for m in outcome.moves] == oracle_moves
+        assert oracle_moves[0][1] == (1 if miss < 0 else 0)
+        assert [s.edit[1:] for s in solves if s.stopped] == [(0, -1.0), (1, -1.0)]
+
     def test_budget_respected_and_step_optimality(self):
         g = generate_random_graph(25, avg_out_degree=3.0, seed=31, positive_fraction=0.8)
         attackers = [1, 2, 3]
@@ -257,6 +308,27 @@ class TestIndirectGreedy:
             assert committed_value is not None
             assert committed_value <= best_value + 1e-9
             work.rate(move.attacker, move.rated, move.weight)
+
+
+def test_indirect_campaign_reports_are_pinned(tmp_path):
+    """A 200-sample greedy campaign writes the reports of the sequential screened scan.
+
+    The digests were taken from the scan that solved every candidate it kept
+    to convergence, one candidate at a time.
+    """
+    g = generate_random_graph(300, avg_out_degree=4.0, seed=11, positive_fraction=0.85)
+    config = ExperimentConfig(mode="indirect", k_values=(2,), samples=200, seed=2024)
+    result = run_campaign(g, config)
+    assert len(result.records) == 200 and not result.errors
+    report(result, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("records.csv", "summary.csv")
+    }
+    assert digests == {
+        "records.csv": "6e8ae7c8c04d875b17c9ff0c3f7c23566d70fd30aaa34299c147a8e98b3cfcfa",
+        "summary.csv": "75ca60f92baf46ecba463a39a0c1110c2da4cd28e2debd6dc2fe6f4399e698b2",
+    }
 
 
 def outcomed_exhausted(outcome):

@@ -202,6 +202,39 @@ class TestBoundsCommand:
         assert main(["bounds", "--scenario", "direct-sybil", "--generate", spec]) == 2
         assert f"bad generator parameter {item!r}" in capsys.readouterr().err
 
+    def test_unknown_generator_parameter_is_exit_2(self, capsys):
+        # a typo must not fall back to the default 80-node graph
+        assert main(["stats", "--generate", "erdos:nodes=500"]) == 2
+        assert "unknown parameter 'nodes' for erdos" in capsys.readouterr().err
+
+    def test_fractional_generator_size_is_exit_2(self, capsys):
+        # a size is not truncated to 20 nodes
+        assert main(["stats", "--generate", "erdos:n=20.7"]) == 2
+        assert "generator parameter 'n' must be an integer" in capsys.readouterr().err
+
+    def test_integral_generator_values_in_float_notation_are_sizes(self, capsys):
+        assert main(["--format", "json", "stats", "--generate", "complete:n=4.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["node_count"] == 4
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [(["--trials", "3"], "--trials"), (["--k", "1"], "--k"),
+         (["--trials", "3", "--k", "1"], "--trials or --k")],
+    )
+    def test_stabiliser_rejects_trials_and_k(self, capsys, extra, named):
+        # the stabiliser's star grid is fixed, so a trial count or k would be ignored
+        assert main(["bounds", "--scenario", "stabiliser", *extra]) == 2
+        assert f"takes no {named}" in capsys.readouterr().err
+
+    def test_sybil_defaults_are_100_trials_and_k_3(self, tmp_path):
+        outputs = []
+        for extra in ([], ["--trials", "100", "--k", "3"]):
+            out = tmp_path / f"bounds{len(extra)}.csv"
+            assert main(["bounds", "--scenario", "indirect-sybil", *extra, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].decode().strip().split("\n")) == 101
+
 
 class TestCampaignCommand:
     def run_campaign_cli(self, out_dir, jobs="1", fmt="csv", seed="9"):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 
@@ -11,7 +12,7 @@ from fga.engine import (
     DEFAULT_CONFIG,
     HIGH_PRECISION,
     FgaConfig,
-    _screened_recompute,
+    WarmEdits,
     compute_fga,
     compute_fga_many,
     export_scores_csv,
@@ -44,14 +45,40 @@ def draw_graph(data, min_nodes: int, max_nodes: int) -> Wsn:
 
 
 def draw_warm_edit(data):
-    """A drawn graph's converged scores and a one-edit view of it, as the greedy scan sees."""
+    """A drawn graph's store, its converged scores and one edit, as the greedy scan sees."""
     g = draw_graph(data, 2, 8)
     warm = compute_fga(g, HIGH_PRECISION)
     u, v = data.draw(
         st.sampled_from([(u, v) for u in g.nodes() for v in g.nodes() if u != v]), label="edit"
     )
     w = data.draw(st.sampled_from([-1.0, 1.0, 0.0, 0.5]), label="edit weight")
-    return warm, g.flat().with_rating(u, v, w)
+    return g.flat(), warm, (u, v, w)
+
+
+def assert_tracks_the_dense_solve(flat, warm, edit, config):
+    """An ``EditSolve`` equals the dense solve of the overlay bit for bit at every sweep."""
+    view = flat.with_rating(*edit)
+    final = recompute_flat(view, warm, config)
+    solve = WarmEdits(flat, warm, config).solve(*edit)
+    assert solve.bounds(0) == (-np.inf, np.inf)
+    while not solve.stopped:
+        solve.advance()
+        t = solve.iterations
+        dense = recompute_flat(view, warm, dataclasses.replace(config, max_iterations=t))
+        assert dense.iterations_run == t
+        assert solve.fairness.tobytes() == dense.fairness.tobytes(), t
+        assert solve.goodness.tobytes() == dense.goodness.tobytes(), t
+        assert solve.residual == dense.max_residual, t
+        assert solve.stopped == (t == final.iterations_run), t
+        # the interval the scan decides on is the dense iterate's, and holds the final value
+        slack = 3.0 * dense.max_residual
+        for node, (g, g_final) in enumerate(zip(dense.goodness, final.goodness)):
+            lo, hi = solve.bounds(node)
+            assert (lo, hi) == ((g, g) if solve.stopped else (g - slack - 1e-12, g + slack + 1e-12))
+            assert lo <= g_final <= hi
+    assert_same_scores(solve.finish(), final)
+    assert solve.view.key.tobytes() == view.key.tobytes()
+    assert solve.view.w.tobytes() == view.w.tobytes()
 
 
 def rebuilt(g: Wsn, edits) -> Wsn:
@@ -154,8 +181,9 @@ class TestConvergenceRate:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_later_goodness_within_twice_the_residual(self, data):
-        # the contraction bound the screened scan relies on, at every sweep of a warm solve
-        warm, view = draw_warm_edit(data)
+        # the contraction bound the scan's intervals rely on, at every sweep of a warm solve
+        flat, warm, edit = draw_warm_edit(data)
+        view = flat.with_rating(*edit)
         final = recompute_flat(view, warm, HIGH_PRECISION)
         for t in range(1, final.iterations_run + 1):
             capped = FgaConfig(max_iterations=t, residual_tolerance=HIGH_PRECISION.residual_tolerance)
@@ -164,34 +192,101 @@ class TestConvergenceRate:
             assert np.all(gap <= 2.0 * partial.max_residual + 1e-12), t
 
 
-class TestScreenedRecompute:
+class TestEditSolve:
+    @settings(deadline=None)  # examples: the hypothesis profile's (tests/conftest.py)
+    @given(st.data())
+    def test_frontier_sweeps_equal_the_dense_sweeps(self, data):
+        g = draw_graph(data, 2, 8)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2), label="isolated")):
+            g.add_node()
+        # the warm start need not be converged
+        warm_sweeps = data.draw(st.sampled_from([None, 1, 2, 3]), label="warm sweeps")
+        warm = compute_fga(
+            g,
+            HIGH_PRECISION
+            if warm_sweeps is None
+            else dataclasses.replace(HIGH_PRECISION, max_iterations=warm_sweeps),
+        )
+        edges = [(u, v) for u, v, _ in g.edges()]
+        absent = [(u, v) for u in g.nodes() for v in g.nodes() if u != v and (u, v) not in edges]
+        update = data.draw(st.booleans(), label="update") if edges and absent else not absent
+        a, r = data.draw(st.sampled_from(edges if update else absent), label="edge")
+        weight = data.draw(st.sampled_from([-1.0, 1.0, 0.0, 0.5]), label="weight")
+        config = data.draw(
+            st.sampled_from(
+                [HIGH_PRECISION, DEFAULT_CONFIG, FgaConfig(max_iterations=1),
+                 FgaConfig(max_iterations=2), FgaConfig(max_iterations=3)]
+            ),
+            label="config",
+        )
+        assert_tracks_the_dense_solve(g.flat(), warm, (a, r, weight), config)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            (0, 5, -1.0),  # r unrated before the edit
+            (6, 1, 1.0),  # a silent before it
+            (6, 7, 0.5),  # both: an edge between two isolated nodes
+            (0, 1, -1.0),  # an update
+            (3, 0, 1.0),  # r rated by two nodes that rate three others
+        ],
+    )
+    def test_frontier_cases(self, edit):
+        g = generate_random_graph(5, avg_out_degree=2.0, seed=3, positive_fraction=0.6)
+        for _ in range(3):
+            g.add_node()  # 5, 6 and 7 are isolated
+        g.add_edge(5, 2, 1.0)
+        assert g.indeg(5) == 0 and g.outdeg(6) == 0 and g.indeg(7) == g.outdeg(7) == 0
+        assert g.has_edge(*edit[:2]) == (edit[:2] == (0, 1))
+        g.add_edge(5, 3, -0.5)
+        for warm_sweeps in (None, 1):
+            config = dataclasses.replace(HIGH_PRECISION, max_iterations=warm_sweeps or 400)
+            warm = compute_fga(g, config)
+            assert_tracks_the_dense_solve(g.flat(), warm, edit, HIGH_PRECISION)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_stops_only_when_the_floor_is_unreachable(self, data):
-        warm, view = draw_warm_edit(data)
-        full = recompute_flat(view, warm, HIGH_PRECISION)
-        node = data.draw(st.integers(min_value=0, max_value=view.n - 1), label="node")
+    def test_decides_only_what_the_final_value_allows(self, data):
+        flat, warm, edit = draw_warm_edit(data)
+        full = recompute_flat(flat.with_rating(*edit), warm, HIGH_PRECISION)
+        node = data.draw(st.integers(min_value=0, max_value=flat.n - 1), label="node")
         final = float(full.goodness[node])
         offset = data.draw(st.sampled_from([-0.5, -1e-3, -1e-6, -1e-9, 0.0]), label="offset")
         # the smallest floor above the final value must never be ruled out
-        for floor in (final + offset, float(np.nextafter(final, np.inf))):
-            screened = _screened_recompute(view, warm, HIGH_PRECISION, node, floor)
-            if screened is None:
-                assert final >= floor
-            else:
-                assert screened.iterations_run == full.iterations_run
-                assert screened.max_residual == full.max_residual
-                assert np.array_equal(screened.fairness, full.fairness)
-                assert np.array_equal(screened.goodness, full.goodness)
-        assert screened is not None
+        floors = (final + offset, float(np.nextafter(final, np.inf)))
+        solve = WarmEdits(flat, warm, HIGH_PRECISION).solve(*edit)
+        while not solve.stopped:
+            solve.advance()
+            lo, hi = solve.bounds(node)
+            for floor in floors:
+                assert final >= floor or lo < floor
+                assert final < floor or hi >= floor
+        assert_same_scores(solve.finish(), full)
 
-    def test_stops_a_clearly_losing_solve_early(self):
+    def test_decides_a_clearly_losing_solve_early(self):
         g = generate_random_graph(40, avg_out_degree=3.0, seed=5, positive_fraction=0.7)
         warm = compute_fga(g, HIGH_PRECISION)
-        view = g.flat().with_rating(0, 1, -1.0)
-        full = recompute_flat(view, warm, HIGH_PRECISION)
+        full = recompute_flat(g.flat().with_rating(0, 1, -1.0), warm, HIGH_PRECISION)
         assert full.iterations_run > 3
-        assert _screened_recompute(view, warm, HIGH_PRECISION, 1, full.goodness[1] - 0.5) is None
+        solve = WarmEdits(g.flat(), warm, HIGH_PRECISION).solve(0, 1, -1.0)
+        while solve.bounds(1)[0] < full.goodness[1] - 0.5:
+            solve.advance()
+        assert solve.iterations <= 2 and not solve.stopped
+
+    def test_misuse_is_refused(self):
+        g = generate_random_graph(6, avg_out_degree=2.0, seed=1)
+        warm = compute_fga(g, HIGH_PRECISION)
+        with pytest.raises(ValueError, match="warm scores cover"):
+            WarmEdits(g.flat().with_node(), warm)
+        edits = WarmEdits(g.flat(), warm, HIGH_PRECISION)
+        with pytest.raises(ValueError, match="self-loop"):
+            edits.solve(2, 2, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            edits.solve(2, 3, 1.5)
+        solve = edits.solve(2, 3, 1.0)
+        solve.finish()
+        with pytest.raises(RuntimeError, match="stopped"):
+            solve.advance()
 
 
 class TestIterationBehaviour:
