@@ -13,13 +13,14 @@ The greedy scan solves only its winners to the end. Each candidate is an
 ``EditSolve`` (``fga.engine``): a warm re-solve of its one-edit overlay that
 starts from two sweeps of the step's store, shared by all the step's
 candidates, and recomputes its own sweeps 1 and 2 on the edit's frontier
-only. After sweep t its converged goodness lies in [g_t - 3 * residual -
-1e-12, g_t + 3 * residual + 1e-12] (the sweeps are nonexpansive and
-fairness steps halve, so it moves by less than 2 * residual), and the
-interval collapses to the exact value once the solve stops. Scanning in
-order, a challenger replaces the incumbent when hi_c < lo_b - 1e-9, since
-then its exact value beats the incumbent's by more than the tie tolerance,
-and is dropped when lo_c >= hi_b - 1e-9, since then it cannot. Otherwise
+only. After sweep t its converged goodness lies in [g_t - 2 * d_t - 1e-12,
+g_t + 2 * d_t + 1e-12], d_t the largest fairness step of sweep t (the
+sweeps are nonexpansive and fairness steps halve, so from sweep 1 on
+goodness moves by less than 2 * d_t), and the interval collapses to the
+exact value once the solve stops. Scanning in order, a challenger replaces
+the incumbent when hi_c < lo_b - 1e-9, since then its exact value beats the
+incumbent's by more than the tie tolerance, and is dropped when lo_c >=
+hi_b - 1e-9, since then it cannot. Otherwise
 the wider of the two unfinished solves runs one more sweep; two stopped
 solves always decide. So every comparison ends as the sequential rule on
 exact values would. A loser runs to the end only when its value is too
@@ -230,8 +231,10 @@ def _rate_all(
 
 def _indirect_candidates(flat: FlatEdges, target: int, attacker: int) -> list[int]:
     """Successors of the target's raters, ascending, without the target and attacker."""
+    raters = np.zeros(flat.n, dtype=bool)
+    raters[flat.src[flat.dst == target]] = True
     rated = np.zeros(flat.n, dtype=bool)
-    rated[flat.dst[np.isin(flat.src, flat.src[flat.dst == target])]] = True
+    rated[flat.dst[raters[flat.src]]] = True
     rated[[target, attacker]] = False
     return np.flatnonzero(rated).tolist()
 

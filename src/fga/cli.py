@@ -254,14 +254,17 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.scenario == "stabiliser":
-        # its grid of stars is fixed: it draws nothing and takes no trial count or k
-        given = [flag for flag, value in (("--trials", args.trials), ("--k", args.k))
-                 if value is not None]
-        if given:
-            raise ValueError(f"--scenario stabiliser takes no {' or '.join(given)}")
-    else:
+    # the stabiliser's grid of stars is fixed: it draws nothing and takes no trial count or k;
+    # a direct-Sybil trial rates the target once and takes no k
+    takes = {"direct-sybil": ("--trials",), "indirect-sybil": ("--trials", "--k"),
+             "stabiliser": ()}[args.scenario]
+    given = [flag for flag, value in (("--trials", args.trials), ("--k", args.k))
+             if value is not None and flag not in takes]
+    if given:
+        raise ValueError(f"--scenario {args.scenario} takes no {' or '.join(given)}")
+    if args.scenario != "stabiliser":
         args.trials = BOUNDS_TRIALS if args.trials is None else args.trials
+    if args.scenario == "indirect-sybil":
         args.k = BOUNDS_K if args.k is None else args.k
     if args.scenario == "indirect-sybil" and not (args.input or args.dataset or args.generate):
         args.generate = f"min-k:n=30,k={args.k}"

@@ -15,19 +15,25 @@ part of the definition and are re-applied on every sweep. Iteration starts
 from f = g = 1 and alternates a full goodness sweep (using the previous
 fairness) with a full fairness sweep (using the fresh goodness).
 
-Both sweeps are nonexpansive in the max norm: the goodness sweep is
-1-Lipschitz in f because |w| <= 1, the fairness sweep is 1/2-Lipschitz in g,
-and the clips and fixed baselines keep both properties. So the fairness step
-d_t = max|f_t - f_{t-1}| obeys d_{t+1} <= d_t / 2, and every later iterate T,
-the converged one included, has |g_T - g_t| <= d_t + d_t/2 + ... < 2 * d_t at
-every node. The residual reported after sweep t is at least d_t. From the
-all-ones start d_1 <= 1, so roughly 27 sweeps reach 1e-8.
+Both sweeps are nonexpansive in the max norm: the goodness sweep G is
+1-Lipschitz in f because |w| <= 1, the fairness sweep F is 1/2-Lipschitz in
+g, and the clips and fixed baselines keep both properties. Let d_t =
+max|f_t - f_{t-1}| be the fairness step of sweep t. Each sweep reads only
+the scores of the sweep before, so g_{s+1} = G(f_s) for s >= 0 and f_s =
+F(g_s) for s >= 1, whatever the start scores (f_0, g_0) are. Hence
+|g_{s+1} - g_s| <= d_s and d_{s+1} <= d_s / 2 for s >= 1, and every later
+iterate T, the converged one included, has |g_T - g_t| <= d_t + d_t/2 + ...
+< 2 * d_t at every node from sweep t = 1 on. Nothing ties the start scores
+to the graph, so this holds for a warm start from another graph's scores
+too. The residual reported after sweep t, the larger of the fairness and
+goodness steps, is at least d_t; from sweep 2 on, f_{t-1} = F(g_{t-1}), so
+2 * d_t <= max|g_t - g_{t-1}| <= residual. From the all-ones start d_1 <= 1,
+so roughly 27 sweeps reach 1e-8.
 
 So after sweep t the converged goodness of every node lies in the two-sided
-interval [g_t - 3 * residual - 1e-12, g_t + 3 * residual + 1e-12]: the third
-residual and the absolute slack leave room for rounding in the sweep sums.
-``EditSolve.bounds`` gives it, and the greedy attack scan decides its
-candidates on it.
+interval [g_t - 2 * d_t - 1e-12, g_t + 2 * d_t + 1e-12]: the absolute slack
+leaves room for rounding in the sweep sums. ``EditSolve.bounds`` gives it,
+and the greedy attack scan decides its candidates on it.
 
 An ``EditSolve`` is the warm re-solve of one one-edit overlay (attacker a
 sets its rating of r), resumable sweep by sweep. ``WarmEdits`` runs two
@@ -51,10 +57,13 @@ rate is in the goodness frontier. Fairness at u reads the fresh goodness of
 u's successors only, and every rater of the goodness frontier is in the
 fairness frontier. Sweep 1's frontiers lie inside sweep 2's, so off sweep
 2's both the value and the previous value are the unedited store's, and so
-is the step. The residual is the larger of the frontier's steps and the
-unedited store's steps off the frontier; maxima are exact. Scores, residual
-and stop decision therefore equal the dense sweeps' exactly, and no overlay
-is built before sweep 3. From sweep 3 on the solve sweeps the overlay
+is the step. The fairness step is the larger of the frontier's fairness
+step and the unedited store's off the fairness frontier, and the residual
+the larger of that and the same maximum for goodness; maxima are exact, and
+the store's steps off the frontier are read only when its largest step
+could exceed the frontier's. Scores, fairness step, residual and stop
+decision therefore equal the dense sweeps' exactly, and no overlay is built
+before sweep 3. From sweep 3 on the solve sweeps the overlay
 through the one sweep loop, so it ends bit-identical to ``recompute_flat``.
 
 Every solve sweeps a ``FlatEdges``: the graph's own edge store
@@ -141,6 +150,8 @@ class _Sweeps:
     count and residual of that sweep in ``results``; it is swept on with the
     rest, but what it does is ignored. ``iterations`` counts sweeps already
     run on the start scores, so a solve can resume from a later sweep.
+    ``residuals`` holds each component's residual in the last sweep, and
+    ``fairness_steps()`` its largest fairness step, reduced only on request.
     """
 
     def __init__(
@@ -206,14 +217,15 @@ class _Sweeps:
         np.copyto(f_new, 1.0, where=self._silent)
         np.minimum(f_new, 1.0, out=f_new)
         np.maximum(f_new, 0.0, out=f_new)
-        # residual: max |change| of fairness and goodness over each component
-        delta, g_delta = self._node_bufs
-        np.subtract(f_new, f, out=delta)
-        np.abs(delta, out=delta)
+        # the steps: max |change| of fairness and of goodness over each component
+        f_delta, g_delta = self._node_bufs
+        np.subtract(f_new, f, out=f_delta)
+        np.abs(f_delta, out=f_delta)
         np.subtract(g_new, g, out=g_delta)
         np.abs(g_delta, out=g_delta)
-        np.maximum(delta, g_delta, out=delta)
-        self.residuals = residuals = np.maximum.reduceat(delta, self._offsets)
+        # the residual is the larger step; f_delta is kept for fairness_steps
+        np.maximum(f_delta, g_delta, out=g_delta)
+        self.residuals = residuals = np.maximum.reduceat(g_delta, self._offsets)
         self.f, self.g = f_new, g_new
         self.iterations += 1
         done = residuals < self._config.residual_tolerance
@@ -227,6 +239,10 @@ class _Sweeps:
             )
         self._stopped |= done
         return bool(self._stopped.all())
+
+    def fairness_steps(self) -> np.ndarray:
+        """Each component's largest fairness step d_t in the last sweep."""
+        return np.maximum.reduceat(self._node_bufs[0], self._offsets)
 
 
 def _iterate_flat(
@@ -417,14 +433,15 @@ class EditSolve:
     """The warm re-solve of one one-edit overlay, advanced one sweep at a time.
 
     Its sweeps, scores, residual and stop are exactly those of
-    ``recompute_flat(flat.with_rating(*edit), warm, config)``; ``bounds``
-    says where the converged goodness of a node can still lie.
+    ``recompute_flat(flat.with_rating(*edit), warm, config)``, and
+    ``fairness_step`` is the last sweep's largest fairness step d_t;
+    ``bounds`` says where the converged goodness of a node can still lie.
     """
 
     def __init__(self, base: WarmEdits, frontier: _Frontier, weight: float) -> None:
         self.edit = (*frontier.edge, weight)
         self.iterations = 0
-        self.residual = math.inf
+        self.residual = self.fairness_step = math.inf
         self.stopped = False
         self.fairness, self.goodness = base._f[0], base._g[0]
         # both dropped, with the sweep buffers, once the solve stops
@@ -449,7 +466,7 @@ class EditSolve:
         value = float(self.goodness[node])
         if self.stopped:
             return value, value
-        slack = 3.0 * self.residual
+        slack = 2.0 * self.fairness_step
         return value - slack - 1e-12, value + slack + 1e-12
 
     def advance(self) -> None:
@@ -468,6 +485,7 @@ class EditSolve:
         self.fairness, self.goodness = sweeps.f, sweeps.g
         self.iterations = sweeps.iterations
         self.residual = float(sweeps.residuals[0])
+        self.fairness_step = float(sweeps.fairness_steps()[0])
         if sweeps.results[0] is not None:
             self._stop(sweeps.results[0])
 
@@ -495,7 +513,7 @@ class EditSolve:
         values /= into.deg
         np.minimum(values, 1.0, out=values)
         np.maximum(values, -1.0, out=values)
-        residual = float(np.abs(values - g[into.nodes]).max())
+        g_step = float(np.abs(values - g[into.nodes]).max())
         goodness = base._g[t].copy()
         goodness[into.nodes] = values
         terms = goodness[out.ends]
@@ -508,17 +526,18 @@ class EditSolve:
         np.subtract(1.0, values, out=values)
         np.minimum(values, 1.0, out=values)
         np.maximum(values, 0.0, out=values)
-        residual = max(residual, float(np.abs(values - f[out.nodes]).max()))
+        f_step = float(np.abs(values - f[out.nodes]).max())
         fairness = base._f[t].copy()
         fairness[out.nodes] = values
         # off the frontier every value, and so every step, is the unedited store's
-        for scores, step_max, side in zip((base._g, base._f), base._step_max[t], (into, out)):
-            if step_max > residual:
-                off = _step(scores, t)
-                off[side.nodes] = 0.0
-                residual = max(residual, float(off.max()))
+        g_max, f_max = base._step_max[t]
+        if f_max > f_step:
+            f_step = max(f_step, _off_frontier_max(base._f, t, out.nodes))
+        residual = max(f_step, g_step)
+        if g_max > residual:
+            residual = max(residual, _off_frontier_max(base._g, t, into.nodes))
         self.fairness, self.goodness = fairness, goodness
-        self.iterations, self.residual = t, residual
+        self.iterations, self.residual, self.fairness_step = t, residual, f_step
         config = base.config
         if residual < config.residual_tolerance or t >= config.max_iterations:
             self._stop(FgaScores(fairness, goodness, t, residual))
@@ -527,6 +546,13 @@ class EditSolve:
 def _step(scores: list[np.ndarray], t: int) -> np.ndarray:
     """|scores[t] - scores[t - 1]| per node, as the sweep loop computes it."""
     return np.abs(scores[t] - scores[t - 1])
+
+
+def _off_frontier_max(scores: list[np.ndarray], t: int, frontier: np.ndarray) -> float:
+    """The largest step of sweep t over the nodes not in ``frontier``."""
+    off = _step(scores, t)
+    off[frontier] = 0.0
+    return float(off.max())
 
 
 def _put(array: np.ndarray, at: int, value) -> np.ndarray:

@@ -158,6 +158,22 @@ def greedy_scan_oracle(graph, attackers, target):
     return moves, work
 
 
+class TestIndirectCandidates:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_successors_of_the_targets_raters(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=9), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+        g = Wsn.from_arrays(n, [u for u, _ in edges], [v for _, v in edges], [1.0] * len(edges))
+        target, attacker = data.draw(st.sampled_from(pairs), label="target, attacker")
+        raters = {u for u, v, _ in g.edges() if v == target}
+        want = sorted({v for u, v, _ in g.edges() if u in raters} - {target, attacker})
+        got = attacks._indirect_candidates(g.flat(), target, attacker)
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+
 class TestIndirectGreedy:
     def test_no_candidates_means_exhausted(self):
         g = Wsn()

@@ -226,6 +226,14 @@ class TestBoundsCommand:
         assert main(["bounds", "--scenario", "stabiliser", *extra]) == 2
         assert f"takes no {named}" in capsys.readouterr().err
 
+    def test_direct_sybil_rejects_k(self, capsys):
+        # a direct-Sybil trial rates the target once, so a k would be ignored
+        argv = ["bounds", "--scenario", "direct-sybil", "--generate", "erdos:n=30,deg=3"]
+        assert main([*argv, "--k", "5"]) == 2
+        assert "--scenario direct-sybil takes no --k" in capsys.readouterr().err
+        assert main([*argv, "--k", "5", "--trials", "4"]) == 2
+        assert main([*argv, "--trials", "4"]) == 0
+
     def test_sybil_defaults_are_100_trials_and_k_3(self, tmp_path):
         outputs = []
         for extra in ([], ["--trials", "100", "--k", "3"]):

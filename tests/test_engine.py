@@ -12,6 +12,7 @@ from fga.engine import (
     DEFAULT_CONFIG,
     HIGH_PRECISION,
     FgaConfig,
+    FgaScores,
     WarmEdits,
     compute_fga,
     compute_fga_many,
@@ -61,6 +62,7 @@ def assert_tracks_the_dense_solve(flat, warm, edit, config):
     final = recompute_flat(view, warm, config)
     solve = WarmEdits(flat, warm, config).solve(*edit)
     assert solve.bounds(0) == (-np.inf, np.inf)
+    previous = warm.fairness  # f_0: every solve starts from the warm scores
     while not solve.stopped:
         solve.advance()
         t = solve.iterations
@@ -70,8 +72,10 @@ def assert_tracks_the_dense_solve(flat, warm, edit, config):
         assert solve.goodness.tobytes() == dense.goodness.tobytes(), t
         assert solve.residual == dense.max_residual, t
         assert solve.stopped == (t == final.iterations_run), t
-        # the interval the scan decides on is the dense iterate's, and holds the final value
-        slack = 3.0 * dense.max_residual
+        # the interval the scan decides on is 2 d_t wide either side of the dense iterate,
+        # d_t its fairness step from the dense iterate before, and it holds the final value
+        slack = 2.0 * float(np.abs(dense.fairness - previous).max())
+        previous = dense.fairness
         for node, (g, g_final) in enumerate(zip(dense.goodness, final.goodness)):
             lo, hi = solve.bounds(node)
             assert (lo, hi) == ((g, g) if solve.stopped else (g - slack - 1e-12, g + slack + 1e-12))
@@ -191,6 +195,27 @@ class TestConvergenceRate:
             gap = np.abs(final.goodness - partial.goodness)
             assert np.all(gap <= 2.0 * partial.max_residual + 1e-12), t
 
+    @settings(deadline=None)  # examples: the hypothesis profile's (tests/conftest.py)
+    @given(st.data())
+    def test_later_goodness_within_twice_the_fairness_step(self, data):
+        # the bound the scan's intervals use: |g_T - g_t| <= 2 d_t from sweep 1 of a warm solve,
+        # d_t = max|f_t - f_(t-1)|, whatever the warm scores, since g_1 is a sweep of the edit
+        flat, warm, edit = draw_warm_edit(data)
+        if data.draw(st.booleans(), label="arbitrary warm scores"):
+            f = data.draw(st.lists(st.floats(0, 1), min_size=flat.n, max_size=flat.n), label="f")
+            g = data.draw(st.lists(st.floats(-1, 1), min_size=flat.n, max_size=flat.n), label="g")
+            warm = FgaScores(np.array(f), np.array(g), 0, np.inf)
+        view = flat.with_rating(*edit)
+        final = recompute_flat(view, warm, HIGH_PRECISION)
+        previous = warm.fairness
+        for t in range(1, final.iterations_run + 1):
+            capped = FgaConfig(max_iterations=t, residual_tolerance=HIGH_PRECISION.residual_tolerance)
+            partial = recompute_flat(view, warm, capped)
+            step = float(np.abs(partial.fairness - previous).max())
+            previous = partial.fairness
+            gap = np.abs(final.goodness - partial.goodness)
+            assert np.all(gap <= 2.0 * step + 1e-12), t
+
 
 class TestEditSolve:
     @settings(deadline=None)  # examples: the hypothesis profile's (tests/conftest.py)
@@ -262,6 +287,25 @@ class TestEditSolve:
                 assert final >= floor or lo < floor
                 assert final < floor or hi >= floor
         assert_same_scores(solve.finish(), full)
+
+    def test_twice_the_fairness_step_is_needed(self):
+        # v's two raters disagree (f = 1/2, g(v) = 0) until a's rating of v turns to -1; then
+        # their fairness climbs to 1 in halving steps d_t = 2^-(t+1) while g(v) walks down to -1,
+        # 2 d_t (1 - 2^(t-T)) beyond g_t, so an interval of 1.5 d_t misses the final value
+        g = antisymmetric_pair()
+        warm = compute_fga(g, HIGH_PRECISION)
+        view = g.flat().with_rating(1, 0, -1.0)
+        final = recompute_flat(view, warm, HIGH_PRECISION).goodness[0]
+        solve = WarmEdits(g.flat(), warm, HIGH_PRECISION).solve(1, 0, -1.0)
+        previous = warm.fairness
+        for t in range(1, 6):
+            solve.advance()
+            dense = recompute_flat(view, warm, dataclasses.replace(HIGH_PRECISION, max_iterations=t))
+            step = float(np.abs(dense.fairness - previous).max())
+            previous = dense.fairness
+            assert abs(final - dense.goodness[0]) > 1.9 * step, t
+            lo, hi = solve.bounds(0)
+            assert lo <= final <= hi, t
 
     def test_decides_a_clearly_losing_solve_early(self):
         g = generate_random_graph(40, avg_out_degree=3.0, seed=5, positive_fraction=0.7)
