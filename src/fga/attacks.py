@@ -45,7 +45,7 @@ import numpy as np
 
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
 from .engine import EditSolve, WarmEdits, compute_fga_many
-from .engine import recompute_after  # noqa: F401  public re-export
+from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
 from .graph import Wsn
 
 #: Measurement-grade settings; attack deltas are asserted at 1e-9 downstream.

@@ -316,6 +316,8 @@ def _verdict(name: str, draw: Draw, samples: int, rng) -> AxiomVerdict:
 
 def run_axiom_suite(samples: int = 1000, seed: int = 0) -> list[AxiomVerdict]:
     """Run all eleven property checks over seeded random draws."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     return [
         _verdict(name, draw, samples, np.random.default_rng([seed, row]))
         for row, (name, draw) in enumerate(_DRAWS.items())

@@ -144,6 +144,8 @@ def _sybil_trials(
     ``draw()`` picks a trial's (rated, watched, cap, context) from ``rng``;
     the weight is drawn after it and closes the context.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     base = compute_fga(graph, ATTACK_CONFIG)
     drawn = []
     for trial in range(trials):

@@ -141,21 +141,21 @@ class DatasetStats:
                 for name, value in fields.items()}
 
 
-def compute_stats(
-    graph: Wsn,
-    scores: FgaScores,
-    fairness_thresholds: tuple[float, ...] = (0.95, 0.7),
-    goodness_ge_thresholds: tuple[float, ...] = (0.0, 0.5),
-    goodness_le_thresholds: tuple[float, ...] = (-0.3,),
-    small_indegree_cutoff: int = 10,
-) -> DatasetStats:
+#: The thresholds of ``DatasetStats``' fraction maps, and its small in-degree cutoff.
+FAIRNESS_GE = (0.95, 0.7)
+GOODNESS_GE = (0.0, 0.5)
+GOODNESS_LE = (-0.3,)
+SMALL_INDEGREE = 10
+
+
+def compute_stats(graph: Wsn, scores: FgaScores) -> DatasetStats:
     if scores.node_count != graph.node_count:
         raise ValueError("scores do not match graph")
     n = graph.node_count
     m = graph.edge_count
     flat = graph.flat()
     positive = int((flat.w > 0).sum())
-    small = int((flat.indeg < small_indegree_cutoff).sum())
+    small = int((flat.indeg < SMALL_INDEGREE).sum())
 
     def node_fraction(count: int) -> float:
         return count / n if n else 0.0
@@ -165,13 +165,7 @@ def compute_stats(
         edge_count=m,
         positive_edge_fraction=positive / m if m else 0.0,
         small_indegree_fraction=node_fraction(small),
-        fairness_ge={
-            t: node_fraction(int((scores.fairness >= t).sum())) for t in fairness_thresholds
-        },
-        goodness_ge={
-            t: node_fraction(int((scores.goodness >= t).sum())) for t in goodness_ge_thresholds
-        },
-        goodness_le={
-            t: node_fraction(int((scores.goodness <= t).sum())) for t in goodness_le_thresholds
-        },
+        fairness_ge={t: node_fraction(int((scores.fairness >= t).sum())) for t in FAIRNESS_GE},
+        goodness_ge={t: node_fraction(int((scores.goodness >= t).sum())) for t in GOODNESS_GE},
+        goodness_le={t: node_fraction(int((scores.goodness <= t).sum())) for t in GOODNESS_LE},
     )

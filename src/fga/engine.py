@@ -57,14 +57,14 @@ rate is in the goodness frontier. Fairness at u reads the fresh goodness of
 u's successors only, and every rater of the goodness frontier is in the
 fairness frontier. Sweep 1's frontiers lie inside sweep 2's, so off sweep
 2's both the value and the previous value are the unedited store's, and so
-is the step. The fairness step is the larger of the frontier's fairness
-step and the unedited store's off the fairness frontier, and the residual
-the larger of that and the same maximum for goodness; maxima are exact, and
-the store's steps off the frontier are read only when its largest step
-could exceed the frontier's. Scores, fairness step, residual and stop
-decision therefore equal the dense sweeps' exactly, and no overlay is built
-before sweep 3. From sweep 3 on the solve sweeps the overlay
-through the one sweep loop, so it ends bit-identical to ``recompute_flat``.
+is the step. A frontier sweep reads the steps off its frontier only when
+the store's fairness step or residual, as the sweep loop reported them,
+could exceed the frontier's; it then takes the maxima of |fairness - f| and
+|goodness - g| over its own whole arrays. Maxima are exact, so scores,
+fairness step, residual and stop decision equal the dense sweeps' exactly,
+and no overlay is built before sweep 3. From sweep 3 on the solve sweeps
+the overlay through the one sweep loop, so it ends bit-identical to
+``recompute_flat``.
 
 Every solve sweeps a ``FlatEdges``: the graph's own edge store
 (``compute_fga``, ``recompute_after``) or an overlay of it from
@@ -115,6 +115,10 @@ class FgaConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.residual_tolerance > 0:
             raise ValueError("residual_tolerance must be > 0")
+
+    def stops(self, residual, sweeps: int):
+        """Whether a solve stops with ``residual`` after ``sweeps`` sweeps; elementwise on arrays."""
+        return (residual < self.residual_tolerance) | (sweeps >= self.max_iterations)
 
 
 #: Default settings sized for the 1/2^t convergence rate.
@@ -228,9 +232,7 @@ class _Sweeps:
         self.residuals = residuals = np.maximum.reduceat(g_delta, self._offsets)
         self.f, self.g = f_new, g_new
         self.iterations += 1
-        done = residuals < self._config.residual_tolerance
-        if self.iterations >= self._config.max_iterations:
-            done[:] = True
+        done = self._config.stops(residuals, self.iterations)
         done &= ~self._stopped
         for i in np.flatnonzero(done).tolist():
             lo, hi = self._offsets[i], self._offsets[i] + self._sizes[i]
@@ -334,12 +336,12 @@ class WarmEdits:
         self.config = config or DEFAULT_CONFIG
         base = _Sweeps([flat], [(warm.fairness, warm.goodness)], self.config)
         self._f, self._g = [warm.fairness], [warm.goodness]
-        self._step_max = [(0.0, 0.0)]  # per sweep, the largest step of goodness and of fairness
-        for t in (1, 2):
+        self._steps = [(math.inf, math.inf)]  # per sweep, the residual and largest fairness step
+        for _ in (1, 2):
             base.advance()
             self._f.append(base.f)
             self._g.append(base.g)
-            self._step_max.append((float(_step(self._g, t).max()), float(_step(self._f, t).max())))
+            self._steps.append((float(base.residuals[0]), float(base.fairness_steps()[0])))
         # node u's out-edges are the run of outdeg[u] positions from the sum of those before
         counts = flat.outdeg.astype(np.intp)
         self._out_runs = (np.cumsum(counts) - counts, counts)
@@ -529,30 +531,18 @@ class EditSolve:
         f_step = float(np.abs(values - f[out.nodes]).max())
         fairness = base._f[t].copy()
         fairness[out.nodes] = values
-        # off the frontier every value, and so every step, is the unedited store's
-        g_max, f_max = base._step_max[t]
-        if f_max > f_step:
-            f_step = max(f_step, _off_frontier_max(base._f, t, out.nodes))
+        # off the frontier every step is the unedited store's, so the whole arrays
+        # are read only when the store's step could exceed the frontier's
+        store_residual, store_f_step = base._steps[t]
+        if store_f_step > f_step:
+            f_step = float(np.abs(fairness - f).max())
         residual = max(f_step, g_step)
-        if g_max > residual:
-            residual = max(residual, _off_frontier_max(base._g, t, into.nodes))
+        if store_residual > residual:
+            residual = max(residual, float(np.abs(goodness - g).max()))
         self.fairness, self.goodness = fairness, goodness
         self.iterations, self.residual, self.fairness_step = t, residual, f_step
-        config = base.config
-        if residual < config.residual_tolerance or t >= config.max_iterations:
+        if base.config.stops(residual, t):
             self._stop(FgaScores(fairness, goodness, t, residual))
-
-
-def _step(scores: list[np.ndarray], t: int) -> np.ndarray:
-    """|scores[t] - scores[t - 1]| per node, as the sweep loop computes it."""
-    return np.abs(scores[t] - scores[t - 1])
-
-
-def _off_frontier_max(scores: list[np.ndarray], t: int, frontier: np.ndarray) -> float:
-    """The largest step of sweep t over the nodes not in ``frontier``."""
-    off = _step(scores, t)
-    off[frontier] = 0.0
-    return float(off.max())
 
 
 def _put(array: np.ndarray, at: int, value) -> np.ndarray:

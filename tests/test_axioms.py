@@ -209,6 +209,12 @@ class TestSuiteRunner:
             assert verdict.passed, f"{verdict.name}: worst error {verdict.worst_error}"
             assert verdict.samples == 15
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_is_rejected(self, samples):
+        # all eleven verdicts would pass vacuously, having checked nothing
+        with pytest.raises(ValueError, match="at least one sample"):
+            run_axiom_suite(samples=samples)
+
     def test_verdicts_pinned(self):
         # worst_error of each axiom, as the unbatched per-draw solves gave it
         pinned = {

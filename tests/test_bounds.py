@@ -212,6 +212,14 @@ class TestEmpiricalHarnesses:
         with pytest.raises(ValueError, match="minimum-3"):
             verify_indirect_sybil(g, k=3, trials=5)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_rejected(self, trials):
+        # an empty report list would read as every bound satisfied
+        with pytest.raises(ValueError, match="at least one trial"):
+            verify_direct_sybil(generate_random_graph(20, seed=3), trials=trials)
+        with pytest.raises(ValueError, match="at least one trial"):
+            verify_indirect_sybil(generate_min_k_neighbour(12, 3, seed=1), k=3, trials=trials)
+
     def test_stabiliser_grid(self):
         reports = verify_stabiliser(k_values=(1, 2), l_values=(0, 5), deltas=(0.1, 0.5))
         assert len(reports) == 8

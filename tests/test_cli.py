@@ -1,4 +1,5 @@
 import json
+import math
 import typing
 
 import pytest
@@ -505,6 +506,48 @@ def test_bounds_exit_codes(bounds_tmp_dir, data, scenario, k, trials):
     argv = ["bounds", "--scenario", scenario, *data.draw(_bounds_sources(bounds_tmp_dir))]
     argv += [] if k is None else ["--k", str(k)]
     argv += [] if trials is None else ["--trials", str(trials)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 2, 3, 4), argv
+        # a Sybil scenario rejects a trial count below 1, and the stabiliser any count
+        if trials is not None and trials < 1:
+            assert code == 2, argv
+
+
+@settings(deadline=None)
+@given(samples=st.integers(-2, 3), seed=st.integers(0, 1000))
+def test_axioms_exit_codes(samples, seed):
+    """``fga axioms`` checks at least one sample or exits 2; it never passes on none."""
+    code = main(["--seed", str(seed), "axioms", "--samples", str(samples)])
+    assert code == (2 if samples < 1 else 0), (samples, seed)
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    mode=st.sampled_from(["direct", "indirect", "indirect-scaled", "mixed", "exhaustive"]),
+    counts=st.tuples(*[st.none() | st.integers(-1, 3)] * 3),
+    scale=st.none() | st.integers(-1, 6),
+    max_edges=st.none() | st.integers(-1, 12),
+    threshold=st.none() | st.floats(-2.0, 2.0) | st.sampled_from([math.nan, math.inf]),
+    target=st.none() | st.sampled_from(["0", "1", "4", "19", "nobody"]),
+)
+def test_attack_exit_codes(
+    bounds_tmp_dir, data, mode, counts, scale, max_edges, threshold, target
+):
+    """Every ``fga attack`` run ends in 0, 2, 3 or 4; argparse may only exit 2."""
+    argv = ["attack", "--mode", mode, *data.draw(_bounds_sources(bounds_tmp_dir))]
+    for flag, value in zip(("--k", "--k1", "--k2"), counts):
+        # an exhaustive budget of 3 on a 20-node graph enumerates about 200k move sets
+        if flag == "--k" and mode == "exhaustive" and value is not None:
+            value = min(value, 2)
+        argv += [] if value is None else [flag, str(value)]
+    for flag, value in (("--scale", scale), ("--max-edges", max_edges),
+                        ("--threshold", threshold), ("--target", target)):
+        argv += [] if value is None else [flag, str(value)]
     try:
         code = main(argv)
     except SystemExit as exc:
