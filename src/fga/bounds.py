@@ -24,8 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import gadgets
-from .attacks import ATTACK_CONFIG, inject_sybil
-from .engine import FgaScores, compute_fga, compute_fga_many
+from .engine import HIGH_PRECISION, FgaScores, compute_fga, compute_fga_many
 from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
 from .graph import Wsn
 
@@ -146,15 +145,16 @@ def _sybil_trials(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    base = compute_fga(graph, ATTACK_CONFIG)
+    base = compute_fga(graph, HIGH_PRECISION)
     drawn = []
     for trial in range(trials):
         rated, watched, cap, context = draw()
         weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
         drawn.append((rated, weight, watched, cap, {"trial": trial, **context, "weight": weight}))
-    # a generator: an otc-sized graph's overlays are never all held at once
-    views = (inject_sybil(graph, rated, weight)[0].flat() for rated, weight, *_ in drawn)
-    solved = compute_fga_many(views, itertools.repeat(base), ATTACK_CONFIG)
+    # node n is the fake rater; a generator: an otc-sized graph's overlays are never all held
+    grown = graph.flat().with_node()
+    views = (grown.with_rating(graph.node_count, rated, weight) for rated, weight, *_ in drawn)
+    solved = compute_fga_many(views, itertools.repeat(base), HIGH_PRECISION)
     return [
         BoundReport.from_trial(cap, float(after.goodness[watched] - base.goodness[watched]), context)
         for (*_, watched, cap, context), after in zip(drawn, solved)
@@ -213,7 +213,7 @@ def verify_stabiliser(
                 fairness = max(1.0 - delta, STABILISER_MIN_FAIRNESS)
                 graph, centre, _, _ = gadgets.stabilised_star(k, l, influencer_fairness=fairness)
                 # one solve per star: streaming the 60 stars raised tiny-suite peak RSS by 14%
-                scores = compute_fga(graph, ATTACK_CONFIG)
+                scores = compute_fga(graph, HIGH_PRECISION)
                 drop = 1.0 - float(scores.goodness[centre])
                 cap = 1.0 - stabiliser_lower_bound(k, l, delta)
                 reports.append(

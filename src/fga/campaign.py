@@ -69,8 +69,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.samples < 0:
-            raise ValueError("samples must be >= 0")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

@@ -188,12 +188,15 @@ def _move_rows(graph, moves) -> list[dict]:
 
 
 def _cmd_attack(args) -> int:
+    needed = args.k1 + args.k2 if args.mode == "mixed" else args.k
+    if needed < 1:  # a run with no attackers moves nothing, so it shows nothing
+        counts = f"--k1 {args.k1} --k2 {args.k2}" if args.mode == "mixed" else f"--k {args.k}"
+        raise ValueError(f"--mode {args.mode} needs at least one attacker, got {counts}")
     graph = _load_graph(args)
     scores = compute_fga(graph, ATTACK_CONFIG)
     criteria = SelectionCriteria()
     rng = np.random.default_rng([args.seed, 1])
     target = _pick_target(args, graph, scores, criteria, rng)
-    needed = args.k1 + args.k2 if args.mode == "mixed" else args.k
     attackers = select_attackers(
         graph, scores, criteria, needed, rng,
         attacker_class=args.attacker_class, exclude={target},

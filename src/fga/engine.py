@@ -342,9 +342,6 @@ class WarmEdits:
             self._f.append(base.f)
             self._g.append(base.g)
             self._steps.append((float(base.residuals[0]), float(base.fairness_steps()[0])))
-        # node u's out-edges are the run of outdeg[u] positions from the sum of those before
-        counts = flat.outdeg.astype(np.intp)
-        self._out_runs = (np.cumsum(counts) - counts, counts)
         self._frontier: _Frontier | None = None
 
     def solve(self, attacker: int, rated: int, weight: float) -> "EditSolve":
@@ -352,7 +349,7 @@ class WarmEdits:
         a, r, weight = _check_edge(attacker, rated, weight, self.flat.n)
         # the frontier does not depend on the weight, so a run of edits of one edge shares it
         if self._frontier is None or self._frontier.edge != (a, r):
-            self._frontier = _Frontier(self.flat, a, r, self._out_runs)
+            self._frontier = _Frontier(self.flat, a, r)
         return EditSolve(self, self._frontier, weight)
 
 
@@ -380,12 +377,9 @@ class _Frontier:
     sweep-1 fairness frontier rates, then fairness at every rater of those.
     """
 
-    def __init__(self, flat: FlatEdges, a: int, r: int, out_runs: tuple[np.ndarray, ...]) -> None:
+    def __init__(self, flat: FlatEdges, a: int, r: int) -> None:
         self.flat, self.edge = flat, (a, r)
-        self._out_runs = out_runs
-        key = a * flat.n + r
-        self.at = int(flat.key.searchsorted(key))  # the edited edge's canonical position
-        self.added = not (self.at < len(flat.key) and flat.key[self.at] == key)
+        self.at, self.present = flat.locate(a, r)  # the edited edge's canonical position
         self._rated = np.zeros(flat.n, dtype=bool)  # the next goodness frontier
         self._rated[r] = True
         self._sides: list[tuple[_Side, _Side]] = []
@@ -408,8 +402,8 @@ class _Frontier:
         raters = np.zeros(flat.n, dtype=bool)
         raters[into.ends] = True
         nodes = raters.nonzero()[0]
-        # out-edges are one run of the arrays per node
-        starts, counts = (runs[nodes] for runs in self._out_runs)
+        # node u's out-edges are the run of outdeg[u] positions from src.searchsorted(u)
+        starts, counts = flat.src.searchsorted(nodes), flat.outdeg[nodes].astype(np.intp)
         offsets = np.cumsum(counts) - counts
         edges = np.arange(offsets[-1] + counts[-1])
         edges += np.repeat(starts - offsets, counts)
@@ -424,7 +418,7 @@ class _Frontier:
         ends, w = ends[edges], self.flat.w[edges]
         at = int(edges.searchsorted(self.at))
         deg = degrees[nodes]
-        if self.added:
+        if not self.present:
             own_bin = int(nodes.searchsorted(own))
             ends, bins, w = _put(ends, at, end), _put(bins, at, own_bin), _put(w, at, 0.0)
             deg[own_bin] += 1.0

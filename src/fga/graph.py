@@ -2,7 +2,8 @@
 
 A ``Wsn`` is its node labels plus one read-only ``FlatEdges``, its only edge
 store. Loaders, generators and gadgets build that store in one ``from_arrays``
-call, and every edit replaces it with an overlay.
+call, and every edit replaces it with an overlay. It holds no edge key:
+``FlatEdges.locate`` finds an edge by binary search in the sorted arrays.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class Wsn:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges.key)
+        return len(self._edges.src)
 
     def add_node(self, label: str | None = None) -> int:
         """Add a node named ``label``, or str(id) when None; a name is used only once."""
@@ -207,8 +208,8 @@ class Wsn:
         """Delete the edge (u, v); edge deletion is not part of the attack move model."""
         u, v = self._check_node(u), self._check_node(v)
         flat = self._edges
-        at = flat.index(u, v)
-        if at < 0:
+        at, present = flat.locate(u, v)
+        if not present:
             raise KeyError(f"edge ({u}, {v}) does not exist")
         arrays = (np.delete(array, at) for array in (flat.src, flat.dst, flat.w))
         self._edges = FlatEdges.from_arrays(flat.n, *arrays)
@@ -219,8 +220,8 @@ class Wsn:
 
     def weight(self, u: int, v: int) -> float:
         u, v = self._check_node(u), self._check_node(v)
-        at = self._edges.index(u, v)
-        if at < 0:
+        at, present = self._edges.locate(u, v)
+        if not present:
             raise KeyError(f"edge ({u}, {v}) does not exist")
         return float(self._edges.w[at])
 
@@ -243,8 +244,8 @@ class Wsn:
     def succ(self, u: int) -> set[int]:
         u = self._check_node(u)
         flat = self._edges
-        lo, hi = flat.key.searchsorted([u * flat.n, (u + 1) * flat.n]).tolist()
-        return set(flat.dst[lo:hi].tolist())
+        lo = int(flat.src.searchsorted(u))
+        return set(flat.dst[lo : lo + int(flat.outdeg[u])].tolist())
 
     def indeg(self, v: int) -> int:
         return int(self._edges.indeg[self._check_node(v)])
@@ -273,7 +274,8 @@ class Wsn:
         mine, theirs = self._edges, other._edges
         return (
             self.labels() == other.labels()
-            and np.array_equal(mine.key, theirs.key)
+            and np.array_equal(mine.src, theirs.src)
+            and np.array_equal(mine.dst, theirs.dst)
             and np.array_equal(mine.w, theirs.w)
         )
 
@@ -309,23 +311,24 @@ class FlatEdges:
     """Edge arrays in canonical (src, dst) order plus degree vectors.
 
     The one edge store: a ``Wsn`` holds one, the engine sweeps it and the
-    attacks edit it. ``key`` is the sorted int64 ``src * n + dst``, which
-    locates an edge by binary search. ``from_arrays`` builds one from edges
-    in any order. An edit never writes an existing array: ``with_ratings``
-    returns an overlay that shares every array it does not change, copies
-    ``w`` for weight updates and inserts new edges at their canonical
-    position, and ``with_node`` adds an isolated node. An overlay therefore
-    holds exactly the arrays that ``from_arrays`` gives for the edited edge
-    list, and its scores are bit-identical to the rebuilt graph's, because
-    float accumulation follows the array order. All arrays are read-only.
+    attacks edit it. It keeps no edge key: u's out-edges are the ``outdeg[u]``
+    positions from ``src.searchsorted(u)``, sorted by ``dst``, and ``locate``
+    searches both. ``from_arrays`` builds one from edges in any order. An
+    edit never writes an existing array: ``with_ratings`` returns an overlay
+    that shares every array it does not change, copies ``w`` for weight
+    updates and inserts new edges at their canonical position, and
+    ``with_node`` adds an isolated node. An overlay therefore holds exactly
+    the arrays that ``from_arrays`` gives for the edited edge list, and its
+    scores are bit-identical to the rebuilt graph's, because float
+    accumulation follows the array order. All arrays are read-only.
     """
 
-    __slots__ = ("n", "src", "dst", "w", "key", "indeg", "outdeg")
+    __slots__ = ("n", "src", "dst", "w", "indeg", "outdeg")
 
-    def __init__(self, n, src, dst, w, key, indeg, outdeg):
-        for array in (src, dst, w, key, indeg, outdeg):
+    def __init__(self, n, src, dst, w, indeg, outdeg):
+        for array in (src, dst, w, indeg, outdeg):
             array.setflags(write=False)
-        self.n, self.src, self.dst, self.w, self.key = n, src, dst, w, key
+        self.n, self.src, self.dst, self.w = n, src, dst, w
         self.indeg, self.outdeg = indeg, outdeg
 
     @classmethod
@@ -366,27 +369,27 @@ class FlatEdges:
         src, dst = src[order], dst[order]
         indeg = np.bincount(dst, minlength=n).astype(np.float64)
         outdeg = np.bincount(src, minlength=n).astype(np.float64)
-        return cls(n, src, dst, w[order], key, indeg, outdeg)
+        return cls(n, src, dst, w[order], indeg, outdeg)
 
     @classmethod
     def from_graph(cls, graph: Wsn) -> "FlatEdges":
         """The graph's own edge store; nothing is built."""
         return graph.flat()
 
-    def index(self, u: int, v: int) -> int:
-        """Position of the edge (u, v) in the arrays, or -1 if absent."""
-        key = u * self.n + v
-        at = int(self.key.searchsorted(key))
-        return at if at < len(self.key) and self.key[at] == key else -1
+    def locate(self, u: int, v: int) -> tuple[int, bool]:
+        """The edge (u, v)'s position, or where it would be inserted, and whether it is present."""
+        lo = int(self.src.searchsorted(u))
+        hi = lo + int(self.outdeg[u])
+        at = lo + int(self.dst[lo:hi].searchsorted(v))
+        return at, at < hi and int(self.dst[at]) == v
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self.index(u, v) >= 0
+        return self.locate(u, v)[1]
 
     def with_node(self) -> "FlatEdges":
         """Overlay with one more node, isolated; src, dst and w are shared."""
-        n = self.n + 1
         indeg, outdeg = np.append(self.indeg, 0.0), np.append(self.outdeg, 0.0)
-        return FlatEdges(n, self.src, self.dst, self.w, self.src * n + self.dst, indeg, outdeg)
+        return FlatEdges(self.n + 1, self.src, self.dst, self.w, indeg, outdeg)
 
     def with_rating(self, u: int, v: int, weight: float) -> "FlatEdges":
         """Overlay with (u, v) set to ``weight``, inserting the edge if absent."""
@@ -395,42 +398,39 @@ class FlatEdges:
     def with_ratings(self, edits: Iterable[tuple[int, int, float]]) -> "FlatEdges":
         """Overlay with every (u, v, weight) edit applied; a later edit of one edge wins."""
         n = self.n
-        pending: dict[int, float] = {}
+        pending: dict[tuple[int, int], float] = {}
         for edit in edits:
             u, v, weight = _check_edge(*edit, n)
-            pending[u * n + v] = weight
-        keys = sorted(pending)
-        m = len(self.key)
+            pending[u, v] = weight
         w = self.w
-        inserts: list[tuple[int, int]] = []  # (position, key) of each absent edge
-        for key, at in zip(keys, self.key.searchsorted(keys).tolist()):
-            if at < m and self.key[at] == key:
+        inserts: list[tuple[int, int, int]] = []  # (position, u, v) of each absent edge
+        for u, v in sorted(pending):
+            at, present = self.locate(u, v)
+            if present:
                 if w is self.w:
                     w = w.copy()
-                w[at] = pending[key]
+                w[at] = pending[u, v]
             else:
-                inserts.append((at, key))
+                inserts.append((at, u, v))
         if not inserts:
-            return FlatEdges(n, self.src, self.dst, w, self.key, self.indeg, self.outdeg)
+            return FlatEdges(n, self.src, self.dst, w, self.indeg, self.outdeg)
         # Splice each array in one pass: old run i moves up by i, new edge i lands after it.
-        cuts = [0, *(at for at, _ in inserts), m]
+        cuts = [0, *(at for at, _, _ in inserts), len(self.src)]
 
         def spliced(old: np.ndarray, new: list) -> np.ndarray:
-            out = np.empty(m + len(new), dtype=old.dtype)
+            out = np.empty(len(old) + len(new), dtype=old.dtype)
             for i, value in enumerate(new):
                 out[cuts[i] + i : cuts[i + 1] + i] = old[cuts[i] : cuts[i + 1]]
                 out[cuts[i + 1] + i] = value
             out[cuts[-2] + len(new) :] = old[cuts[-2] :]
             return out
 
-        new_key = [key for _, key in inserts]
-        new_src, new_dst = zip(*(divmod(key, n) for key in new_key))
+        _, new_src, new_dst = zip(*inserts)
         return FlatEdges(
             n,
             spliced(self.src, new_src),
             spliced(self.dst, new_dst),
-            spliced(w, [pending[key] for key in new_key]),
-            spliced(self.key, new_key),
+            spliced(w, [pending[u, v] for _, u, v in inserts]),
             self.indeg + np.bincount(new_dst, minlength=n),
             self.outdeg + np.bincount(new_src, minlength=n),
         )

@@ -768,7 +768,7 @@ class TestSelection:
 class TestFlatCore:
     """Attacks edit overlays of the graph's cached flat edges, never the base."""
 
-    ARRAYS = ("src", "dst", "w", "key", "indeg", "outdeg")
+    ARRAYS = ("src", "dst", "w", "indeg", "outdeg")
 
     def run_every_attack(self, g, target, attackers, before):
         return [

@@ -298,12 +298,13 @@ class TestCampaignCommand:
         data.mkdir()
         rows = [f"{u},{v},{r}" for u, v, r in ((1, 2, 5), (2, 3, 4), (3, 1, -2), (4, 1, 7))]
         (data / "soc-sign-bitcoinotc.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-        code = main([
-            "--data-dir", str(data), "campaign", "--dataset", "bitcoin-otc",
-            "--mode", "direct", "--samples", "-1", "--out-dir", str(tmp_path / "out"),
-        ])
-        assert code == 2
-        assert not (tmp_path / "out").exists()
+        for samples in ("-1", "0"):  # a campaign of no samples shows nothing
+            code = main([
+                "--data-dir", str(data), "campaign", "--dataset", "bitcoin-otc",
+                "--mode", "direct", "--samples", samples, "--out-dir", str(tmp_path / "out"),
+            ])
+            assert code == 2, samples
+            assert not (tmp_path / "out").exists()
 
     def test_out_dir_that_is_a_file_is_exit_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -538,8 +539,11 @@ def test_axioms_exit_codes(samples, seed):
 def test_attack_exit_codes(
     bounds_tmp_dir, data, mode, counts, scale, max_edges, threshold, target
 ):
-    """Every ``fga attack`` run ends in 0, 2, 3 or 4; argparse may only exit 2."""
+    """Every ``fga attack`` run ends in 0, 2, 3 or 4, argparse's only in 2, and one with no
+    attackers in 2."""
     argv = ["attack", "--mode", mode, *data.draw(_bounds_sources(bounds_tmp_dir))]
+    k, k1, k2 = (default if value is None else value for value, default in zip(counts, (1, 0, 0)))
+    attackers = k1 + k2 if mode == "mixed" else k
     for flag, value in zip(("--k", "--k1", "--k2"), counts):
         # an exhaustive budget of 3 on a 20-node graph enumerates about 200k move sets
         if flag == "--k" and mode == "exhaustive" and value is not None:
@@ -554,3 +558,94 @@ def test_attack_exit_codes(
         assert exc.code == 2, argv
     else:
         assert code in (0, 2, 3, 4), argv
+        if attackers < 1:
+            assert code == 2, argv
+
+
+#: Rating CSVs the command properties load: a header only, which is an empty
+#: graph, then malformed files, each of which is exit 2.
+COMMAND_CSVS = {
+    "header-only.csv": "source,target,rating\n",
+    "cut-mid-field.csv": 'alice,bob,5\ncarol,"da',
+    "two-columns.csv": "alice,bob,5\ncarol,dave\n",
+    "rating-not-a-number.csv": "alice,bob,5\ncarol,dave,good\n",
+}
+MALFORMED_CSVS = tuple(name for name in COMMAND_CSVS if name != "header-only.csv")
+
+
+@pytest.fixture(scope="module")
+def command_tmp_dir(tmp_path_factory):
+    tmp_dir = tmp_path_factory.mktemp("commands")
+    for name, text in COMMAND_CSVS.items():
+        (tmp_dir / name).write_text(text, encoding="utf-8")
+    return tmp_dir
+
+
+def _command_sources(tmp_dir):
+    """``_bounds_sources``, each of ``COMMAND_CSVS``, and a graph on which campaigns find
+    targets and attackers (on the others every campaign is exit 3)."""
+    csvs = st.sampled_from(sorted(COMMAND_CSVS)).map(lambda name: ["--input", str(tmp_dir / name)])
+    return _bounds_sources(tmp_dir) | csvs | st.just(["--generate", "erdos:n=70,deg=5,pos=0.95"])
+
+
+def _run_command(argv):
+    """``main(argv)``'s exit code, checked to be 0, 2, 3 or 4, and 2 on a malformed CSV."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse may only exit 2
+        code = exc.code
+        assert code == 2, argv
+    assert code in (0, 2, 3, 4), argv
+    if any(argv[i - 1] == "--input" and arg.endswith(MALFORMED_CSVS) for i, arg in enumerate(argv)):
+        assert code == 2, argv
+    return code
+
+
+def _out_flag(tmp_dir):
+    """No ``--out``, a writable file, or a directory, which cannot be written (exit 2)."""
+    return st.sampled_from([[], ["--out", str(tmp_dir / "out.txt")], ["--out", str(tmp_dir)]])
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    max_iterations=st.none() | st.integers(-1, 3),
+    tolerance=st.none() | st.sampled_from([1e-8, 0.0, -1.0, math.inf, math.nan]),
+)
+def test_compute_exit_codes(command_tmp_dir, data, max_iterations, tolerance):
+    argv = ["compute", *data.draw(_command_sources(command_tmp_dir))]
+    argv += data.draw(_out_flag(command_tmp_dir))
+    argv += [] if max_iterations is None else ["--max-iterations", str(max_iterations)]
+    argv += [] if tolerance is None else ["--tolerance", str(tolerance)]
+    _run_command(argv)
+
+
+@settings(deadline=None)
+@given(data=st.data(), ends=st.tuples(*[st.sampled_from(["0", "19", "alice", "bob", "nobody"])] * 2))
+def test_predict_exit_codes(command_tmp_dir, data, ends):
+    argv = ["predict", *data.draw(_command_sources(command_tmp_dir))]
+    argv += data.draw(_out_flag(command_tmp_dir))
+    _run_command(argv + ["--source", ends[0], "--target", ends[1]])
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_stats_exit_codes(command_tmp_dir, data):
+    argv = ["stats", *data.draw(_command_sources(command_tmp_dir))]
+    _run_command(argv + data.draw(_out_flag(command_tmp_dir)))
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    mode=st.sampled_from(campaign.MODES),
+    samples=st.integers(-1, 2),
+    cold=st.booleans(),
+)
+def test_campaign_exit_codes(command_tmp_dir, data, mode, samples, cold):
+    """As the other commands, and a campaign of no samples is exit 2."""
+    argv = ["campaign", "--mode", mode, *data.draw(_command_sources(command_tmp_dir))]
+    argv += ["--samples", str(samples), "--k-values", "1", "--out-dir", str(command_tmp_dir / "c")]
+    code = _run_command(argv + (["--cold"] if cold else []))
+    if samples < 1:
+        assert code == 2, argv

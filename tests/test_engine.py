@@ -81,7 +81,8 @@ def assert_tracks_the_dense_solve(flat, warm, edit, config):
             assert (lo, hi) == ((g, g) if solve.stopped else (g - slack - 1e-12, g + slack + 1e-12))
             assert lo <= g_final <= hi
     assert_same_scores(solve.finish(), final)
-    assert solve.view.key.tobytes() == view.key.tobytes()
+    assert solve.view.src.tobytes() == view.src.tobytes()
+    assert solve.view.dst.tobytes() == view.dst.tobytes()
     assert solve.view.w.tobytes() == view.w.tobytes()
 
 
@@ -573,7 +574,7 @@ class TestFlatEdgeViews:
 
     @staticmethod
     def assert_same_flat(a, b):
-        for name in ("src", "dst", "w", "key", "indeg", "outdeg"):
+        for name in ("src", "dst", "w", "indeg", "outdeg"):
             have, want = getattr(a, name), getattr(b, name)
             assert have.dtype == want.dtype and np.array_equal(have, want), name
 
@@ -590,7 +591,7 @@ class TestFlatEdgeViews:
             missing = [
                 (u, v) for u in g.nodes() for v in g.nodes() if u != v and not g.has_edge(u, v)
             ]
-            at = np.searchsorted(base.key, [u * n + v for u, v in missing])
+            at = np.searchsorted(base.src * n + base.dst, [u * n + v for u, v in missing])
             wanted = {"front": at == 0, "end": at == m, "middle": (at > 0) & (at < m)}[where]
             u, v = missing[int(np.flatnonzero(wanted)[len(np.flatnonzero(wanted)) // 2])]
         warm = compute_fga(g, HIGH_PRECISION)

@@ -1,3 +1,4 @@
+import bisect
 import re
 import numpy as np
 import pytest
@@ -357,7 +358,6 @@ def raw_store(g, edges, n=None):
         src,
         dst,
         np.array([w for _, _, w in edges], dtype=np.float64),
-        src * n + dst,
         np.bincount(dst, minlength=n).astype(np.float64),
         np.bincount(src, minlength=n).astype(np.float64),
     )
@@ -406,7 +406,7 @@ class TestValidate:
             g.validate()
 
 
-FLAT_ARRAYS = ("src", "dst", "w", "key", "indeg", "outdeg")
+FLAT_ARRAYS = ("src", "dst", "w", "indeg", "outdeg")
 
 
 def triangle_graph():
@@ -446,7 +446,6 @@ class TestCachedFlat:
         assert flat.src.tolist() == [0, 0, 2, 3]
         assert flat.dst.tolist() == [1, 2, 3, 0]
         assert flat.w.tolist() == [-0.3, 0.2, 1.0, 0.1]
-        assert flat.key.tolist() == [1, 2, 11, 12]
         assert flat.indeg.tolist() == [1.0, 1.0, 1.0, 1.0]
         assert flat.outdeg.tolist() == [2.0, 0.0, 1.0, 1.0]
         assert not any(getattr(flat, name).flags.writeable for name in FLAT_ARRAYS)
@@ -467,7 +466,6 @@ class TestCachedFlat:
         assert flat.src.tolist() == [u for u, _, _ in edges]
         assert flat.dst.tolist() == [v for _, v, _ in edges]
         assert flat.w.tolist() == [w for _, _, w in edges]
-        assert flat.key.tolist() == [u * n + v for u, v, _ in edges]
         assert flat.indeg.tolist() == [sum(v == x for _, x, _ in edges) for v in range(n)]
         assert flat.outdeg.tolist() == [sum(u == x for x, _, _ in edges) for u in range(n)]
         for u in range(n):
@@ -523,7 +521,7 @@ class TestFromArrays:
     def test_sorts_any_input_order(self):
         edges = [(3, 0, 0.1), (0, 2, 0.2), (0, 1, -0.3), (2, 3, 1.0)]
         flat = bulk(4, edges)
-        assert flat.key.tolist() == [1, 2, 11, 12]
+        assert flat.src.tolist() == [0, 0, 2, 3] and flat.dst.tolist() == [1, 2, 3, 0]
         assert flat.w.tolist() == [-0.3, 0.2, 1.0, 0.1]
         assert not any(getattr(flat, name).flags.writeable for name in FLAT_ARRAYS)
         assert_same_store(flat, bulk(4, edges[::-1]))
@@ -536,7 +534,7 @@ class TestFromArrays:
     def test_empty(self):
         for n in (0, 3):
             flat = bulk(n, [])
-            assert flat.n == n and len(flat.key) == 0
+            assert flat.n == n and len(flat.src) == len(flat.dst) == 0
             assert flat.indeg.tolist() == flat.outdeg.tolist() == [0.0] * n
 
     @pytest.mark.parametrize(
@@ -576,6 +574,33 @@ class TestFromArrays:
         for labels in (["a", "a", "b"], ["a", "b"], ["a", "b", "c", "d"]):
             with pytest.raises(ValueError, match="labels must name the 3 nodes"):
                 Wsn.from_arrays(3, [], [], [], labels=labels)
+
+
+class TestLocate:
+    """``locate`` finds an edge, or where it would go, from u's run of ``src`` and ``dst``."""
+
+    @settings(deadline=None)
+    @given(edge_lists(), st.data())
+    def test_locate_and_overlays_match_a_dict_of_edges(self, drawn, data):
+        n, edges = drawn
+        reference = {(u, v): w for u, v, w in edges}
+        ranked = sorted(reference)
+        flat = bulk(n, edges)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for u, v in pairs:
+            # a present edge's rank among the sorted edges, an absent one's insertion rank
+            want = bisect.bisect_left(ranked, (u, v)), (u, v) in reference
+            assert flat.locate(u, v) == want, (u, v)
+            assert flat.has_edge(u, v) is want[1]
+        edit = st.tuples(st.sampled_from(pairs), WEIGHTS)
+        edits = data.draw(st.lists(edit, max_size=6)) if pairs else []
+        edited = dict(reference)
+        overlay = flat
+        for (u, v), w in edits:  # one overlay per edit, then all edits in one
+            edited[u, v] = w
+            overlay = overlay.with_rating(u, v, w)
+            assert_same_store(overlay, bulk(n, [(a, b, x) for (a, b), x in edited.items()]))
+        assert_same_store(flat.with_ratings((u, v, w) for (u, v), w in edits), overlay)
 
 
 class EditPathMachine(RuleBasedStateMachine):
