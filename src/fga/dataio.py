@@ -30,10 +30,12 @@ class DatasetMissingError(FileNotFoundError):
 def load_rating_csv(path, scale: RatingScale) -> Wsn:
     """Load ``source,target,rating[,timestamp]`` rows into a normalized graph.
 
-    A header row is auto-detected. Duplicate (source, target) rows collapse to
-    the chronologically last rating, falling back to file order when
-    timestamps are missing or tied; a re-rating is a weight update, never a
-    second edge. Node ids follow first appearance in the file.
+    A first row whose rating field reads ``rating`` or ``weight`` (in any
+    case) is a header; any other rating that is not a number is an error.
+    Duplicate (source, target) rows collapse to the chronologically last
+    rating, falling back to file order when timestamps are missing or tied; a
+    re-rating is a weight update, never a second edge. Node ids follow first
+    appearance in the file.
     """
     ids: dict[str, int] = {}
     # (timestamp, line_no) orders duplicates; raw ratings are normalized late
@@ -50,8 +52,8 @@ def load_rating_csv(path, scale: RatingScale) -> Wsn:
             try:
                 raw = float(row[2])
             except ValueError:
-                if line_no == 1:
-                    continue  # header row
+                if line_no == 1 and row[2].strip().casefold() in ("rating", "weight"):
+                    continue
                 raise ValueError(f"{path}: line {line_no}: rating {row[2]!r} is not a number") from None
             timestamp = 0.0
             if len(row) == 4 and row[3].strip():

@@ -15,25 +15,45 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .graph import Wsn
 
 
 class _EdgeList:
-    """Unlabelled nodes and edges, grown like a ``Wsn`` and then built in one call."""
+    """Unlabelled nodes and edges, grown in numpy blocks and then built in one call."""
 
     def __init__(self) -> None:
         self.n = 0
-        self.edges: list[tuple[int, int, float]] = []
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def add_node(self) -> int:
-        self.n += 1
-        return self.n - 1
+    def add_nodes(self, count: int) -> range:
+        self.n += count
+        return range(self.n - count, self.n)
 
-    def add_edge(self, u: int, v: int, weight: float) -> None:
-        self.edges.append((u, v, weight))
+    def rate(self, raters: Sequence[int], target: int, weight: float) -> None:
+        """Each of ``raters`` rates ``target`` with ``weight``."""
+        src = np.asarray(raters, dtype=np.int64)
+        self.blocks.append((src, np.full(len(src), target), np.full(len(src), weight)))
+
+    def pin_sinks(self, rater: int, weight: float, count: int, m: int) -> list[int]:
+        """``count`` sinks rated ``weight`` by ``rater``, each rated 1.0 by ``m`` fresh pinners.
+
+        Sink s is followed by its pinners s+1..s+m, as adding them one at a
+        time numbers them.
+        """
+        ids = self.add_nodes(count * (m + 1))
+        src = np.arange(ids.start, ids.stop)
+        dst = np.repeat(src[:: m + 1], m + 1)  # sink s is rated from s, s+1, ..., s+m,
+        src[:: m + 1] = rater  # where s stands for the rater
+        w = np.ones(len(src))
+        w[:: m + 1] = weight
+        self.blocks.append((src, dst, w))
+        return list(ids[:: m + 1])
 
     def build(self) -> Wsn:
-        src, dst, w = zip(*self.edges)  # every gadget has an edge
+        # every gadget has an edge; from_arrays sorts them into canonical order
+        src, dst, w = (np.concatenate(column) for column in zip(*self.blocks))
         return Wsn.from_arrays(self.n, src, dst, w)
 
 
@@ -66,7 +86,7 @@ def _sink_weight(error: float, rater_fairness: float, m: int) -> float:
 
 
 def attach_fairness_ballast(
-    graph: Wsn | _EdgeList,
+    graph: _EdgeList,
     rater: int,
     target_fairness: float,
     existing_errors: Sequence[float] = (),
@@ -75,8 +95,19 @@ def attach_fairness_ballast(
 
     ``existing_errors`` are the rating errors the rater's current out-edges
     will carry at the intended fixed point; the ballast absorbs whatever error
-    budget they leave over. Fairness 1 needs no ballast.
+    budget they leave over. Fairness 1 needs no ballast. Only an ``_EdgeList``
+    grows; a ``Wsn`` is accepted where nothing is added, that is at fairness 1
+    or when the request raises ``GadgetError``.
     """
+    sinks, m, w = _ballast_plan(target_fairness, existing_errors)
+    if sinks:
+        graph.pin_sinks(rater, w, sinks, m)
+
+
+def _ballast_plan(
+    target_fairness: float, existing_errors: Sequence[float]
+) -> tuple[int, int, float]:
+    """The ballast's sink count, pinners per sink and sink weight; no sinks at fairness 1."""
     f0 = float(target_fairness)
     if not 0.0 < f0 <= 1.0:
         raise GadgetError(f"fairness {f0} not realizable (must be in (0, 1])")
@@ -89,7 +120,7 @@ def attach_fairness_ballast(
     if f0 == 1.0:
         if total > 1e-12:
             raise GadgetError("fairness 1 is incompatible with nonzero rating error")
-        return
+        return 0, 0, 1.0
 
     # Want f0 = 1 - (total + sinks * d) / (2 (count + sinks)); solve for the
     # per-sink error d given an integer sink count. The per-sink error floors
@@ -110,13 +141,7 @@ def attach_fairness_ballast(
     d = max(0.0, d)
 
     m = _pinner_count(d, f0)
-    w = _sink_weight(d, f0, m)
-    for _ in range(sinks):
-        sink = graph.add_node()
-        graph.add_edge(rater, sink, w)
-        for _ in range(m):
-            pinner = graph.add_node()
-            graph.add_edge(pinner, sink, 1.0)
+    return sinks, m, _sink_weight(d, f0, m)
 
 
 def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int, list[list[int]]]:
@@ -140,17 +165,17 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
     centre_goodness = sum(size * f0 * omega for size, f0, omega in groups) / total
 
     graph = _EdgeList()
-    centre = graph.add_node()
+    centre = graph.add_nodes(1)[0]
     rater_groups: list[list[int]] = []
     for size, f0, omega in groups:
         raters = []
         for _ in range(size):
-            rater = graph.add_node()
-            graph.add_edge(rater, centre, omega)
+            rater = graph.add_nodes(1)[0]
             attach_fairness_ballast(
                 graph, rater, f0, existing_errors=[abs(omega - centre_goodness)]
             )
             raters.append(rater)
+        graph.rate(raters, centre, omega)
         rater_groups.append(raters)
     return graph.build(), centre, rater_groups
 
@@ -169,17 +194,11 @@ def fairness_fan(errors: Sequence[float]) -> tuple[Wsn, int, list[int]]:
     rater_fairness = 1.0 - sum(errors) / (2.0 * len(errors))
 
     graph = _EdgeList()
-    rater = graph.add_node()
+    rater = graph.add_nodes(1)[0]
     rated_ids = []
     for d in errors:
         m = _pinner_count(d, rater_fairness)
-        w = _sink_weight(d, rater_fairness, m)
-        rated = graph.add_node()
-        graph.add_edge(rater, rated, w)
-        for _ in range(m):
-            pinner = graph.add_node()
-            graph.add_edge(pinner, rated, 1.0)
-        rated_ids.append(rated)
+        rated_ids += graph.pin_sinks(rater, _sink_weight(d, rater_fairness, m), 1, m)
     return graph.build(), rater, rated_ids
 
 
@@ -189,7 +208,7 @@ def stabilised_star(
     """Centre rated 1.0 by k pinned influencers and l plain stabilisers.
 
     With influencers pinned at fairness f0, the centre's converged goodness is
-    (2 k f0 + l) / (2 k + l).
+    (2 k f0 + l) / (2 k + l). The centre is node 0.
     """
     if k < 1:
         raise ValueError("at least one influencer is required")
@@ -201,18 +220,14 @@ def stabilised_star(
     centre_goodness = (2.0 * k * f0 + l) / (2.0 * k + l)
 
     graph = _EdgeList()
-    centre = graph.add_node()
+    centre = graph.add_nodes(1)[0]
     influencers = []
     for _ in range(k):
-        rater = graph.add_node()
-        graph.add_edge(rater, centre, 1.0)
+        rater = graph.add_nodes(1)[0]
         attach_fairness_ballast(
             graph, rater, f0, existing_errors=[1.0 - centre_goodness]
         )
         influencers.append(rater)
-    stabilisers = []
-    for _ in range(l):
-        s = graph.add_node()
-        graph.add_edge(s, centre, 1.0)
-        stabilisers.append(s)
+    stabilisers = list(graph.add_nodes(l))
+    graph.rate(influencers + stabilisers, centre, 1.0)
     return graph.build(), centre, influencers, stabilisers

@@ -40,9 +40,15 @@ class TestLoader:
         assert g.weight(g.id_of("b"), g.id_of("c")) == -1.0
 
     def test_header_autodetected(self, tmp_path):
-        path = write(tmp_path, "SOURCE,TARGET,RATING,TIME\na,b,5,100\n")
-        g = load_rating_csv(path, SCALE10)
-        assert g.node_count == 2 and g.edge_count == 1
+        for header in ("SOURCE,TARGET,RATING,TIME", "source,target,rating", "src,dst, Weight "):
+            g = load_rating_csv(write(tmp_path, f"{header}\na,b,5,100\n"), SCALE10)
+            assert g.node_count == 2 and g.edge_count == 1, header
+
+    @pytest.mark.parametrize("text", ["alice,bob,x\n", "alice,bob,ratings\ncarol,dave,5\n"])
+    def test_first_row_without_a_rating_name_is_data(self, tmp_path, text):
+        # only a rating field reading "rating" or "weight" makes the first row a header
+        with pytest.raises(ValueError, match="line 1: rating .* is not a number"):
+            load_rating_csv(write(tmp_path, text), SCALE10)
 
     def test_duplicate_pair_last_wins(self, tmp_path):
         path = write(tmp_path, "a,b,5\nc,a,1\na,b,-2\n")
