@@ -97,7 +97,12 @@ def _graph_after(graph: Wsn, final: FlatEdges) -> Callable[[], Wsn]:
 
 @dataclass
 class AttackOutcome:
-    """Before/after scores and the committed move log of one attack."""
+    """Before/after scores and the committed move log of one attack.
+
+    A mixed attack's first k1 moves are its direct ones, and ``delta_direct`` is the
+    target's goodness shift after those alone; its indirect part is
+    ``delta_goodness[target] - delta_direct``. Other attacks leave it None.
+    """
 
     moves: list[AttackMove]
     scores_before: FgaScores
@@ -105,35 +110,12 @@ class AttackOutcome:
     targets: tuple[int, ...]
     delta_goodness: dict[int, float]
     exhausted: bool = False
+    delta_direct: float | None = None
     _after: Callable[[], Wsn] = field(kw_only=True, repr=False, compare=False)
 
     @property
     def graph_after(self) -> Wsn:
         """The attacked graph with ``moves`` applied, made on first read and cached."""
-        return self._after()
-
-
-@dataclass
-class MixedAttackOutcome:
-    """Decomposition of a combined direct + indirect attack on one target.
-
-    delta_direct is measured after applying only the direct edges;
-    delta_indirect is defined as delta_total - delta_direct.
-    """
-
-    target: int
-    direct_moves: list[AttackMove]
-    indirect_moves: list[AttackMove]
-    scores_before: FgaScores
-    scores_after: FgaScores
-    delta_direct: float
-    delta_indirect: float
-    delta_total: float
-    _after: Callable[[], Wsn] = field(kw_only=True, repr=False, compare=False)
-
-    @property
-    def graph_after(self) -> Wsn:
-        """The attacked graph with both move logs applied, made on first read and cached."""
         return self._after()
 
 
@@ -319,6 +301,7 @@ def _outcome(
     graph_after: Callable[[], Wsn],
     targets: tuple[int, ...],
     exhausted: bool = False,
+    delta_direct: float | None = None,
 ) -> AttackOutcome:
     delta = {t: float(after.goodness[t] - before.goodness[t]) for t in targets}
     return AttackOutcome(
@@ -328,6 +311,7 @@ def _outcome(
         targets=targets,
         delta_goodness=delta,
         exhausted=exhausted,
+        delta_direct=delta_direct,
         _after=graph_after,
     )
 
@@ -415,11 +399,12 @@ def mixed_attack(
     k2: int,
     config: FgaConfig | None = None,
     before: FgaScores | None = None,
-) -> MixedAttackOutcome:
+) -> AttackOutcome:
     """k1 attackers rate the target directly, then k2 run the greedy indirect attack.
 
     The attacker pool is split disjointly in descending-fairness order, so no
-    attacker is assigned twice.
+    attacker is assigned twice. The outcome's first k1 moves are the direct
+    ones, and it sets ``delta_direct``; ``exhausted`` is the indirect scan's.
     """
     config = config or ATTACK_CONFIG
     if k1 < 0 or k2 < 0:
@@ -435,20 +420,12 @@ def mixed_attack(
     edits = [(attacker, target, -1.0) for attacker in ordered[:k1]]
     flat, mid, direct_moves = _rate_all(graph.flat(), before, edits, config)
     delta_direct = float(mid.goodness[target] - before.goodness[target])
-    view, current, indirect_moves, _ = _indirect_scan(
+    view, after, indirect_moves, exhausted = _indirect_scan(
         flat, mid, ordered[k1 : k1 + k2], target, config, scale=1, max_edges=1
     )
-    delta_total = float(current.goodness[target] - before.goodness[target])
-    return MixedAttackOutcome(
-        target=target,
-        direct_moves=direct_moves,
-        indirect_moves=indirect_moves,
-        scores_before=before,
-        scores_after=current,
-        delta_direct=delta_direct,
-        delta_indirect=delta_total - delta_direct,
-        delta_total=delta_total,
-        _after=_graph_after(graph, view),
+    return _outcome(
+        direct_moves + indirect_moves, before, after, _graph_after(graph, view), (target,),
+        exhausted, delta_direct,
     )
 
 

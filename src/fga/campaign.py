@@ -13,6 +13,7 @@ import numpy as np
 
 from .attacks import (
     ATTACK_CONFIG,
+    AttackOutcome,
     InsufficientCandidatesError,
     SelectionCriteria,
     direct_attack,
@@ -26,6 +27,30 @@ from .engine import FgaScores, compute_fga
 from .graph import Wsn
 
 MODES = ("direct", "indirect", "indirect-scaled", "mixed")
+
+
+def run_attack(
+    mode: str, graph: Wsn, attackers, target: int, *,
+    k1: int = 0, scale: int = 5, max_edges: int = 10, before: FgaScores | None = None,
+) -> AttackOutcome:
+    """Run the attack of one of ``MODES`` under ``ATTACK_CONFIG``.
+
+    Only indirect-scaled reads ``scale`` and ``max_edges``. Only mixed reads ``k1``:
+    k1 of ``attackers`` rate the target directly, and the rest run the greedy attack.
+    """
+    # the attacks are called by this module's names, which bench/tracing.py wraps
+    if mode == "direct":
+        return direct_attack(graph, attackers, target, before=before)
+    if mode == "indirect":
+        return indirect_attack_greedy(graph, attackers, target, before=before)
+    if mode == "indirect-scaled":
+        return indirect_attack_scaled(
+            graph, attackers, target, scale=scale, max_edges=max_edges, before=before
+        )
+    if mode == "mixed":
+        return mixed_attack(graph, attackers, target, k1, len(attackers) - k1, before=before)
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
 
 #: Per-dataset rules for picking weak targets, and how many samples / edges to use.
 @dataclass(frozen=True)
@@ -138,7 +163,7 @@ def _run_sample(
 ) -> dict:
     rng = np.random.default_rng([config.seed, cell_index, sample_index])
     target = select_targets(graph, base_scores, config.criteria, 1, rng)[0]
-    needed = cell[0] + cell[1] if config.mode == "mixed" else cell[0]
+    needed = sum(cell)  # k, or k1 + k2
     attackers = select_attackers(
         graph,
         base_scores,
@@ -154,25 +179,16 @@ def _run_sample(
         "target": graph.label_of(target),
         "attackers": [graph.label_of(a) for a in attackers],
     }
-    common = {"config": ATTACK_CONFIG, "before": base_scores}
-    if config.mode == "direct":
-        outcome = direct_attack(graph, attackers, target, **common)
-        record["delta"] = outcome.delta_goodness[target]
-    elif config.mode == "indirect":
-        outcome = indirect_attack_greedy(graph, attackers, target, **common)
-        record["delta"] = outcome.delta_goodness[target]
+    outcome = run_attack(
+        config.mode, graph, attackers, target,
+        k1=cell[0], scale=config.scale, max_edges=config.max_edges, before=base_scores,
+    )
+    record["delta"] = outcome.delta_goodness[target]
+    if config.mode in ("indirect", "indirect-scaled"):
         record["moves"] = len(outcome.moves)
-    elif config.mode == "indirect-scaled":
-        outcome = indirect_attack_scaled(
-            graph, attackers, target, scale=config.scale, max_edges=config.max_edges, **common
-        )
-        record["delta"] = outcome.delta_goodness[target]
-        record["moves"] = len(outcome.moves)
-    else:
-        outcome = mixed_attack(graph, attackers, target, cell[0], cell[1], **common)
-        record["delta"] = outcome.delta_total
+    if outcome.delta_direct is not None:
         record["delta_direct"] = outcome.delta_direct
-        record["delta_indirect"] = outcome.delta_indirect
+        record["delta_indirect"] = record["delta"] - outcome.delta_direct
     if config.cold:
         # Re-measure against a from-scratch recomputation instead of the
         # warm-started scores the attack used internally.

@@ -18,15 +18,13 @@ import numpy as np
 from . import axioms, bounds, campaign as campaign_mod, dataio, gadgets, generators
 from .attacks import (
     ATTACK_CONFIG,
+    AttackProblem,
     InstanceTooLargeError,
     InsufficientCandidatesError,
     SelectionCriteria,
-    direct_attack,
-    indirect_attack_greedy,
-    indirect_attack_scaled,
-    mixed_attack,
     select_attackers,
     select_targets,
+    solve_exhaustive,
 )
 from .dataio import DatasetMissingError
 from .engine import FgaConfig, compute_fga, export_scores_csv, predict_weight
@@ -41,6 +39,12 @@ EXIT_INVARIANT = 4
 #: ``fga bounds`` defaults of the Sybil scenarios.
 BOUNDS_TRIALS = 100
 BOUNDS_K = 3
+
+#: The count and tuning flags that each ``fga attack`` mode reads, and their defaults.
+ATTACK_FLAGS = {"direct": ("--k",), "indirect": ("--k",), "mixed": ("--k1", "--k2"),
+                "indirect-scaled": ("--k", "--scale", "--max-edges"),
+                "exhaustive": ("--k", "--threshold")}
+ATTACK_DEFAULTS = {"k": 1, "k1": 0, "k2": 0, "scale": 5, "max_edges": 10, "threshold": 0.0}
 
 
 #: The parameters of each generator spec, and whether each must be an integer.
@@ -187,7 +191,17 @@ def _move_rows(graph, moves) -> list[dict]:
     ]
 
 
+def _reject_flags(what: str, takes, given: dict) -> None:
+    """Raise ValueError naming each flag of ``given`` that is set but not in ``takes``."""
+    extra = [flag for flag, value in given.items() if value is not None and flag not in takes]
+    if extra:
+        raise ValueError(f"{what} takes no {' or '.join(extra)}")
+
+
 def _cmd_attack(args) -> int:
+    given = {"--" + dest.replace("_", "-"): getattr(args, dest) for dest in ATTACK_DEFAULTS}
+    _reject_flags(f"--mode {args.mode}", ATTACK_FLAGS[args.mode], given)
+    vars(args).update({d: v for d, v in ATTACK_DEFAULTS.items() if getattr(args, d) is None})
     needed = args.k1 + args.k2 if args.mode == "mixed" else args.k
     if needed < 1:  # a run with no attackers moves nothing, so it shows nothing
         counts = f"--k1 {args.k1} --k2 {args.k2}" if args.mode == "mixed" else f"--k {args.k}"
@@ -207,17 +221,7 @@ def _cmd_attack(args) -> int:
         "target": graph.label_of(target),
         "attackers": [graph.label_of(a) for a in attackers],
     }
-    if args.mode == "mixed":
-        mixed = mixed_attack(graph, attackers, target, args.k1, args.k2, before=scores)
-        payload.update({
-            "delta_direct": mixed.delta_direct,
-            "delta_indirect": mixed.delta_indirect,
-            "delta_total": mixed.delta_total,
-            "moves": _move_rows(graph, mixed.direct_moves + mixed.indirect_moves),
-        })
-    elif args.mode == "exhaustive":  # over direct+indirect single-target moves
-        from .attacks import AttackProblem, solve_exhaustive
-
+    if args.mode == "exhaustive":  # over direct+indirect single-target moves
         intermediaries = tuple(v for v in graph.nodes() if v != target and v not in set(attackers))
         problem = AttackProblem(
             graph=graph,
@@ -229,29 +233,33 @@ def _cmd_attack(args) -> int:
             targets=(target,),
         )
         result = solve_exhaustive(problem)
+        moves = result.moves
         payload.update({
             "feasible": result.feasible,
             "objective_value": result.objective_value,
             "sets_enumerated": result.sets_enumerated,
-            "moves": _move_rows(graph, result.moves),
         })
     else:
-        if args.mode == "direct":
-            outcome = direct_attack(graph, attackers, target, before=scores)
-        elif args.mode == "indirect":
-            outcome = indirect_attack_greedy(graph, attackers, target, before=scores)
+        outcome = campaign_mod.run_attack(
+            args.mode, graph, attackers, target,
+            k1=args.k1, scale=args.scale, max_edges=args.max_edges, before=scores,
+        )
+        moves = outcome.moves
+        delta = outcome.delta_goodness[target]
+        if outcome.delta_direct is None:
+            payload.update({
+                "delta_goodness": delta,
+                "goodness_before": float(outcome.scores_before.goodness[target]),
+                "goodness_after": float(outcome.scores_after.goodness[target]),
+                "exhausted": outcome.exhausted,
+            })
         else:
-            outcome = indirect_attack_scaled(
-                graph, attackers, target, scale=args.scale, max_edges=args.max_edges,
-                before=scores,
-            )
-        payload.update({
-            "delta_goodness": outcome.delta_goodness[target],
-            "goodness_before": float(outcome.scores_before.goodness[target]),
-            "goodness_after": float(outcome.scores_after.goodness[target]),
-            "exhausted": outcome.exhausted,
-            "moves": _move_rows(graph, outcome.moves),
-        })
+            payload.update({
+                "delta_direct": outcome.delta_direct,
+                "delta_indirect": delta - outcome.delta_direct,
+                "delta_total": delta,
+            })
+    payload["moves"] = _move_rows(graph, moves)
     _emit(args, payload)
     return EXIT_OK
 
@@ -261,10 +269,7 @@ def _cmd_bounds(args) -> int:
     # a direct-Sybil trial rates the target once and takes no k
     takes = {"direct-sybil": ("--trials",), "indirect-sybil": ("--trials", "--k"),
              "stabiliser": ()}[args.scenario]
-    given = [flag for flag, value in (("--trials", args.trials), ("--k", args.k))
-             if value is not None and flag not in takes]
-    if given:
-        raise ValueError(f"--scenario {args.scenario} takes no {' or '.join(given)}")
+    _reject_flags(f"--scenario {args.scenario}", takes, {"--trials": args.trials, "--k": args.k})
     if args.scenario != "stabiliser":
         args.trials = BOUNDS_TRIALS if args.trials is None else args.trials
     if args.scenario == "indirect-sybil":
@@ -359,14 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run one attack")
     _add_graph_source(p)
-    p.add_argument("--mode", required=True,
-                   choices=["direct", "indirect", "indirect-scaled", "mixed", "exhaustive"])
-    p.add_argument("--k", type=int, default=1, help="attacker count (budget for exhaustive)")
-    p.add_argument("--k1", type=int, default=0, help="direct attackers in mixed mode")
-    p.add_argument("--k2", type=int, default=0, help="indirect attackers in mixed mode")
-    p.add_argument("--scale", type=int, default=5)
-    p.add_argument("--max-edges", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=0.0, help="goal threshold for exhaustive")
+    p.add_argument("--mode", required=True, choices=[*campaign_mod.MODES, "exhaustive"])
+    p.add_argument("--k", type=int, help="attackers (exhaustive: budget), not mixed (default 1)")
+    p.add_argument("--k1", type=int, help="direct attackers, mixed only (default 0)")
+    p.add_argument("--k2", type=int, help="indirect attackers, mixed only (default 0)")
+    p.add_argument("--scale", type=int, help="batch scale, indirect-scaled only (default 5)")
+    p.add_argument("--max-edges", type=int, help="batch cap, indirect-scaled only (default 10)")
+    p.add_argument("--threshold", type=float, help="goal threshold, exhaustive only (default 0)")
     p.add_argument("--attacker-class", choices=["established", "fresh"], default="established")
     p.add_argument("--target", help="target node label (sampled if omitted)")
     p.add_argument("--out", help="results JSON path (stdout if omitted)")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fga import attacks, engine
+from fga import attacks, campaign, engine
 from fga.attacks import (
     ATTACK_CONFIG,
     AttackProblem,
@@ -326,25 +326,51 @@ class TestIndirectGreedy:
             work.rate(move.attacker, move.rated, move.weight)
 
 
-def test_indirect_campaign_reports_are_pinned(tmp_path):
-    """A 200-sample greedy campaign writes the reports of the sequential screened scan.
+#: Per mode: a campaign grid on one seeded graph, its record count, and the sha256 of
+#: its two reports.
+PINNED_CAMPAIGNS = {
+    "direct": (
+        {"k_values": (1, 2, 3), "samples": 20},
+        60,
+        "48560678a27017c5c9183158825827a3231c0badf8d6043bea846856a732c4b9",
+        "c810248d6552a2ee9b0a0b1acaa7c594802ffef2678386e487ca2a0097a1a4d2",
+    ),
+    # taken from the scan that solved every candidate it kept to convergence,
+    # one candidate at a time
+    "indirect": (
+        {"k_values": (2,), "samples": 200},
+        200,
+        "6e8ae7c8c04d875b17c9ff0c3f7c23566d70fd30aaa34299c147a8e98b3cfcfa",
+        "75ca60f92baf46ecba463a39a0c1110c2da4cd28e2debd6dc2fe6f4399e698b2",
+    ),
+    "indirect-scaled": (
+        {"k_values": (4,), "samples": 10, "scale": 2, "max_edges": 3},
+        10,
+        "a6e4a1dd5be9eaaa9705c5a9c7bd630ffb4c1c519f9d817f3ef2258e657e4f11",
+        "9a7f94118a1c99c2cd5f4fd4becdbd12e31e625e1eec3da39365138bfad5d754",
+    ),
+    "mixed": (
+        {"k1_values": (1, 2), "k2_values": (1, 2), "samples": 5},
+        20,
+        "c95c8278e523732afa068bcbfe843139264a11c850e2b891c0fb2b680d2a0267",
+        "f284f6af36e4751a8cd967d00c56e4077221f4db5eca6348286e3cbb7c7cea92",
+    ),
+}
 
-    The digests were taken from the scan that solved every candidate it kept
-    to convergence, one candidate at a time.
-    """
+
+@pytest.mark.parametrize("mode", campaign.MODES)
+def test_campaign_reports_are_pinned(mode, tmp_path):
+    """Each mode's campaign reports are byte-identical to the pinned ones."""
+    grid, count, records, summary = PINNED_CAMPAIGNS[mode]
     g = generate_random_graph(300, avg_out_degree=4.0, seed=11, positive_fraction=0.85)
-    config = ExperimentConfig(mode="indirect", k_values=(2,), samples=200, seed=2024)
-    result = run_campaign(g, config)
-    assert len(result.records) == 200 and not result.errors
+    result = run_campaign(g, ExperimentConfig(mode=mode, seed=2024, **grid))
+    assert len(result.records) == count and not result.errors
     report(result, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("records.csv", "summary.csv")
     }
-    assert digests == {
-        "records.csv": "6e8ae7c8c04d875b17c9ff0c3f7c23566d70fd30aaa34299c147a8e98b3cfcfa",
-        "summary.csv": "75ca60f92baf46ecba463a39a0c1110c2da4cd28e2debd6dc2fe6f4399e698b2",
-    }
+    assert digests == {"records.csv": records, "summary.csv": summary}
 
 
 def outcomed_exhausted(outcome):
@@ -402,17 +428,20 @@ class TestMixedAttack:
         target = next(v for v in g.nodes() if g.indeg(v) > 0)
         attackers = [v for v in g.nodes() if v != target][:4]
         outcome = mixed_attack(g, attackers, target, k1=0, k2=2)
+        total = outcome.delta_goodness[target]
         assert outcome.delta_direct == 0.0
-        assert outcome.delta_total == pytest.approx(outcome.delta_indirect, abs=1e-15)
+        assert total == pytest.approx(total - outcome.delta_direct, abs=1e-15)
 
     def test_zero_indirect_component(self):
         g = generate_random_graph(40, seed=8, positive_fraction=0.85)
         target = next(v for v in g.nodes() if g.indeg(v) > 0)
         attackers = [v for v in g.nodes() if v != target][:4]
         outcome = mixed_attack(g, attackers, target, k1=2, k2=0)
-        assert outcome.indirect_moves == []
-        assert outcome.delta_indirect == pytest.approx(0.0, abs=1e-15)
-        assert outcome.delta_total == pytest.approx(outcome.delta_direct, abs=1e-15)
+        total = outcome.delta_goodness[target]
+        assert len(outcome.moves) == 2
+        assert total - outcome.delta_direct == pytest.approx(0.0, abs=1e-15)
+        assert total == pytest.approx(outcome.delta_direct, abs=1e-15)
+        assert not outcome.exhausted
 
     def test_decomposition_matches_full_recompute(self):
         g = generate_random_graph(40, seed=15, positive_fraction=0.85)
@@ -422,15 +451,30 @@ class TestMixedAttack:
         )
         attackers = [v for v in g.nodes() if v != target][:4]
         outcome = mixed_attack(g, attackers, target, k1=2, k2=2)
+        total = outcome.delta_goodness[target]
         # identity by construction
-        assert outcome.delta_direct + outcome.delta_indirect == pytest.approx(
-            outcome.delta_total, abs=1e-15
+        assert outcome.delta_direct + (total - outcome.delta_direct) == pytest.approx(
+            total, abs=1e-15
         )
         # total equals an independent cold recomputation on the final graph
         cold = compute_fga(outcome.graph_after, HIGH_PRECISION)
-        assert outcome.delta_total == pytest.approx(
+        assert total == pytest.approx(
             float(cold.goodness[target] - scores.goodness[target]), abs=TOL
         )
+        # the first k1 moves are the direct ones, and delta_direct is measured after them
+        assert [(m.rated, m.weight) for m in outcome.moves[:2]] == [(target, -1.0)] * 2
+        direct = direct_attack(g, [m.attacker for m in outcome.moves[:2]], target, before=scores)
+        assert outcome.delta_direct == pytest.approx(direct.delta_goodness[target], abs=TOL)
+
+    def test_indirect_attackers_out_of_successors_report_exhausted(self):
+        g = Wsn()
+        for _ in range(4):
+            g.add_node()
+        g.add_edge(1, 0, 1.0)  # the target's one rater rates nothing else
+        # node 2 rates the target directly, and then node 3 has no successor left to rate
+        outcome = mixed_attack(g, [2, 3], 0, k1=1, k2=1)
+        assert [(m.attacker, m.rated) for m in outcome.moves] == [(2, 0)]
+        assert outcome.exhausted
 
     def test_overlapping_assignment_rejected(self):
         g = generate_random_graph(20, seed=2)
@@ -814,11 +858,9 @@ class TestFlatCore:
         for want, have in zip(expected, got):
             assert np.array_equal(want.scores_after.goodness, have.scores_after.goodness)
             assert want.graph_after == have.graph_after
-        for want, have in zip(expected[:3], got[:3]):
+        for want, have in zip(expected, got):
             assert want.moves == have.moves
-        assert expected[3].direct_moves + expected[3].indirect_moves == (
-            got[3].direct_moves + got[3].indirect_moves
-        )
+            assert want.delta_direct == have.delta_direct
 
 
 class TestGraphAfter:
@@ -838,12 +880,6 @@ class TestGraphAfter:
             work.rate(move.attacker, move.rated, move.weight)
         return work
 
-    @staticmethod
-    def all_moves(outcome):
-        if isinstance(outcome, attacks.MixedAttackOutcome):
-            return outcome.direct_moves + outcome.indirect_moves
-        return outcome.moves
-
     def test_unread_graph_after_is_never_built(self, monkeypatch):
         copies = []
         original = Wsn.copy
@@ -857,7 +893,7 @@ class TestGraphAfter:
         g, outcomes = self.attacked()
         for outcome in outcomes:
             built = outcome.graph_after
-            assert built == self.eager(g, self.all_moves(outcome))
+            assert built == self.eager(g, outcome.moves)
             assert built != g
             assert outcome.graph_after is built
 

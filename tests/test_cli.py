@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import typing
@@ -164,6 +165,57 @@ class TestAttackCommand:
         assert main([
             "attack", "--generate", "complete:n=3", "--mode", "direct", "--k", "5",
         ]) == 3
+
+    #: Per mode: its flags, and the sha256 of its JSON on ``ATTACKABLE`` with seed 3.
+    PINNED = {
+        "direct": (
+            ["--k", "3"], "cd7e1d90204ceff7f81142947adfdf2533ae1d097c0795f525adec1c49f57fdf",
+        ),
+        "indirect": (
+            ["--k", "3"], "2b34ff06407d8ce8b342ddc0e93c3409b37e66c813366ec94337c9bdbd5efb71",
+        ),
+        "indirect-scaled": (
+            ["--k", "3", "--scale", "2", "--max-edges", "4"],
+            "0b5142b43d561b543e050f2ae2a344dc8e2808d72a00088dcedacbb0ece1ad6d",
+        ),
+        "mixed": (
+            ["--k1", "2", "--k2", "2"],
+            "5985f15d1268e0e5ed999ac2750258025ba872c8222d84a3be3cb80c5be57f11",
+        ),
+        "exhaustive": (
+            ["--k", "1", "--threshold", "0.5"],
+            "5b0096c8a5770232e39b3b3b1575425cf6422ffd198d345131024a45f2a245d3",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", [*campaign.MODES, "exhaustive"])
+    def test_attack_json_is_pinned(self, mode, capsys):
+        flags, digest = self.PINNED[mode]
+        argv = ["--seed", "3", "attack", "--generate", ATTACKABLE, "--mode", mode, *flags]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_default_flag_values_change_nothing(self, capsys):
+        argv = ["--seed", "3", "attack", "--generate", ATTACKABLE, "--mode", "indirect-scaled"]
+        assert main(argv) == 0
+        omitted = capsys.readouterr().out
+        assert main(argv + ["--k", "1", "--scale", "5", "--max-edges", "10"]) == 0
+        assert capsys.readouterr().out == omitted
+
+    @pytest.mark.parametrize(
+        "mode, flags, named",
+        [
+            ("direct", ["--scale", "3", "--max-edges", "99", "--k1", "4", "--threshold", "0.5"],
+             "--k1 or --scale or --max-edges or --threshold"),
+            ("indirect", ["--k2", "1"], "--k2"),
+            ("indirect-scaled", ["--threshold", "0"], "--threshold"),
+            ("mixed", ["--k1", "1", "--k", "1"], "--k"),
+            ("exhaustive", ["--scale", "5"], "--scale"),
+        ],
+    )
+    def test_flag_outside_the_mode_is_exit_2(self, capsys, mode, flags, named):
+        assert main(["attack", "--generate", ATTACKABLE, "--mode", mode, *flags]) == 2
+        assert capsys.readouterr().err == f"error: --mode {mode} takes no {named}\n"
 
 
 class TestBoundsCommand:
@@ -460,6 +512,11 @@ class TestCampaignLibrary:
         header = outputs[0][0].decode().splitlines()[0]
         assert header.split(",") == self.MODE_COLUMNS[mode]
 
+    def test_run_attack_rejects_an_unknown_mode(self):
+        g = generate_random_graph(20, seed=2)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            campaign.run_attack("exhaustive", g, [1], 0)
+
     def test_cold_flag_matches_warm(self):
         g = generate_random_graph(50, avg_out_degree=4.0, seed=31, positive_fraction=0.95)
         warm = run_campaign(g, ExperimentConfig(mode="direct", samples=2, seed=5, k_values=(2,)))
@@ -545,7 +602,7 @@ def test_attack_exit_codes(
     bounds_tmp_dir, data, mode, counts, scale, max_edges, threshold, target
 ):
     """Every ``fga attack`` run ends in 0, 2, 3 or 4, argparse's only in 2, and one with no
-    attackers in 2."""
+    attackers or with a flag that its mode does not read in 2."""
     source = data.draw(_bounds_sources(bounds_tmp_dir) | st.just(["--generate", ATTACKABLE]))
     argv = ["attack", "--mode", mode, *source]
     k, k1, k2 = (default if value is None else value for value, default in zip(counts, (1, 0, 0)))
@@ -559,13 +616,19 @@ def test_attack_exit_codes(
     for flag, value in (("--scale", scale), ("--max-edges", max_edges),
                         ("--threshold", threshold), ("--target", target)):
         argv += [] if value is None else [flag, str(value)]
+    flags = ("--k", "--k1", "--k2", "--scale", "--max-edges", "--threshold")
+    given = {flag for flag, value in zip(flags, (*counts, scale, max_edges, threshold))
+             if value is not None}
+    takes = {"direct": {"--k"}, "indirect": {"--k"}, "mixed": {"--k1", "--k2"},
+             "indirect-scaled": {"--k", "--scale", "--max-edges"},
+             "exhaustive": {"--k", "--threshold"}}[mode]
     try:
         code = main(argv)
     except SystemExit as exc:
         assert exc.code == 2, argv
     else:
         assert code in (0, 2, 3, 4), argv
-        if attackers < 1:
+        if attackers < 1 or given - takes:
             assert code == 2, argv
 
 
