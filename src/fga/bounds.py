@@ -221,30 +221,3 @@ def verify_stabiliser(
         )
         for (k, l, delta, fairness), scores in zip(grid, solved)
     ]
-
-
-def verify_bound_empirically(
-    scenario: str,
-    graph: Wsn | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    k: int = 3,
-) -> list[BoundReport]:
-    """Dispatch one of the bound scenarios: direct-sybil, indirect-sybil, stabiliser.
-
-    The Sybil scenarios attack ``graph``; the stabiliser builds its own stars
-    and rejects a graph rather than ignore it.
-    """
-    if scenario == "direct-sybil":
-        if graph is None:
-            raise ValueError("direct-sybil needs a graph")
-        return verify_direct_sybil(graph, trials, seed)
-    if scenario == "indirect-sybil":
-        if graph is None:
-            raise ValueError("indirect-sybil needs a graph")
-        return verify_indirect_sybil(graph, k, trials, seed)
-    if scenario == "stabiliser":
-        if graph is not None:
-            raise ValueError("stabiliser builds its own stars; it takes no graph")
-        return verify_stabiliser()
-    raise ValueError(f"unknown scenario {scenario!r}")

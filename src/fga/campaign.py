@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -301,9 +302,9 @@ def _write_csv(rows: list[dict], path: Path) -> None:
             if key not in columns:
                 columns.append(key)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(row.get(col)) for col in columns) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_value(row.get(col)) for col in columns] for row in rows)
 
 
 def report(result: CampaignResult, out_dir, fmt: str = "csv") -> list[Path]:

@@ -246,12 +246,12 @@ def _cmd_attack(args) -> int:
         )
         moves = outcome.moves
         delta = outcome.delta_goodness[target]
+        payload["exhausted"] = outcome.exhausted
         if outcome.delta_direct is None:
             payload.update({
                 "delta_goodness": delta,
                 "goodness_before": float(outcome.scores_before.goodness[target]),
                 "goodness_after": float(outcome.scores_after.goodness[target]),
-                "exhausted": outcome.exhausted,
             })
         else:
             payload.update({
@@ -270,17 +270,19 @@ def _cmd_bounds(args) -> int:
     takes = {"direct-sybil": ("--trials",), "indirect-sybil": ("--trials", "--k"),
              "stabiliser": ()}[args.scenario]
     _reject_flags(f"--scenario {args.scenario}", takes, {"--trials": args.trials, "--k": args.k})
-    if args.scenario != "stabiliser":
-        args.trials = BOUNDS_TRIALS if args.trials is None else args.trials
-    if args.scenario == "indirect-sybil":
-        args.k = BOUNDS_K if args.k is None else args.k
-    if args.scenario == "indirect-sybil" and not (args.input or args.dataset or args.generate):
-        args.generate = f"min-k:n=30,k={args.k}"
-    # the stabiliser builds its own stars and rejects a graph (exit 2)
-    graph = _load_graph(args) if args.input or args.dataset or args.generate else None
-    reports = bounds.verify_bound_empirically(
-        args.scenario, graph=graph, trials=args.trials, seed=args.seed, k=args.k
-    )
+    has_source = bool(args.input or args.dataset or args.generate)
+    trials = BOUNDS_TRIALS if args.trials is None else args.trials
+    if args.scenario == "stabiliser":
+        if has_source:
+            raise ValueError("--scenario stabiliser builds its own stars; it takes no graph")
+        reports = bounds.verify_stabiliser()
+    elif args.scenario == "direct-sybil":
+        reports = bounds.verify_direct_sybil(_load_graph(args), trials, args.seed)
+    else:
+        k = BOUNDS_K if args.k is None else args.k
+        if not has_source:
+            args.generate = f"min-k:n=30,k={k}"
+        reports = bounds.verify_indirect_sybil(_load_graph(args), k, trials, args.seed)
     lines = ["bound_value,observed_delta,satisfied,context"]
     for r in reports:
         context = ";".join(f"{k}={v}" for k, v in sorted(r.context.items()))

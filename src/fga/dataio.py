@@ -85,10 +85,12 @@ def load_rating_csv(path, scale: RatingScale) -> Wsn:
 
 
 def export_rating_csv(graph: Wsn, path, scale: RatingScale) -> None:
-    """Headerless ``source,target,rating`` rows; raw ratings keep 12 significant digits."""
+    """Headerless csv-quoted ``source,target,rating`` rows; raw ratings keep 12 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for u, v, w in graph.edges():
-            fh.write(f"{graph.label_of(u)},{graph.label_of(v)},{scale.denormalize(w):.12g}\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            (graph.label_of(u), graph.label_of(v), f"{scale.denormalize(w):.12g}")
+            for u, v, w in graph.edges()
+        )
 
 
 def data_dir(explicit: str | os.PathLike | None = None) -> Path | None:

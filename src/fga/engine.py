@@ -92,6 +92,7 @@ through the same loop, and so is an ``EditSolve`` from sweep 3 on: the loop
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import math
@@ -573,16 +574,17 @@ def predict_weight(scores: FgaScores, u: int, v: int) -> float:
 
 
 def export_scores_csv(graph: Wsn, scores: FgaScores, path_or_file) -> None:
-    """Write ``node_label,fairness,goodness`` rows with 12 significant digits."""
+    """Write csv-quoted ``node_label,fairness,goodness`` rows with 12 significant digits."""
     if scores.node_count != graph.node_count:
         raise ValueError("scores do not match graph")
 
     def _write(fh) -> None:
-        fh.write("node_label,fairness,goodness\n")
-        for node in graph.nodes():
-            fh.write(
-                f"{graph.label_of(node)},{scores.fairness[node]:.12g},{scores.goodness[node]:.12g}\n"
-            )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("node_label", "fairness", "goodness"))
+        writer.writerows(
+            (graph.label_of(node), f"{scores.fairness[node]:.12g}", f"{scores.goodness[node]:.12g}")
+            for node in graph.nodes()
+        )
 
     if isinstance(path_or_file, io.IOBase) or hasattr(path_or_file, "write"):
         _write(path_or_file)

@@ -83,10 +83,10 @@ class Wsn:
 
     The edges live in one read-only ``FlatEdges``, returned by ``flat()``.
     Every query reads it. Every edit (``add_node``, ``add_edge``,
-    ``update_weight``, ``rate``, ``remove_edge``) replaces it with an
-    overlay, so a ``FlatEdges`` handed out earlier, to a solve, an attack or
-    another thread, still describes the graph as it was. An edit costs O(m);
-    build a graph of many edges in one call with ``from_arrays``.
+    ``update_weight``, ``rate``) replaces it with an overlay, so a
+    ``FlatEdges`` handed out earlier, to a solve, an attack or another
+    thread, still describes the graph as it was. An edit costs O(m); build a
+    graph of many edges in one call with ``from_arrays``.
 
     ``copy()`` copies the labels and shares the edge store; the copy is fully
     independent. Do not edit a graph while another thread reads it.
@@ -130,16 +130,6 @@ class Wsn:
         name = str(len(self._labels)) if label is None else label
         if name in self._ids or (label is not None and self._implied(label) is not None):
             raise ValueError(f"duplicate node label {name!r}")
-        return self._append(label)
-
-    def ensure_node(self, label: str) -> int:
-        """Return the id for ``label``, creating the node on first sight."""
-        try:
-            return self.id_of(label)
-        except KeyError:
-            return self._append(label)
-
-    def _append(self, label: str | None) -> int:
         node = len(self._labels)
         self._edges = self._edges.with_node()
         self._labels.append(label)
@@ -203,16 +193,6 @@ class Wsn:
             return "weight-update"
         self.add_edge(u, v, weight)
         return "edge-addition"
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Delete the edge (u, v); edge deletion is not part of the attack move model."""
-        u, v = self._check_node(u), self._check_node(v)
-        flat = self._edges
-        at, present = flat.locate(u, v)
-        if not present:
-            raise KeyError(f"edge ({u}, {v}) does not exist")
-        arrays = (np.delete(array, at) for array in (flat.src, flat.dst, flat.w))
-        self._edges = FlatEdges.from_arrays(flat.n, *arrays)
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = self._check_node(u), self._check_node(v)
