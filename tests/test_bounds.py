@@ -15,6 +15,7 @@ from fga.bounds import (
     verify_indirect_sybil,
     verify_stabiliser,
 )
+from fga.cli import main
 from fga.engine import HIGH_PRECISION, compute_fga, recompute_after
 from fga.generators import (
     generate_complete_positive,
@@ -224,6 +225,19 @@ class TestEmpiricalHarnesses:
         assert len(reports) == 8
         assert all(r.satisfied for r in reports)
 
+    def test_dispatcher(self, capsys):
+        # `fga bounds` dispatches on --scenario; direct-sybil needs a graph to attack
+        argv = ["bounds", "--scenario", "direct-sybil", "--trials", "5"]
+        assert main([*argv, "--generate", "erdos:n=20"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 5 and all(",True," in row for row in rows)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--scenario", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "specify exactly one of" in capsys.readouterr().err
+
     def test_report_satisfaction_rule(self):
         report = BoundReport.from_trial(0.5, -0.4, {})
         assert report.satisfied
@@ -302,3 +316,8 @@ class TestSybilStream:
         graph = generate_min_k_neighbour(n, k, seed=70 + seed)
         want = reference_indirect_sybil(graph, k, 20, seed)
         assert _fields(verify_indirect_sybil(graph, k, 20, seed)) == _fields(want)
+
+    def test_stabiliser_rejects_a_graph(self, capsys):
+        # the stabiliser builds its own stars, so a given graph is an error, not ignored
+        assert main(["bounds", "--scenario", "stabiliser", "--generate", "erdos:n=10"]) == 2
+        assert "takes no graph" in capsys.readouterr().err
