@@ -22,13 +22,13 @@ from .bounds import (
     indirect_sybil_bound,
     stabiliser_lower_bound,
 )
+from .dataio import export_scores_csv
 from .engine import (
     DEFAULT_CONFIG,
     HIGH_PRECISION,
     FgaConfig,
     FgaScores,
     compute_fga,
-    export_scores_csv,
     predict_weight,
     recompute_after,
 )

@@ -51,6 +51,9 @@ from .graph import Wsn
 #: Measurement-grade settings; attack deltas are asserted at 1e-9 downstream.
 ATTACK_CONFIG = HIGH_PRECISION
 
+#: ``indirect_attack_scaled``'s batch defaults: min(scale * indeg, max_edges) edges a pick.
+SCALE, MAX_EDGES = 5, 10
+
 #: Candidate scores closer than this are treated as equal when ranking moves.
 TIE_TOLERANCE = 1e-9
 
@@ -366,8 +369,8 @@ def indirect_attack_scaled(
     graph: Wsn,
     attackers,
     target: int,
-    scale: int = 5,
-    max_edges: int = 10,
+    scale: int = SCALE,
+    max_edges: int = MAX_EDGES,
     config: FgaConfig | None = None,
     before: FgaScores | None = None,
 ) -> AttackOutcome:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -12,8 +11,11 @@ from typing import Any
 
 import numpy as np
 
+from . import dataio
 from .attacks import (
     ATTACK_CONFIG,
+    MAX_EDGES,
+    SCALE,
     AttackOutcome,
     InsufficientCandidatesError,
     SelectionCriteria,
@@ -32,7 +34,7 @@ MODES = ("direct", "indirect", "indirect-scaled", "mixed")
 
 def run_attack(
     mode: str, graph: Wsn, attackers, target: int, *,
-    k1: int = 0, scale: int = 5, max_edges: int = 10, before: FgaScores | None = None,
+    k1: int = 0, scale: int = SCALE, max_edges: int = MAX_EDGES, before: FgaScores | None = None,
 ) -> AttackOutcome:
     """Run the attack of one of ``MODES`` under ``ATTACK_CONFIG``.
 
@@ -53,24 +55,30 @@ def run_attack(
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-#: Per-dataset rules for picking weak targets, and how many samples / edges to use.
 @dataclass(frozen=True)
-class TargetSearchParams:
-    max_indeg: int
-    min_goodness: float
+class DatasetDefaults:
+    """A dataset's weak-target rule and per-cell sample counts: ``samples`` for direct and
+    indirect, ``mixed_samples`` for the mixed grid; indirect-scaled runs ``scaled_samples``
+    samples of one cell of ``scaled_edges`` attackers."""
+
+    criteria: SelectionCriteria
     samples: int
-    edges: int
+    mixed_samples: int
+    scaled_samples: int
+    scaled_edges: int
 
 
-DATASET_TARGET_PARAMS: dict[str, TargetSearchParams] = {
-    "bitcoin-otc": TargetSearchParams(max_indeg=10, min_goodness=0.8, samples=20, edges=20),
-    "bitcoin-alpha": TargetSearchParams(max_indeg=13, min_goodness=0.5, samples=30, edges=20),
-    "rfa": TargetSearchParams(max_indeg=10, min_goodness=0.5, samples=27, edges=20),
+DATASET_DEFAULTS: dict[str, DatasetDefaults] = {
+    "bitcoin-otc": DatasetDefaults(
+        SelectionCriteria(target_max_indeg=10, target_min_goodness=0.8),
+        samples=21, mixed_samples=26, scaled_samples=20, scaled_edges=20),
+    "bitcoin-alpha": DatasetDefaults(
+        SelectionCriteria(target_max_indeg=13, target_min_goodness=0.5),
+        samples=24, mixed_samples=12, scaled_samples=30, scaled_edges=20),
+    "rfa": DatasetDefaults(
+        SelectionCriteria(target_max_indeg=10, target_min_goodness=0.5),
+        samples=25, mixed_samples=17, scaled_samples=27, scaled_edges=20),
 }
-
-#: Per-k sample-count floors for the direct/indirect sweeps and the mixed grid.
-DATASET_SAMPLES: dict[str, int] = {"bitcoin-otc": 21, "bitcoin-alpha": 24, "rfa": 25}
-MIXED_SAMPLES: dict[str, int] = {"bitcoin-otc": 26, "bitcoin-alpha": 12, "rfa": 17}
 
 
 @dataclass
@@ -85,8 +93,8 @@ class ExperimentConfig:
     attacker_class: str = "established"
     criteria: SelectionCriteria = field(default_factory=SelectionCriteria)
     seed: int = 0
-    scale: int = 5
-    max_edges: int = 10
+    scale: int = SCALE
+    max_edges: int = MAX_EDGES
     cold: bool = False
     jobs: int = 1
     dataset: str | None = None
@@ -102,23 +110,16 @@ class ExperimentConfig:
 
     @staticmethod
     def for_dataset(dataset: str, mode: str = "direct", **overrides) -> "ExperimentConfig":
-        """Defaults replicating the per-dataset target-search parameter block."""
-        params = DATASET_TARGET_PARAMS[dataset]
-        samples = MIXED_SAMPLES[dataset] if mode == "mixed" else DATASET_SAMPLES[dataset]
-        criteria = SelectionCriteria(
-            target_max_indeg=params.max_indeg, target_min_goodness=params.min_goodness
-        )
+        """The campaign of ``DATASET_DEFAULTS[dataset]``, with ``overrides`` on top."""
+        table = DATASET_DEFAULTS[dataset]
         defaults: dict[str, Any] = {
             "mode": mode,
-            "samples": samples,
-            "criteria": criteria,
+            "samples": table.mixed_samples if mode == "mixed" else table.samples,
+            "criteria": table.criteria,
             "dataset": dataset,
         }
         if mode == "indirect-scaled":
-            # amplified attacks get the full per-dataset edge budget, and the
-            # weak-target search uses its dedicated sample count
-            defaults["k_values"] = (params.edges,)
-            defaults["samples"] = params.samples
+            defaults.update(k_values=(table.scaled_edges,), samples=table.scaled_samples)
         defaults.update(overrides)
         return ExperimentConfig(**defaults)
 
@@ -295,43 +296,33 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_csv(rows: list[dict], path: Path) -> None:
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+def _write_csv(rows: list[dict], path: Path) -> Path:
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    cells = [[_format_value(row.get(col)) for col in columns] for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_format_value(row.get(col)) for col in columns] for row in rows)
+        dataio.write_csv(fh, [columns, *cells])
+    return path
+
+
+def _write_json(payload, path: Path) -> Path:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 def report(result: CampaignResult, out_dir, fmt: str = "csv") -> list[Path]:
-    """Write records and summaries; reruns with the same seed are byte-identical."""
+    """Write records and summaries; reruns with the same seed are byte-identical.
+
+    ``csv`` writes records.csv, summary.csv and config.json, and ``json`` writes every
+    field of ``result`` to campaign.json.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     if fmt == "json":
-        payload = {
-            "config": result.config,
-            "records": result.records,
-            "summaries": result.summaries,
-            "errors": result.errors,
-        }
-        path = out / "campaign.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(path)
-    else:
-        records_path = out / "records.csv"
-        summary_path = out / "summary.csv"
-        _write_csv(result.records, records_path)
-        _write_csv(result.summaries, summary_path)
-        meta_path = out / "config.json"
-        meta_path.write_text(
-            json.dumps(result.config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        written.extend([records_path, summary_path, meta_path])
-    return written
+        return [_write_json(dataclasses.asdict(result), out / "campaign.json")]
+    return [
+        _write_csv(result.records, out / "records.csv"),
+        _write_csv(result.summaries, out / "summary.csv"),
+        _write_json(result.config, out / "config.json"),
+    ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ import numpy as np
 from . import axioms, bounds, campaign as campaign_mod, dataio, gadgets, generators
 from .attacks import (
     ATTACK_CONFIG,
+    MAX_EDGES,
+    SCALE,
     AttackProblem,
     InstanceTooLargeError,
     InsufficientCandidatesError,
@@ -27,7 +30,7 @@ from .attacks import (
     solve_exhaustive,
 )
 from .dataio import DatasetMissingError
-from .engine import FgaConfig, compute_fga, export_scores_csv, predict_weight
+from .engine import DEFAULT_CONFIG, FgaConfig, compute_fga, predict_weight
 from .gadgets import GadgetError
 from .graph import InvariantViolationError, RatingScale, Wsn
 
@@ -36,15 +39,17 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
-#: ``fga bounds`` defaults of the Sybil scenarios.
+#: ``fga bounds`` defaults of the Sybil scenarios, and ``--r-max``'s for an ``--input`` CSV.
 BOUNDS_TRIALS = 100
 BOUNDS_K = 3
+INPUT_R_MAX = 10.0
 
 #: The count and tuning flags that each ``fga attack`` mode reads, and their defaults.
 ATTACK_FLAGS = {"direct": ("--k",), "indirect": ("--k",), "mixed": ("--k1", "--k2"),
                 "indirect-scaled": ("--k", "--scale", "--max-edges"),
                 "exhaustive": ("--k", "--threshold")}
-ATTACK_DEFAULTS = {"k": 1, "k1": 0, "k2": 0, "scale": 5, "max_edges": 10, "threshold": 0.0}
+ATTACK_DEFAULTS = {"k": 1, "k1": 0, "k2": 0, "scale": SCALE, "max_edges": MAX_EDGES,
+                   "threshold": 0.0}
 
 
 #: The parameters of each generator spec, and whether each must be an integer.
@@ -104,7 +109,10 @@ def _load_graph(args) -> Wsn:
     if sum(sources) != 1:
         raise ValueError("specify exactly one of --input, --dataset, --generate")
     if args.input:
-        graph = dataio.load_rating_csv(args.input, RatingScale(args.r_max))
+        r_max = INPUT_R_MAX if args.r_max is None else args.r_max
+        graph = dataio.load_rating_csv(args.input, RatingScale(r_max))
+    elif args.r_max is not None:  # a dataset's scale is in dataio.DATASETS; generators normalize
+        raise ValueError("--r-max goes with --input only")
     elif args.dataset:
         graph = dataio.load_dataset(args.dataset, args.data_dir)
     else:
@@ -115,8 +123,8 @@ def _load_graph(args) -> Wsn:
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="rating CSV (source,target,rating[,timestamp])")
-    parser.add_argument("--r-max", type=float, default=10.0,
-                        help="raw scale half-width for --input (default 10)")
+    parser.add_argument("--r-max", type=float, default=None,
+                        help=f"raw scale half-width, --input only (default {INPUT_R_MAX:g})")
     parser.add_argument("--dataset", choices=sorted(dataio.DATASETS),
                         help="named dataset under the data directory")
     parser.add_argument("--generate", help="synthetic graph spec, e.g. erdos:n=80,deg=4")
@@ -135,7 +143,9 @@ def _emit(args, payload: dict | str) -> None:
 def _cmd_compute(args) -> int:
     graph = _load_graph(args)
     scores = compute_fga(graph, FgaConfig(args.max_iterations, args.tolerance))
-    export_scores_csv(graph, scores, args.out or sys.stdout)
+    text = io.StringIO()
+    dataio.export_scores_csv(graph, scores, text)
+    _emit(args, text.getvalue())
     print(
         f"# nodes={graph.node_count} edges={graph.edge_count} "
         f"iterations={scores.iterations_run} max_residual={scores.max_residual:.3g}",
@@ -265,11 +275,12 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    # the stabiliser's grid of stars is fixed: it draws nothing and takes no trial count or k;
-    # a direct-Sybil trial rates the target once and takes no k
-    takes = {"direct-sybil": ("--trials",), "indirect-sybil": ("--trials", "--k"),
-             "stabiliser": ()}[args.scenario]
-    _reject_flags(f"--scenario {args.scenario}", takes, {"--trials": args.trials, "--k": args.k})
+    # the stabiliser's grid of stars is fixed: it draws nothing and takes no trial count, k
+    # or graph option; a direct-Sybil trial rates the target once and takes no k
+    takes = {"direct-sybil": ("--trials", "--r-max"),
+             "indirect-sybil": ("--trials", "--k", "--r-max"), "stabiliser": ()}[args.scenario]
+    given = {"--trials": args.trials, "--k": args.k, "--r-max": args.r_max}
+    _reject_flags(f"--scenario {args.scenario}", takes, given)
     has_source = bool(args.input or args.dataset or args.generate)
     trials = BOUNDS_TRIALS if args.trials is None else args.trials
     if args.scenario == "stabiliser":
@@ -283,19 +294,17 @@ def _cmd_bounds(args) -> int:
         if not has_source:
             args.generate = f"min-k:n=30,k={k}"
         reports = bounds.verify_indirect_sybil(_load_graph(args), k, trials, args.seed)
-    lines = ["bound_value,observed_delta,satisfied,context"]
-    for r in reports:
-        context = ";".join(f"{k}={v}" for k, v in sorted(r.context.items()))
-        lines.append(f"{r.bound_value:.12g},{r.observed_delta:.12g},{r.satisfied},{context}")
-    _emit(args, "\n".join(lines) + "\n")
+    rows = [(f"{r.bound_value:.12g}", f"{r.observed_delta:.12g}", str(r.satisfied),
+             ";".join(f"{k}={v}" for k, v in sorted(r.context.items()))) for r in reports]
+    text = io.StringIO()
+    dataio.write_csv(text, [("bound_value", "observed_delta", "satisfied", "context"), *rows])
+    _emit(args, text.getvalue())
     return EXIT_OK if all(r.satisfied for r in reports) else EXIT_INVARIANT
 
 
 def _cmd_campaign(args) -> int:
-    out_dir = args.out_dir or args.global_out_dir
-    if not out_dir:
-        raise ValueError("campaign needs --out-dir (per command or global)")
-    fmt = args.format or args.global_format or "csv"
+    if not args.out_dir:
+        raise ValueError("campaign needs --out-dir")
     if args.dataset:
         config = campaign_mod.ExperimentConfig.for_dataset(
             args.dataset, mode=args.mode, seed=args.seed,
@@ -315,10 +324,10 @@ def _cmd_campaign(args) -> int:
     # replace() re-runs the config's validation on the overridden fields
     config = dataclasses.replace(config, **overrides)
     # a bad output path fails here, before the graph loads or any sample runs
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     graph = _load_graph(args)
     result = campaign_mod.run_campaign(graph, config)
-    written = campaign_mod.report(result, out_dir, fmt=fmt)
+    written = campaign_mod.report(result, args.out_dir, fmt=args.format)
     for path in written:
         print(path)
     if not result.records and result.errors:
@@ -334,16 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
     parser.add_argument("--data-dir", default=None, help=f"dataset directory (or {dataio.DATA_DIR_ENV})")
-    parser.add_argument("--out-dir", dest="global_out_dir", default=None,
-                        help="default output directory for commands that write files")
-    parser.add_argument("--format", dest="global_format", choices=["csv", "json"], default=None,
-                        help="default output format where applicable")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute fairness/goodness scores")
     _add_graph_source(p)
-    p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--max-iterations", type=int, default=DEFAULT_CONFIG.max_iterations)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_CONFIG.residual_tolerance)
     p.add_argument("--out", help="scores CSV path (stdout if omitted)")
     p.set_defaults(handler=_cmd_compute)
 
@@ -370,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="attackers (exhaustive: budget), not mixed (default 1)")
     p.add_argument("--k1", type=int, help="direct attackers, mixed only (default 0)")
     p.add_argument("--k2", type=int, help="indirect attackers, mixed only (default 0)")
-    p.add_argument("--scale", type=int, help="batch scale, indirect-scaled only (default 5)")
-    p.add_argument("--max-edges", type=int, help="batch cap, indirect-scaled only (default 10)")
+    p.add_argument("--scale", type=int, help=f"batch scale, indirect-scaled only (default {SCALE})")
+    p.add_argument("--max-edges", type=int,
+                   help=f"batch cap, indirect-scaled only (default {MAX_EDGES})")
     p.add_argument("--threshold", type=float, help="goal threshold, exhaustive only (default 0)")
     p.add_argument("--attacker-class", choices=["established", "fresh"], default="established")
     p.add_argument("--target", help="target node label (sampled if omitted)")
@@ -397,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacker-class", choices=["established", "fresh"], default="established")
     p.add_argument("--cold", action="store_true", help="verify deltas with cold recomputation")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out-dir", default=None, help="output directory (or the global --out-dir)")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--out-dir", default=None, help="output directory (required)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv",
+                   help="records.csv, summary.csv and config.json, or one campaign.json")
     p.set_defaults(handler=_cmd_campaign)
 
     return parser

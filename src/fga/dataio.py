@@ -1,4 +1,4 @@
-"""Rating-CSV ingestion, graph export, and dataset statistics."""
+"""Rating-CSV ingestion, the one CSV writer (ratings, scores, reports), and dataset statistics."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 from .engine import FgaScores
 from .graph import RatingScale, Wsn
@@ -84,13 +85,29 @@ def load_rating_csv(path, scale: RatingScale) -> Wsn:
     )
 
 
+def write_csv(fh, rows) -> None:
+    """Write ``rows`` to ``fh`` as CSV lines ending in a newline, quoting a field that holds
+    a comma, a double quote, a newline or a carriage return. ``csv.writer`` quotes only its
+    line terminator's characters, so rows are formatted with CRLF, then cut to LF."""
+    lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+    csv.writer(lf, lineterminator="\r\n").writerows(rows)
+
+
 def export_rating_csv(graph: Wsn, path, scale: RatingScale) -> None:
-    """Headerless csv-quoted ``source,target,rating`` rows; raw ratings keep 12 significant digits."""
+    """Headerless ``source,target,rating`` rows; raw ratings keep 12 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(
-            (graph.label_of(u), graph.label_of(v), f"{scale.denormalize(w):.12g}")
-            for u, v, w in graph.edges()
-        )
+        write_csv(fh, ((graph.label_of(u), graph.label_of(v), f"{scale.denormalize(w):.12g}")
+                       for u, v, w in graph.edges()))
+
+
+def export_scores_csv(graph: Wsn, scores: FgaScores, fh) -> None:
+    """Write ``node_label,fairness,goodness`` rows to ``fh`` with 12 significant digits."""
+    if scores.node_count != graph.node_count:
+        raise ValueError("scores do not match graph")
+    write_csv(fh, [("node_label", "fairness", "goodness"), *(
+        (graph.label_of(node), f"{scores.fairness[node]:.12g}", f"{scores.goodness[node]:.12g}")
+        for node in graph.nodes()
+    )])
 
 
 def data_dir(explicit: str | os.PathLike | None = None) -> Path | None:

@@ -92,8 +92,6 @@ through the same loop, and so is an ``EditSolve`` from sweep 3 on: the loop
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -572,22 +570,3 @@ def predict_weight(scores: FgaScores, u: int, v: int) -> float:
     u, v = node_index(u, scores.node_count), node_index(v, scores.node_count)
     return float(scores.fairness[u] * scores.goodness[v])
 
-
-def export_scores_csv(graph: Wsn, scores: FgaScores, path_or_file) -> None:
-    """Write csv-quoted ``node_label,fairness,goodness`` rows with 12 significant digits."""
-    if scores.node_count != graph.node_count:
-        raise ValueError("scores do not match graph")
-
-    def _write(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("node_label", "fairness", "goodness"))
-        writer.writerows(
-            (graph.label_of(node), f"{scores.fairness[node]:.12g}", f"{scores.goodness[node]:.12g}")
-            for node in graph.nodes()
-        )
-
-    if isinstance(path_or_file, io.IOBase) or hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            _write(fh)

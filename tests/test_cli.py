@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from fga import campaign
 from fga.campaign import (
-    DATASET_SAMPLES,
-    DATASET_TARGET_PARAMS,
-    MIXED_SAMPLES,
+    DATASET_DEFAULTS,
     ExperimentConfig,
     report,
     run_campaign,
@@ -106,6 +104,16 @@ class TestStatsCommand:
     def test_directory_as_out_is_exit_2(self, ratings_csv, tmp_path, capsys):
         assert main(["stats", "--input", str(ratings_csv), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_r_max_goes_with_input_only(self, ratings_csv, capsys):
+        assert main(["stats", "--generate", "complete:n=3", "--r-max", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: --r-max goes with --input only\n"
+        assert main(["bounds", "--scenario", "stabiliser", "--r-max", "5"]) == 2
+        assert "--scenario stabiliser takes no --r-max" in capsys.readouterr().err
+        assert main(["stats", "--input", str(ratings_csv)]) == 0
+        default = capsys.readouterr().out
+        assert main(["stats", "--input", str(ratings_csv), "--r-max", "10"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_missing_dataset_is_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FGA_DATA_DIR", str(tmp_path))
@@ -298,7 +306,7 @@ class TestBoundsCommand:
         assert "generator parameter 'n' must be an integer" in capsys.readouterr().err
 
     def test_integral_generator_values_in_float_notation_are_sizes(self, capsys):
-        assert main(["--format", "json", "stats", "--generate", "complete:n=4.0"]) == 0
+        assert main(["stats", "--generate", "complete:n=4.0"]) == 0
         assert json.loads(capsys.readouterr().out)["node_count"] == 4
 
     @pytest.mark.parametrize(
@@ -368,14 +376,26 @@ class TestCampaignCommand:
             main(["campaign", "--mode", "bogus", "--out-dir", str(tmp_path)])
         assert err.value.code == 2
 
-    def test_global_out_dir_and_format(self, tmp_path):
-        code = main([
-            "--seed", "9", "--out-dir", str(tmp_path / "g"), "--format", "json",
-            "campaign", "--generate", "erdos:n=70,deg=5,pos=0.95",
-            "--mode", "direct", "--k-values", "1", "--samples", "2",
-        ])
-        assert code == 0
+    def test_out_dir_and_format_follow_campaign(self, tmp_path):
+        argv = ["--seed", "9", "campaign", "--generate", "erdos:n=70,deg=5,pos=0.95",
+                "--mode", "direct", "--k-values", "1", "--samples", "2"]
+        assert main([*argv, "--out-dir", str(tmp_path / "g"), "--format", "json"]) == 0
         assert (tmp_path / "g" / "campaign.json").exists()
+        assert main([*argv, "--out-dir", str(tmp_path / "c")]) == 0  # csv by default
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+            "config.json", "records.csv", "summary.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--format", "json", "stats", "--generate", "complete:n=4"],
+        ["--out-dir", "D", "campaign", "--generate", "erdos:n=20", "--mode", "direct"],
+    ], ids=["format", "out-dir"])
+    def test_global_out_dir_and_format_are_gone(self, tmp_path, monkeypatch, argv):
+        # only fga campaign writes a directory or takes a format, and it has both flags
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert not (tmp_path / "D").exists()
 
     def test_dataset_samples_override_is_validated(self, tmp_path):
         data = tmp_path / "data"
@@ -425,13 +445,13 @@ class TestCampaignLibrary:
         config = ExperimentConfig.for_dataset("bitcoin-otc")
         assert config.criteria.target_max_indeg == 10
         assert config.criteria.target_min_goodness == 0.8
-        assert config.samples == DATASET_SAMPLES["bitcoin-otc"] == 21
+        assert config.samples == DATASET_DEFAULTS["bitcoin-otc"].samples == 21
         alpha = ExperimentConfig.for_dataset("bitcoin-alpha", mode="mixed")
         assert alpha.criteria.target_max_indeg == 13
         assert alpha.criteria.target_min_goodness == 0.5
-        assert alpha.samples == MIXED_SAMPLES["bitcoin-alpha"] == 12
-        assert DATASET_TARGET_PARAMS["rfa"].samples == 27
-        assert DATASET_TARGET_PARAMS["rfa"].edges == 20
+        assert alpha.samples == DATASET_DEFAULTS["bitcoin-alpha"].mixed_samples == 12
+        assert DATASET_DEFAULTS["rfa"].scaled_samples == 27
+        assert DATASET_DEFAULTS["rfa"].scaled_edges == 20
         scaled = ExperimentConfig.for_dataset("bitcoin-otc", mode="indirect-scaled")
         assert scaled.k_values == (20,)
         assert scaled.samples == 20
@@ -694,13 +714,17 @@ def command_tmp_dir(tmp_path_factory):
 
 
 def _command_sources(tmp_dir):
-    """``_bounds_sources``, each of ``COMMAND_CSVS``, and ``ATTACKABLE``."""
+    """``_bounds_sources``, each of ``COMMAND_CSVS``, and ``ATTACKABLE``, sometimes followed by
+    ``--r-max 5``, which only ``--input`` takes."""
     csvs = st.sampled_from(sorted(COMMAND_CSVS)).map(lambda name: ["--input", str(tmp_dir / name)])
-    return _bounds_sources(tmp_dir) | csvs | st.just(["--generate", ATTACKABLE])
+    sources = _bounds_sources(tmp_dir) | csvs | st.just(["--generate", ATTACKABLE])
+    r_max = st.sampled_from([[], ["--r-max", "5"]])
+    return st.tuples(sources, r_max).map(lambda pair: pair[0] + pair[1])
 
 
 def _run_command(argv):
-    """``main(argv)``'s exit code, checked to be 0, 2, 3 or 4, and 2 on a malformed CSV."""
+    """``main(argv)``'s exit code, checked to be 0, 2, 3 or 4, and 2 on a malformed CSV or
+    on ``--r-max`` without ``--input``."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse may only exit 2
@@ -708,6 +732,8 @@ def _run_command(argv):
         assert code == 2, argv
     assert code in (0, 2, 3, 4), argv
     if any(argv[i - 1] == "--input" and arg.endswith(MALFORMED_CSVS) for i, arg in enumerate(argv)):
+        assert code == 2, argv
+    if "--r-max" in argv and "--input" not in argv:
         assert code == 2, argv
     return code
 

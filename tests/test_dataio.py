@@ -202,8 +202,9 @@ class TestRoundTrip:
             assert restored == pytest.approx(w, abs=1e-12)
 
     def test_labels_with_commas_and_quotes_survive(self, tmp_path):
-        labels = ['a,"b', "c", 'say "hi"', "d,e,f"]
-        g = Wsn.from_arrays(4, [0, 1, 2, 3], [1, 2, 3, 0], [0.5, -1.0, 0.25, 1.0], labels=labels)
+        labels = ['a,"b', "c", 'say "hi"', "d,e,f", "a\rb"]
+        g = Wsn.from_arrays(5, [0, 1, 2, 3, 4], [1, 2, 3, 0, 0], [0.5, -1.0, 0.25, 1.0, 0.5],
+                            labels=labels)
         scale = RatingScale(10)
         path = tmp_path / "out.csv"
         export_rating_csv(g, path, scale)

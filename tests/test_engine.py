@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fga_oracle
+from fga.dataio import export_scores_csv
 from fga.engine import (
     DEFAULT_CONFIG,
     HIGH_PRECISION,
@@ -16,7 +17,6 @@ from fga.engine import (
     WarmEdits,
     compute_fga,
     compute_fga_many,
-    export_scores_csv,
     predict_weight,
     recompute_after,
     recompute_flat,
