@@ -100,21 +100,26 @@ def _graph_after(graph: Wsn, final: FlatEdges) -> Callable[[], Wsn]:
 
 @dataclass
 class AttackOutcome:
-    """Before/after scores and the committed move log of one attack.
+    """Before/after scores and the committed move log of one attack on ``target``.
 
     A mixed attack's first k1 moves are its direct ones, and ``delta_direct`` is the
     target's goodness shift after those alone; its indirect part is
-    ``delta_goodness[target] - delta_direct``. Other attacks leave it None.
+    ``delta - delta_direct``. Other attacks leave it None.
     """
 
     moves: list[AttackMove]
     scores_before: FgaScores
     scores_after: FgaScores
-    targets: tuple[int, ...]
-    delta_goodness: dict[int, float]
+    target: int
     exhausted: bool = False
     delta_direct: float | None = None
     _after: Callable[[], Wsn] = field(kw_only=True, repr=False, compare=False)
+
+    @property
+    def delta(self) -> float:
+        """The target's goodness shift."""
+        after, before = self.scores_after.goodness, self.scores_before.goodness
+        return float(after[self.target] - before[self.target])
 
     @property
     def graph_after(self) -> Wsn:
@@ -192,8 +197,8 @@ class ExhaustiveSearchResult:
 # arrays; ``graph_after`` wraps the final overlay.
 
 
-def _by_descending_fairness(attackers, scores: FgaScores) -> list[int]:
-    return sorted(set(attackers), key=lambda a: (-scores.fairness[a], a))
+def _by_descending_fairness(attackers: set[int], scores: FgaScores) -> list[int]:
+    return sorted(attackers, key=lambda a: (-scores.fairness[a], a))
 
 
 def _moves(flat: FlatEdges, edits) -> list[AttackMove]:
@@ -297,31 +302,29 @@ def _indirect_scan(
     return flat, scores, moves, False
 
 
-def _outcome(
-    moves: list[AttackMove],
-    before: FgaScores,
-    after: FgaScores,
-    graph_after: Callable[[], Wsn],
-    targets: tuple[int, ...],
-    exhausted: bool = False,
-    delta_direct: float | None = None,
-) -> AttackOutcome:
-    delta = {t: float(after.goodness[t] - before.goodness[t]) for t in targets}
-    return AttackOutcome(
-        moves=moves,
-        scores_before=before,
-        scores_after=after,
-        targets=targets,
-        delta_goodness=delta,
-        exhausted=exhausted,
-        delta_direct=delta_direct,
-        _after=graph_after,
-    )
-
-
 # -- attack algorithms -------------------------------------------------------
 # ``before`` is the converged scores of ``graph`` under ``config``; when it is
-# omitted, the attack solves for them itself.
+# omitted, the attack solves for them itself, after checking its arguments.
+
+
+def _prologue(
+    graph: Wsn, attackers, target: int, config: FgaConfig | None, before: FgaScores | None,
+    needed: int = 0,
+) -> tuple[set[int], FgaConfig, FgaScores]:
+    """The attackers, read once into a set, the config and the scores before the attack.
+
+    Raises ValueError if the target is among the attackers or fewer than
+    ``needed`` attackers are distinct, before any solve.
+    """
+    config = config or ATTACK_CONFIG
+    pool = set(attackers)
+    if target in pool:
+        raise ValueError("the target cannot attack itself")
+    if needed > len(pool):
+        raise ValueError(f"need {needed} distinct attackers, have {len(pool)}")
+    if before is None:
+        before = compute_fga(graph, config)
+    return pool, config, before
 
 
 def direct_attack(
@@ -336,15 +339,10 @@ def direct_attack(
     An attacker that already rates the target degrades its move to a weight
     update; either way one budget unit is spent per attacker.
     """
-    config = config or ATTACK_CONFIG
-    attackers = sorted(set(attackers))
-    if target in attackers:
-        raise ValueError("the target cannot attack itself")
-    if before is None:
-        before = compute_fga(graph, config)
-    edits = [(attacker, target, -1.0) for attacker in attackers]
+    pool, config, before = _prologue(graph, attackers, target, config, before)
+    edits = [(attacker, target, -1.0) for attacker in sorted(pool)]
     view, after, moves = _rate_all(graph.flat(), before, edits, config)
-    return _outcome(moves, before, after, _graph_after(graph, view), (target,))
+    return AttackOutcome(moves, before, after, target, _after=_graph_after(graph, view))
 
 
 def indirect_attack_greedy(
@@ -382,16 +380,12 @@ def indirect_attack_scaled(
     """
     if scale < 1 or max_edges < 1:
         raise ValueError("scale and max_edges must be >= 1")
-    config = config or ATTACK_CONFIG
-    if before is None:
-        before = compute_fga(graph, config)
-    ordered = _by_descending_fairness(attackers, before)
-    if target in ordered:
-        raise ValueError("the target cannot attack itself")
+    pool, config, before = _prologue(graph, attackers, target, config, before)
+    ordered = _by_descending_fairness(pool, before)
     view, after, moves, exhausted = _indirect_scan(
         graph.flat(), before, ordered, target, config, scale, max_edges
     )
-    return _outcome(moves, before, after, _graph_after(graph, view), (target,), exhausted)
+    return AttackOutcome(moves, before, after, target, exhausted, _after=_graph_after(graph, view))
 
 
 def mixed_attack(
@@ -409,16 +403,9 @@ def mixed_attack(
     attacker is assigned twice. The outcome's first k1 moves are the direct
     ones, and it sets ``delta_direct``; ``exhausted`` is the indirect scan's.
     """
-    config = config or ATTACK_CONFIG
     if k1 < 0 or k2 < 0:
         raise ValueError("k1 and k2 must be >= 0")
-    pool = set(attackers)
-    if target in pool:
-        raise ValueError("the target cannot attack itself")
-    if k1 + k2 > len(pool):
-        raise ValueError(f"need {k1 + k2} distinct attackers, have {len(pool)}")
-    if before is None:
-        before = compute_fga(graph, config)
+    pool, config, before = _prologue(graph, attackers, target, config, before, needed=k1 + k2)
     ordered = _by_descending_fairness(pool, before)
     edits = [(attacker, target, -1.0) for attacker in ordered[:k1]]
     flat, mid, direct_moves = _rate_all(graph.flat(), before, edits, config)
@@ -426,9 +413,9 @@ def mixed_attack(
     view, after, indirect_moves, exhausted = _indirect_scan(
         flat, mid, ordered[k1 : k1 + k2], target, config, scale=1, max_edges=1
     )
-    return _outcome(
-        direct_moves + indirect_moves, before, after, _graph_after(graph, view), (target,),
-        exhausted, delta_direct,
+    return AttackOutcome(
+        direct_moves + indirect_moves, before, after, target, exhausted, delta_direct,
+        _after=_graph_after(graph, view),
     )
 
 

@@ -185,7 +185,7 @@ def _run_sample(
         config.mode, graph, attackers, target,
         k1=cell[0], scale=config.scale, max_edges=config.max_edges, before=base_scores,
     )
-    record["delta"] = outcome.delta_goodness[target]
+    record["delta"] = outcome.delta
     if config.mode in ("indirect", "indirect-scaled"):
         record["moves"] = len(outcome.moves)
     if outcome.delta_direct is not None:

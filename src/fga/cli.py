@@ -255,7 +255,7 @@ def _cmd_attack(args) -> int:
             k1=args.k1, scale=args.scale, max_edges=args.max_edges, before=scores,
         )
         moves = outcome.moves
-        delta = outcome.delta_goodness[target]
+        delta = outcome.delta
         payload["exhausted"] = outcome.exhausted
         if outcome.delta_direct is None:
             payload.update({
@@ -323,9 +323,9 @@ def _cmd_campaign(args) -> int:
         overrides.update(k_values=ks, k1_values=ks, k2_values=ks)
     # replace() re-runs the config's validation on the overridden fields
     config = dataclasses.replace(config, **overrides)
-    # a bad output path fails here, before the graph loads or any sample runs
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     graph = _load_graph(args)
+    # made after the source loads, so a failed load leaves none, and before any sample runs
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     result = campaign_mod.run_campaign(graph, config)
     written = campaign_mod.report(result, args.out_dir, fmt=args.format)
     for path in written:

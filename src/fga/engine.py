@@ -38,7 +38,8 @@ and the greedy attack scan decides its candidates on it.
 An ``EditSolve`` is the warm re-solve of one one-edit overlay (attacker a
 sets its rating of r), resumable sweep by sweep. ``WarmEdits`` runs two
 dense sweeps of the unedited store from the warm start once, and every
-``EditSolve`` made from it recomputes its sweeps 1 and 2 on a frontier only:
+``EditSolve`` made from it recomputes its sweeps 1 and 2 on a frontier only,
+whose plans for both sweeps are built when the frontier is made:
 
 - sweep 1: goodness at r (its in-edges changed), then fairness at r's
   raters (the goodness they are measured against changed), a among them;
@@ -374,43 +375,35 @@ class _Frontier:
 
     Sweep t recomputes goodness at r and, at sweep 2, at every node the
     sweep-1 fairness frontier rates, then fairness at every rater of those.
+    Both sweeps' sides are built when the frontier is made: ``sides[t - 1]``
+    holds sweep t's goodness and fairness sides.
     """
 
     def __init__(self, flat: FlatEdges, a: int, r: int) -> None:
         self.flat, self.edge = flat, (a, r)
         self.at, self.present = flat.locate(a, r)  # the edited edge's canonical position
-        self._rated = np.zeros(flat.n, dtype=bool)  # the next goodness frontier
-        self._rated[r] = True
-        self._sides: list[tuple[_Side, _Side]] = []
-
-    def sides(self, t: int) -> tuple[_Side, _Side]:
-        """Sweep t's goodness and fairness sides, built on first use."""
-        while len(self._sides) < t:
-            self._sides.append(self._next_sides())
-        return self._sides[t - 1]
-
-    def _next_sides(self) -> tuple[_Side, _Side]:
-        flat = self.flat
-        a, r = self.edge
-        nodes = self._rated.nonzero()[0]
-        # in-edges are scattered over the arrays; at sweep 1 they are r's alone
-        edges = ((flat.dst == r) if not self._sides else self._rated[flat.dst]).nonzero()[0]
-        local = np.empty(flat.n, dtype=np.intp)
-        local[nodes] = np.arange(len(nodes))
-        into = self._side(nodes, edges, local[flat.dst[edges]], flat.src, flat.indeg, r, a)
-        raters = np.zeros(flat.n, dtype=bool)
-        raters[into.ends] = True
-        nodes = raters.nonzero()[0]
-        # node u's out-edges are the run of outdeg[u] positions from src.searchsorted(u)
-        starts, counts = flat.src.searchsorted(nodes), flat.outdeg[nodes].astype(np.intp)
-        offsets = np.cumsum(counts) - counts
-        edges = np.arange(offsets[-1] + counts[-1])
-        edges += np.repeat(starts - offsets, counts)
-        bins = np.repeat(np.arange(len(nodes)), counts)
-        out = self._side(nodes, edges, bins, flat.dst, flat.outdeg, a, r)
-        self._rated = np.zeros(flat.n, dtype=bool)
-        self._rated[out.ends] = True
-        return into, out
+        rated = np.zeros(flat.n, dtype=bool)  # the goodness frontier
+        rated[r] = True
+        self.sides: list[tuple[_Side, _Side]] = []
+        for t in (1, 2):
+            nodes = rated.nonzero()[0]
+            # in-edges are scattered over the arrays; at sweep 1 they are r's alone
+            edges = ((flat.dst == r) if t == 1 else rated[flat.dst]).nonzero()[0]
+            local = np.empty(flat.n, dtype=np.intp)
+            local[nodes] = np.arange(len(nodes))
+            into = self._side(nodes, edges, local[flat.dst[edges]], flat.src, flat.indeg, r, a)
+            raters = np.zeros(flat.n, dtype=bool)
+            raters[into.ends] = True
+            nodes = raters.nonzero()[0]
+            # node u's out-edges are the run of outdeg[u] positions from src.searchsorted(u)
+            starts, counts = flat.src.searchsorted(nodes), flat.outdeg[nodes].astype(np.intp)
+            offsets = np.cumsum(counts) - counts
+            edges = np.arange(offsets[-1] + counts[-1])
+            edges += np.repeat(starts - offsets, counts)
+            bins = np.repeat(np.arange(len(nodes)), counts)
+            out = self._side(nodes, edges, bins, flat.dst, flat.outdeg, a, r)
+            self.sides.append((into, out))
+            rated[out.ends] = True  # sweep 2's goodness frontier: r is among them, as a rates it
 
     def _side(self, nodes, edges, bins, ends, degrees, own, end) -> _Side:
         """The side over ``edges`` (ascending), with the edited edge (own's, to ``end``) spliced in."""
@@ -499,7 +492,7 @@ class EditSolve:
         base = self._base
         a, r, weight = self.edit
         t = self.iterations + 1
-        into, out = self._frontier.sides(t)
+        into, out = self._frontier.sides[t - 1]
         f, g = self.fairness, self.goodness
         terms = f[into.ends]
         terms *= into.w

@@ -60,7 +60,7 @@ class TestBenchmarkNetworkValues:
         assert after.fairness[2] == pytest.approx(0.7, abs=TOL)
         assert after.goodness[3] == pytest.approx(0.8, abs=TOL)
         assert after.fairness[attacker] == pytest.approx(0.3, abs=TOL)
-        assert outcome.delta_goodness[0] == pytest.approx(0.4 - 1.0, abs=TOL)
+        assert outcome.delta == pytest.approx(0.4 - 1.0, abs=TOL)
 
     def test_indirect_attack_via_co_rated_node(self):
         # the attacker rates node 4 (already rated by 2), dragging 2's fairness
@@ -85,7 +85,7 @@ class TestDirectAttack:
         g = two_rater_chain()
         outcome = direct_attack(g, [], 0)
         assert outcome.moves == []
-        assert outcome.delta_goodness[0] == 0.0
+        assert outcome.delta == 0.0
 
     def test_target_cannot_attack_itself(self):
         g = two_rater_chain()
@@ -245,6 +245,7 @@ class TestIndirectGreedy:
         assert [(m.attacker, m.rated, m.weight) for m in outcome.moves] == oracle_moves
         assert (outcome.moves[0].rated, outcome.moves[0].weight) == tied[0]
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)  # examples: the hypothesis profile's (tests/conftest.py)
     @given(
         base=st.floats(min_value=-0.9, max_value=0.9),
@@ -428,7 +429,7 @@ class TestMixedAttack:
         target = next(v for v in g.nodes() if g.indeg(v) > 0)
         attackers = [v for v in g.nodes() if v != target][:4]
         outcome = mixed_attack(g, attackers, target, k1=0, k2=2)
-        total = outcome.delta_goodness[target]
+        total = outcome.delta
         assert outcome.delta_direct == 0.0
         assert total == pytest.approx(total - outcome.delta_direct, abs=1e-15)
 
@@ -437,7 +438,7 @@ class TestMixedAttack:
         target = next(v for v in g.nodes() if g.indeg(v) > 0)
         attackers = [v for v in g.nodes() if v != target][:4]
         outcome = mixed_attack(g, attackers, target, k1=2, k2=0)
-        total = outcome.delta_goodness[target]
+        total = outcome.delta
         assert len(outcome.moves) == 2
         assert total - outcome.delta_direct == pytest.approx(0.0, abs=1e-15)
         assert total == pytest.approx(outcome.delta_direct, abs=1e-15)
@@ -451,7 +452,7 @@ class TestMixedAttack:
         )
         attackers = [v for v in g.nodes() if v != target][:4]
         outcome = mixed_attack(g, attackers, target, k1=2, k2=2)
-        total = outcome.delta_goodness[target]
+        total = outcome.delta
         # identity by construction
         assert outcome.delta_direct + (total - outcome.delta_direct) == pytest.approx(
             total, abs=1e-15
@@ -464,7 +465,7 @@ class TestMixedAttack:
         # the first k1 moves are the direct ones, and delta_direct is measured after them
         assert [(m.rated, m.weight) for m in outcome.moves[:2]] == [(target, -1.0)] * 2
         direct = direct_attack(g, [m.attacker for m in outcome.moves[:2]], target, before=scores)
-        assert outcome.delta_direct == pytest.approx(direct.delta_goodness[target], abs=TOL)
+        assert outcome.delta_direct == pytest.approx(direct.delta, abs=TOL)
 
     def test_indirect_attackers_out_of_successors_report_exhausted(self):
         g = Wsn()
@@ -476,10 +477,13 @@ class TestMixedAttack:
         assert [(m.attacker, m.rated) for m in outcome.moves] == [(2, 0)]
         assert outcome.exhausted
 
-    def test_overlapping_assignment_rejected(self):
+    def test_overlapping_assignment_rejected(self, monkeypatch):
         g = generate_random_graph(20, seed=2)
+        monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)  # both checks come first
         with pytest.raises(ValueError, match="distinct attackers"):
             mixed_attack(g, [1, 2], 0, k1=2, k2=1)
+        with pytest.raises(ValueError, match="k1 and k2"):
+            mixed_attack(g, [1, 2], 0, k1=-1, k2=1)
 
 
 class TestInjectSybil:
@@ -786,18 +790,28 @@ class TestSelection:
         assert not (set(excluded) & set(a))
 
 
+def no_cold_solve(*args, **kwargs):
+    raise AssertionError("cold solve where none was due")
+
+
 class TestFlatCore:
     """Attacks edit overlays of the graph's cached flat edges, never the base."""
 
     ARRAYS = ("src", "dst", "w", "indeg", "outdeg")
+    NAMES = ("direct", "greedy", "scaled", "mixed")
+
+    @staticmethod
+    def every_attack(before):
+        """Each attack as a function of (graph, attackers, target), in ``NAMES`` order."""
+        return [
+            lambda g, a, t: direct_attack(g, a, t, before=before),
+            lambda g, a, t: indirect_attack_greedy(g, a, t, before=before),
+            lambda g, a, t: indirect_attack_scaled(g, a, t, scale=2, max_edges=3, before=before),
+            lambda g, a, t: mixed_attack(g, a, t, 1, 2, before=before),
+        ]
 
     def run_every_attack(self, g, target, attackers, before):
-        return [
-            direct_attack(g, attackers, target, before=before),
-            indirect_attack_greedy(g, attackers, target, before=before),
-            indirect_attack_scaled(g, attackers, target, scale=2, max_edges=3, before=before),
-            mixed_attack(g, attackers, target, 1, 2, before=before),
-        ]
+        return [attack(g, attackers, target) for attack in self.every_attack(before)]
 
     def scored_instance(self):
         g = generate_random_graph(40, avg_out_degree=4.0, seed=23, positive_fraction=0.85)
@@ -826,10 +840,6 @@ class TestFlatCore:
     def test_given_before_skips_the_cold_solve_and_changes_nothing(self, monkeypatch):
         g, scores, target, attackers = self.scored_instance()
         expected = self.run_every_attack(g, target, attackers, None)
-
-        def no_cold_solve(*args, **kwargs):
-            raise AssertionError("cold solve despite before=")
-
         monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)
         got = self.run_every_attack(g, target, attackers, scores)
         for want, have in zip(expected, got):
@@ -838,6 +848,24 @@ class TestFlatCore:
         for want, have in zip(expected, got):
             assert want.moves == have.moves
             assert want.delta_direct == have.delta_direct
+
+    @pytest.mark.parametrize("which", range(4), ids=NAMES)
+    def test_target_among_attackers_is_rejected_before_any_cold_solve(self, which, monkeypatch):
+        g, _, target, attackers = self.scored_instance()
+        monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)
+        with pytest.raises(ValueError, match="cannot attack itself"):
+            self.every_attack(None)[which](g, [*attackers, target], target)
+
+    @pytest.mark.parametrize("which", range(4), ids=NAMES)
+    def test_attackers_may_be_a_generator(self, which):
+        g, scores, target, attackers = self.scored_instance()
+        for before in (None, scores):
+            attack = self.every_attack(before)[which]
+            want, have = attack(g, attackers, target), attack(g, (a for a in attackers), target)
+            assert have.moves == want.moves
+            assert have.target == want.target == target
+            assert have.delta == want.delta
+            assert have.delta_direct == want.delta_direct
 
 
 class TestGraphAfter:

@@ -431,6 +431,19 @@ class TestCampaignCommand:
             "--out-dir", str(taken),
         ]) == 2
 
+    @pytest.mark.parametrize("source, code", [
+        (["--generate", "erdos:n=20,bogus=1"], 2),
+        (["--dataset", "bitcoin-otc"], 3),
+        (["--generate", "erdos:n=20", "--r-max", "5"], 2),
+    ], ids=["bad-generator-parameter", "missing-dataset", "r-max-without-input"])
+    def test_a_source_that_fails_leaves_no_out_dir(self, tmp_path, source, code):
+        out = tmp_path / "out"
+        assert main([
+            "--data-dir", str(tmp_path / "no-data"), "campaign", *source, "--mode", "direct",
+            "--out-dir", str(out),
+        ]) == code
+        assert not out.exists()
+
     def test_missing_out_dir_is_exit_2(self):
         assert main([
             "campaign", "--generate", "erdos:n=20", "--mode", "direct",
@@ -608,6 +621,7 @@ def bounds_tmp_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("bounds")
 
 
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(
     data=st.data(),
@@ -649,6 +663,7 @@ def test_axioms_exit_codes(samples, seed):
 ATTACKABLE = "erdos:n=70,deg=5,pos=0.95"
 
 
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(
     data=st.data(),
@@ -743,6 +758,7 @@ def _out_flag(tmp_dir):
     return st.sampled_from([[], ["--out", str(tmp_dir / "out.txt")], ["--out", str(tmp_dir)]])
 
 
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(
     data=st.data(),
@@ -757,6 +773,7 @@ def test_compute_exit_codes(command_tmp_dir, data, max_iterations, tolerance):
     _run_command(argv)
 
 
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(data=st.data(), ends=st.tuples(*[st.sampled_from(["0", "19", "alice", "bob", "nobody"])] * 2))
 def test_predict_exit_codes(command_tmp_dir, data, ends):
@@ -765,6 +782,7 @@ def test_predict_exit_codes(command_tmp_dir, data, ends):
     _run_command(argv + ["--source", ends[0], "--target", ends[1]])
 
 
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(data=st.data())
 def test_stats_exit_codes(command_tmp_dir, data):
@@ -772,6 +790,7 @@ def test_stats_exit_codes(command_tmp_dir, data):
     _run_command(argv + data.draw(_out_flag(command_tmp_dir)))
 
 
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(
     data=st.data(),

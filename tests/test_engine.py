@@ -196,6 +196,7 @@ class TestConvergenceRate:
             gap = np.abs(final.goodness - partial.goodness)
             assert np.all(gap <= 2.0 * partial.max_residual + 1e-12), t
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)  # examples: the hypothesis profile's (tests/conftest.py)
     @given(st.data())
     def test_later_goodness_within_twice_the_fairness_step(self, data):
@@ -219,6 +220,7 @@ class TestConvergenceRate:
 
 
 class TestEditSolve:
+    @pytest.mark.ci_profile
     @settings(deadline=None)  # examples: the hypothesis profile's (tests/conftest.py)
     @given(st.data())
     def test_frontier_sweeps_equal_the_dense_sweeps(self, data):

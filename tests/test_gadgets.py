@@ -108,6 +108,7 @@ def assert_built_as_reference(build, reference, *args):
 FAIRNESS = st.floats(0.05, 1.0, exclude_min=True)
 
 
+@pytest.mark.ci_profile
 class TestBlockBuilder:
     @settings(deadline=None)
     @given(k=st.integers(1, 5), l=st.integers(0, 200), fairness=FAIRNESS)

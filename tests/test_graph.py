@@ -551,6 +551,7 @@ class TestFromArrays:
 class TestLocate:
     """``locate`` finds an edge, or where it would go, from u's run of ``src`` and ``dst``."""
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(edge_lists(), st.data())
     def test_locate_and_overlays_match_a_dict_of_edges(self, drawn, data):
