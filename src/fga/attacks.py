@@ -46,7 +46,7 @@ import numpy as np
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
 from .engine import EditSolve, WarmEdits, compute_fga_many
 from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
-from .graph import Wsn
+from .graph import Wsn, node_index
 
 #: Measurement-grade settings; attack deltas are asserted at 1e-9 downstream.
 ATTACK_CONFIG = HIGH_PRECISION
@@ -166,8 +166,12 @@ class AttackProblem:
             raise ValueError("threshold must lie in [-1, 1]")
         if (self.targets is None) == (self.target_pairs is None):
             raise ValueError("exactly one of targets / target_pairs must be given")
+        n = self.graph.node_count
+        self.attackers = tuple(node_index(v, n) for v in self.attackers)
+        self.intermediaries = tuple(node_index(v, n) for v in self.intermediaries)
         attackers = set(self.attackers)
         if self.targets is not None:
+            self.targets = tuple(node_index(v, n) for v in self.targets)
             if not self.targets:
                 raise ValueError("target set must be non-empty")
             if attackers & set(self.targets):
@@ -175,6 +179,8 @@ class AttackProblem:
         if self.target_pairs is not None:
             if not self.target_pairs:
                 raise ValueError("target pair set must be non-empty")
+            pairs = self.target_pairs
+            self.target_pairs = tuple((node_index(u, n), node_index(v, n)) for u, v in pairs)
             for u, v in self.target_pairs:
                 if u == v:
                     raise ValueError(f"degenerate pair ({u}, {v})")
@@ -310,21 +316,22 @@ def _indirect_scan(
 def _prologue(
     graph: Wsn, attackers, target: int, config: FgaConfig | None, before: FgaScores | None,
     needed: int = 0,
-) -> tuple[set[int], FgaConfig, FgaScores]:
-    """The attackers, read once into a set, the config and the scores before the attack.
+) -> tuple[set[int], int, FgaConfig, FgaScores]:
+    """The attackers, read once into a set, the target, the config and the scores before.
 
-    Raises ValueError if the target is among the attackers or fewer than
-    ``needed`` attackers are distinct, before any solve.
+    Raises KeyError for a node not in the graph, and ValueError if the target is
+    among the attackers or fewer than ``needed`` attackers are distinct, before any solve.
     """
     config = config or ATTACK_CONFIG
-    pool = set(attackers)
+    target = node_index(target, graph.node_count)
+    pool = {node_index(attacker, graph.node_count) for attacker in attackers}
     if target in pool:
         raise ValueError("the target cannot attack itself")
     if needed > len(pool):
         raise ValueError(f"need {needed} distinct attackers, have {len(pool)}")
     if before is None:
         before = compute_fga(graph, config)
-    return pool, config, before
+    return pool, target, config, before
 
 
 def direct_attack(
@@ -339,7 +346,7 @@ def direct_attack(
     An attacker that already rates the target degrades its move to a weight
     update; either way one budget unit is spent per attacker.
     """
-    pool, config, before = _prologue(graph, attackers, target, config, before)
+    pool, target, config, before = _prologue(graph, attackers, target, config, before)
     edits = [(attacker, target, -1.0) for attacker in sorted(pool)]
     view, after, moves = _rate_all(graph.flat(), before, edits, config)
     return AttackOutcome(moves, before, after, target, _after=_graph_after(graph, view))
@@ -380,7 +387,7 @@ def indirect_attack_scaled(
     """
     if scale < 1 or max_edges < 1:
         raise ValueError("scale and max_edges must be >= 1")
-    pool, config, before = _prologue(graph, attackers, target, config, before)
+    pool, target, config, before = _prologue(graph, attackers, target, config, before)
     ordered = _by_descending_fairness(pool, before)
     view, after, moves, exhausted = _indirect_scan(
         graph.flat(), before, ordered, target, config, scale, max_edges
@@ -405,7 +412,7 @@ def mixed_attack(
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("k1 and k2 must be >= 0")
-    pool, config, before = _prologue(graph, attackers, target, config, before, needed=k1 + k2)
+    pool, target, config, before = _prologue(graph, attackers, target, config, before, k1 + k2)
     ordered = _by_descending_fairness(pool, before)
     edits = [(attacker, target, -1.0) for attacker in ordered[:k1]]
     flat, mid, direct_moves = _rate_all(graph.flat(), before, edits, config)

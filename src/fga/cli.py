@@ -52,27 +52,27 @@ ATTACK_DEFAULTS = {"k": 1, "k1": 0, "k2": 0, "scale": SCALE, "max_edges": MAX_ED
                    "threshold": 0.0}
 
 
-#: The parameters of each generator spec, and whether each must be an integer.
-_GENERATOR_PARAMS = {
-    "erdos": {"n": True, "deg": False, "pos": False},
-    "min-k": {"n": True, "k": True},
-    "complete": {"n": True},
-    "star": {"k": True, "l": True, "fairness": False},
+#: Each generator spec's parameters and their defaults; an integer default marks a size.
+GENERATORS = {
+    "erdos": {"n": 80, "deg": 4.0, "pos": 0.9},
+    "min-k": {"n": 30, "k": 3},
+    "complete": {"n": 5},
+    "star": {"k": 2, "l": 5, "fairness": 1.0},
 }
 
 
 def _parse_generate(spec: str, seed: int) -> Wsn:
     """Build a graph from a compact spec like ``erdos:n=80,deg=4,pos=0.9``."""
     kind, _, rest = spec.partition(":")
-    known = _GENERATOR_PARAMS.get(kind)
-    if known is None:
-        raise ValueError(f"unknown generator {kind!r} (use {', '.join(_GENERATOR_PARAMS)})")
-    params: dict[str, float] = {}
+    defaults = GENERATORS.get(kind)
+    if defaults is None:
+        raise ValueError(f"unknown generator {kind!r} (use {', '.join(GENERATORS)})")
+    params = dict(defaults)
     for item in rest.split(",") if rest else ():
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in known:
-            raise ValueError(f"unknown parameter {key!r} for {kind} (use {', '.join(known)})")
+        if key not in defaults:
+            raise ValueError(f"unknown parameter {key!r} for {kind} (use {', '.join(defaults)})")
         try:
             number = float(value)
         except ValueError:
@@ -80,27 +80,19 @@ def _parse_generate(spec: str, seed: int) -> Wsn:
         # a non-finite value is rejected: int(inf) would overflow
         if not np.isfinite(number):
             raise ValueError(f"bad generator parameter {item!r}")
-        if known[key] and not number.is_integer():
+        size = isinstance(defaults[key], int)
+        if size and not number.is_integer():
             raise ValueError(f"generator parameter {key!r} must be an integer, got {value.strip()!r}")
-        params[key] = number
+        params[key] = int(number) if size else number
     if kind == "erdos":
         return generators.generate_random_graph(
-            int(params.get("n", 80)),
-            avg_out_degree=params.get("deg", 4.0),
-            seed=seed,
-            positive_fraction=params.get("pos", 0.9),
+            params["n"], avg_out_degree=params["deg"], seed=seed, positive_fraction=params["pos"]
         )
     if kind == "min-k":
-        return generators.generate_min_k_neighbour(
-            int(params.get("n", 30)), int(params.get("k", 3)), seed=seed
-        )
+        return generators.generate_min_k_neighbour(params["n"], params["k"], seed=seed)
     if kind == "complete":
-        return generators.generate_complete_positive(int(params.get("n", 5)))
-    graph, _, _, _ = gadgets.stabilised_star(
-        int(params.get("k", 2)), int(params.get("l", 5)),
-        influencer_fairness=params.get("fairness", 1.0),
-    )
-    return graph
+        return generators.generate_complete_positive(params["n"])
+    return gadgets.stabilised_star(params["k"], params["l"], params["fairness"])[0]
 
 
 def _load_graph(args) -> Wsn:
@@ -127,7 +119,10 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
                         help=f"raw scale half-width, --input only (default {INPUT_R_MAX:g})")
     parser.add_argument("--dataset", choices=sorted(dataio.DATASETS),
                         help="named dataset under the data directory")
-    parser.add_argument("--generate", help="synthetic graph spec, e.g. erdos:n=80,deg=4")
+    specs = (kind + ":" + ",".join(f"{key}={value:g}" for key, value in defaults.items())
+             for kind, defaults in GENERATORS.items())
+    parser.add_argument("--generate",
+                        help=f"synthetic graph spec; kinds and defaults: {' '.join(specs)}")
 
 
 def _emit(args, payload: dict | str) -> None:
@@ -187,20 +182,6 @@ def _cmd_axioms(args) -> int:
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_INVARIANT
 
 
-def _pick_target(args, graph, scores, criteria, rng):
-    if args.target is not None:
-        return graph.id_of(args.target)
-    return select_targets(graph, scores, criteria, 1, rng)[0]
-
-
-def _move_rows(graph, moves) -> list[dict]:
-    return [
-        {"kind": m.kind, "attacker": graph.label_of(m.attacker),
-         "rated": graph.label_of(m.rated), "weight": m.weight}
-        for m in moves
-    ]
-
-
 def _reject_flags(what: str, takes, given: dict) -> None:
     """Raise ValueError naming each flag of ``given`` that is set but not in ``takes``."""
     extra = [flag for flag, value in given.items() if value is not None and flag not in takes]
@@ -220,7 +201,8 @@ def _cmd_attack(args) -> int:
     scores = compute_fga(graph, ATTACK_CONFIG)
     criteria = SelectionCriteria()
     rng = np.random.default_rng([args.seed, 1])
-    target = _pick_target(args, graph, scores, criteria, rng)
+    target = (select_targets(graph, scores, criteria, 1, rng)[0] if args.target is None
+              else graph.id_of(args.target))
     attackers = select_attackers(
         graph, scores, criteria, needed, rng,
         attacker_class=args.attacker_class, exclude={target},
@@ -269,7 +251,8 @@ def _cmd_attack(args) -> int:
                 "delta_indirect": delta - outcome.delta_direct,
                 "delta_total": delta,
             })
-    payload["moves"] = _move_rows(graph, moves)
+    payload["moves"] = [{"kind": m.kind, "attacker": graph.label_of(m.attacker),
+                         "rated": graph.label_of(m.rated), "weight": m.weight} for m in moves]
     _emit(args, payload)
     return EXIT_OK
 
@@ -292,7 +275,7 @@ def _cmd_bounds(args) -> int:
     else:
         k = BOUNDS_K if args.k is None else args.k
         if not has_source:
-            args.generate = f"min-k:n=30,k={k}"
+            args.generate = f"min-k:k={k}"
         reports = bounds.verify_indirect_sybil(_load_graph(args), k, trials, args.seed)
     rows = [(f"{r.bound_value:.12g}", f"{r.observed_delta:.12g}", str(r.satisfied),
              ";".join(f"{k}={v}" for k, v in sorted(r.context.items()))) for r in reports]

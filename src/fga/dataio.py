@@ -110,33 +110,24 @@ def export_scores_csv(graph: Wsn, scores: FgaScores, fh) -> None:
     )])
 
 
-def data_dir(explicit: str | os.PathLike | None = None) -> Path | None:
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(DATA_DIR_ENV)
-    return Path(env) if env else None
-
-
 def dataset_path(name: str, directory: str | os.PathLike | None = None) -> Path:
+    """``name``'s file under ``directory`` ("" is the current one), else under $FGA_DATA_DIR."""
     if name not in DATASETS:
         raise ValueError(f"unknown dataset {name!r}; known: {sorted(DATASETS)}")
-    base = data_dir(directory)
-    if base is None:
+    if directory is None:
+        directory = os.environ.get(DATA_DIR_ENV) or None
+    if directory is None:
         raise DatasetMissingError(
             f"no data directory; set {DATA_DIR_ENV} or pass --data-dir to locate {name}"
         )
-    path = base / DATASETS[name][0]
+    path = Path(directory) / DATASETS[name][0]
     if not path.exists():
         raise DatasetMissingError(f"dataset file {path} not found")
     return path
 
 
-def dataset_scale(name: str) -> RatingScale:
-    return RatingScale(DATASETS[name][1])
-
-
 def load_dataset(name: str, directory: str | os.PathLike | None = None) -> Wsn:
-    return load_rating_csv(dataset_path(name, directory), dataset_scale(name))
+    return load_rating_csv(dataset_path(name, directory), RatingScale(DATASETS[name][1]))
 
 
 @dataclass

@@ -100,7 +100,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graph import FlatEdges, Wsn, _check_edge, node_index
+from .graph import FlatEdges, Wsn, _check_edge, node_index, splice
 
 
 @dataclass(frozen=True)
@@ -357,9 +357,10 @@ class _Side(NamedTuple):
     """One half of a frontier sweep: the nodes it recomputes and their edges, in canonical order.
 
     Edge i adds a term to node ``nodes[bins[i]]`` that reads the value of node
-    ``ends[i]`` and weight ``w[i]``; the edited edge is edge ``at``, whose
-    weight each solve puts in. ``deg`` holds the nodes' degrees after the
-    edit. Every node has an edge, so no baseline value applies and deg >= 1.
+    ``ends[i]`` and weight ``w[i]``; the edited edge is edge ``at``, whose weight each
+    solve puts in (if absent, ``graph.splice`` inserts it, as ``FlatEdges.with_ratings``
+    does). ``deg`` holds the nodes' degrees after the edit. Every node has an edge, so no
+    baseline value applies and deg >= 1.
     """
 
     nodes: np.ndarray
@@ -376,7 +377,7 @@ class _Frontier:
     Sweep t recomputes goodness at r and, at sweep 2, at every node the
     sweep-1 fairness frontier rates, then fairness at every rater of those.
     Both sweeps' sides are built when the frontier is made: ``sides[t - 1]``
-    holds sweep t's goodness and fairness sides.
+    holds sweep t's goodness and fairness sides, each spliced as the overlay is.
     """
 
     def __init__(self, flat: FlatEdges, a: int, r: int) -> None:
@@ -412,7 +413,8 @@ class _Frontier:
         deg = degrees[nodes]
         if not self.present:
             own_bin = int(nodes.searchsorted(own))
-            ends, bins, w = _put(ends, at, end), _put(bins, at, own_bin), _put(w, at, 0.0)
+            ends, bins, w = (splice(ends, (at,), (end,)), splice(bins, (at,), (own_bin,)),
+                             splice(w, (at,), (0.0,)))
             deg[own_bin] += 1.0
         return _Side(nodes, ends, bins, w, at, deg)
 
@@ -529,13 +531,6 @@ class EditSolve:
         self.iterations, self.residual, self.fairness_step = t, residual, f_step
         if base.config.stops(residual, t):
             self._stop(FgaScores(fairness, goodness, t, residual))
-
-
-def _put(array: np.ndarray, at: int, value) -> np.ndarray:
-    """A copy of ``array`` with ``value`` inserted before position ``at``."""
-    out = np.empty(len(array) + 1, dtype=array.dtype)
-    out[:at], out[at], out[at + 1 :] = array[:at], value, array[at:]
-    return out
 
 
 def compute_fga(graph: Wsn, config: FgaConfig | None = None) -> FgaScores:

@@ -40,8 +40,10 @@ class _EdgeList:
         """``count`` sinks rated ``weight`` by ``rater``, each rated 1.0 by ``m`` fresh pinners.
 
         Sink s is followed by its pinners s+1..s+m, as adding them one at a
-        time numbers them.
+        time numbers them. A count of 0 adds nothing.
         """
+        if not count:
+            return []
         ids = self.add_nodes(count * (m + 1))
         src = np.arange(ids.start, ids.stop)
         dst = np.repeat(src[:: m + 1], m + 1)  # sink s is rated from s, s+1, ..., s+m,
@@ -85,29 +87,14 @@ def _sink_weight(error: float, rater_fairness: float, m: int) -> float:
     return min(1.0, max(-1.0, w))
 
 
-def attach_fairness_ballast(
-    graph: _EdgeList,
-    rater: int,
-    target_fairness: float,
-    existing_errors: Sequence[float] = (),
-) -> None:
-    """Attach sink structure so the rater's converged fairness equals ``target_fairness``.
-
-    ``existing_errors`` are the rating errors the rater's current out-edges
-    will carry at the intended fixed point; the ballast absorbs whatever error
-    budget they leave over. Fairness 1 needs no ballast. Only an ``_EdgeList``
-    grows; a ``Wsn`` is accepted where nothing is added, that is at fairness 1
-    or when the request raises ``GadgetError``.
-    """
-    sinks, m, w = _ballast_plan(target_fairness, existing_errors)
-    if sinks:
-        graph.pin_sinks(rater, w, sinks, m)
-
-
 def _ballast_plan(
     target_fairness: float, existing_errors: Sequence[float]
-) -> tuple[int, int, float]:
-    """The ballast's sink count, pinners per sink and sink weight; no sinks at fairness 1."""
+) -> tuple[float, int, int]:
+    """``pin_sinks``' (weight, count, m) that pin a rater's fairness at ``target_fairness``.
+
+    ``existing_errors`` are the errors its other out-edges carry at the fixed point;
+    the sinks absorb the error budget they leave. Fairness 1 needs no sinks: count 0.
+    """
     f0 = float(target_fairness)
     if not 0.0 < f0 <= 1.0:
         raise GadgetError(f"fairness {f0} not realizable (must be in (0, 1])")
@@ -120,7 +107,7 @@ def _ballast_plan(
     if f0 == 1.0:
         if total > 1e-12:
             raise GadgetError("fairness 1 is incompatible with nonzero rating error")
-        return 0, 0, 1.0
+        return 1.0, 0, 0
 
     # Want f0 = 1 - (total + sinks * d) / (2 (count + sinks)); solve for the
     # per-sink error d given an integer sink count. The per-sink error floors
@@ -141,7 +128,7 @@ def _ballast_plan(
     d = max(0.0, d)
 
     m = _pinner_count(d, f0)
-    return sinks, m, _sink_weight(d, f0, m)
+    return _sink_weight(d, f0, m), sinks, m
 
 
 def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int, list[list[int]]]:
@@ -171,9 +158,7 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
         raters = []
         for _ in range(size):
             rater = graph.add_nodes(1)[0]
-            attach_fairness_ballast(
-                graph, rater, f0, existing_errors=[abs(omega - centre_goodness)]
-            )
+            graph.pin_sinks(rater, *_ballast_plan(f0, [abs(omega - centre_goodness)]))
             raters.append(rater)
         graph.rate(raters, centre, omega)
         rater_groups.append(raters)
@@ -224,9 +209,7 @@ def stabilised_star(
     influencers = []
     for _ in range(k):
         rater = graph.add_nodes(1)[0]
-        attach_fairness_ballast(
-            graph, rater, f0, existing_errors=[1.0 - centre_goodness]
-        )
+        graph.pin_sinks(rater, *_ballast_plan(f0, [1.0 - centre_goodness]))
         influencers.append(rater)
     stabilisers = list(graph.add_nodes(l))
     graph.rate(influencers + stabilisers, centre, 1.0)

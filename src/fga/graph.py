@@ -394,26 +394,27 @@ class FlatEdges:
                 inserts.append((at, u, v))
         if not inserts:
             return FlatEdges(n, self.src, self.dst, w, self.indeg, self.outdeg)
-        # Splice each array in one pass: old run i moves up by i, new edge i lands after it.
-        cuts = [0, *(at for at, _, _ in inserts), len(self.src)]
-
-        def spliced(old: np.ndarray, new: list) -> np.ndarray:
-            out = np.empty(len(old) + len(new), dtype=old.dtype)
-            for i, value in enumerate(new):
-                out[cuts[i] + i : cuts[i + 1] + i] = old[cuts[i] : cuts[i + 1]]
-                out[cuts[i + 1] + i] = value
-            out[cuts[-2] + len(new) :] = old[cuts[-2] :]
-            return out
-
-        _, new_src, new_dst = zip(*inserts)
+        at, new_src, new_dst = zip(*inserts)
         return FlatEdges(
             n,
-            spliced(self.src, new_src),
-            spliced(self.dst, new_dst),
-            spliced(w, [pending[u, v] for _, u, v in inserts]),
+            splice(self.src, at, new_src),
+            splice(self.dst, at, new_dst),
+            splice(w, at, [pending[u, v] for _, u, v in inserts]),
             self.indeg + np.bincount(new_dst, minlength=n),
             self.outdeg + np.bincount(new_src, minlength=n),
         )
+
+
+def splice(array: np.ndarray, at, values) -> np.ndarray:
+    """``np.insert(array, at, values)`` for ascending ``at``, in one pass and far cheaper."""
+    out = np.empty(len(array) + len(values), dtype=array.dtype)
+    cut = i = 0  # old run i moves up by i, and value i lands after it
+    for end, value in zip(at, values):
+        out[cut + i : end + i] = array[cut:end]
+        out[end + i] = value
+        cut, i = end, i + 1
+    out[cut + i :] = array[cut:]
+    return out
 
 
 #: The edge store of a graph with no nodes; shared, since nothing writes it.

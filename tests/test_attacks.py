@@ -857,6 +857,38 @@ class TestFlatCore:
             self.every_attack(None)[which](g, [*attackers, target], target)
 
     @pytest.mark.parametrize("which", range(4), ids=NAMES)
+    @pytest.mark.parametrize(
+        "attackers, target, unknown",
+        [([0, 1], -1, -1), ([0, 1], 30, 30), ([10**6, 1], 3, 10**6), ([0, -1], 3, -1)],
+    )
+    def test_unknown_node_is_rejected_before_any_cold_solve(
+        self, which, attackers, target, unknown, monkeypatch
+    ):
+        # -1 used to act as node 29 and 10**6 used to raise numpy's IndexError mid-attack
+        g = generate_random_graph(30, 3.0, seed=2)
+        monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)
+        with pytest.raises(KeyError, match=f"unknown node {unknown}"):
+            self.every_attack(None)[which](g, attackers, target)
+
+    @pytest.mark.parametrize(
+        "field, nodes",
+        [("targets", (-1,)), ("targets", (12,)), ("attackers", (0, -1)),
+         ("intermediaries", (2, 12)), ("target_pairs", ((3, -1),))],
+    )
+    def test_unknown_node_in_a_problem_is_rejected_before_any_solve(
+        self, field, nodes, monkeypatch
+    ):
+        # targets=(-1,) used to optimise node 11
+        g = generate_random_graph(12, 2.0, seed=5)
+        monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)
+        fields = {"attackers": (0, 1), "intermediaries": (2, 3), "targets": (4,)}
+        if field == "target_pairs":
+            del fields["targets"]
+        fields[field] = nodes
+        with pytest.raises(KeyError, match="unknown node"):
+            solve_exhaustive(AttackProblem(graph=g, budget=1, threshold=0.0, **fields))
+
+    @pytest.mark.parametrize("which", range(4), ids=NAMES)
     def test_attackers_may_be_a_generator(self, which):
         g, scores, target, attackers = self.scored_instance()
         for before in (None, scores):

@@ -17,14 +17,8 @@ from fga.axioms import (
     smooth_goodness,
 )
 from fga.engine import HIGH_PRECISION, compute_fga
-from fga.gadgets import (
-    GadgetError,
-    attach_fairness_ballast,
-    fairness_fan,
-    goodness_star,
-    stabilised_star,
-)
-from fga.graph import Wsn
+from fga.gadgets import GadgetError, _ballast_plan, _EdgeList, fairness_fan, goodness_star
+from fga.gadgets import stabilised_star
 
 TOL = 1e-9
 
@@ -59,27 +53,23 @@ class TestGadgetRealization:
             fairness_fan([2.0])  # error 2 unattainable in any finite graph
         with pytest.raises(GadgetError):
             fairness_fan([-0.1])
-        graph = Wsn()
-        rater = graph.add_node()
-        sink = graph.add_node()
-        graph.add_edge(rater, sink, 1.0)
         with pytest.raises(GadgetError):
             # fairness 1 cannot coexist with a pre-existing nonzero error
-            attach_fairness_ballast(graph, rater, 1.0, existing_errors=[0.5])
+            _ballast_plan(1.0, [0.5])
 
     def test_ballast_is_noop_for_perfect_rater(self):
-        graph = Wsn()
-        rater = graph.add_node()
-        assert attach_fairness_ballast(graph, rater, 1.0) is None
-        assert graph.node_count == 1
+        graph = _EdgeList()
+        rater = graph.add_nodes(1)[0]
+        weight, count, m = _ballast_plan(1.0, [])
+        assert count == 0
+        assert graph.pin_sinks(rater, weight, count, m) == []
+        assert graph.n == 1 and graph.blocks == []
 
     def test_ballast_validates_inputs(self):
-        graph = Wsn()
-        rater = graph.add_node()
         with pytest.raises(GadgetError, match="existing errors"):
-            attach_fairness_ballast(graph, rater, 0.5, existing_errors=[2.5])
+            _ballast_plan(0.5, [2.5])
         with pytest.raises(GadgetError, match="not realizable"):
-            attach_fairness_ballast(graph, rater, 1.2)
+            _ballast_plan(1.2, [])
 
     def test_fan_mixes_large_and_zero_errors_exactly(self):
         # near-maximal errors diluted by zero-error edges still realize exactly

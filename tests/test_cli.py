@@ -16,7 +16,7 @@ from fga.campaign import (
     run_campaign,
     summarize,
 )
-from fga.cli import main
+from fga.cli import GENERATORS, _parse_generate, main
 from fga.dataio import load_rating_csv
 from fga.engine import FgaScores
 from fga.generators import generate_random_graph
@@ -308,6 +308,18 @@ class TestBoundsCommand:
     def test_integral_generator_values_in_float_notation_are_sizes(self, capsys):
         assert main(["stats", "--generate", "complete:n=4.0"]) == 0
         assert json.loads(capsys.readouterr().out)["node_count"] == 4
+
+    @pytest.mark.parametrize(
+        "spelled_out",
+        ["erdos:n=80,deg=4,pos=0.9", "min-k:n=30,k=3", "complete:n=5", "star:k=2,l=5,fairness=1"],
+    )
+    def test_an_empty_spec_builds_every_default(self, spelled_out):
+        kind = spelled_out.partition(":")[0]
+        assert kind in GENERATORS
+        for seed in (0, 7):
+            want = _parse_generate(spelled_out, seed)
+            assert _parse_generate(kind, seed) == want
+            assert _parse_generate(kind + ":", seed) == want
 
     @pytest.mark.parametrize(
         "extra, named",

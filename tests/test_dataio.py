@@ -269,6 +269,18 @@ class TestDatasets:
         assert g.node_count == 2 and g.edge_count == 2
         assert g.weight(g.id_of("7"), g.id_of("11")) == 1.0
 
+    def test_an_empty_directory_is_the_current_one(self, tmp_path, monkeypatch):
+        name, _ = DATASETS["rfa"]
+        (tmp_path / name).write_text("a,b,1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FGA_DATA_DIR", "")
+        with pytest.raises(DatasetMissingError, match="no data directory"):
+            dataset_path("rfa")  # an empty variable names no directory
+        assert str(dataset_path("rfa", "")) == name
+        assert load_dataset("rfa", "").edge_count == 1
+        monkeypatch.setenv("FGA_DATA_DIR", "/nonexistent")
+        assert load_dataset("rfa", "").edge_count == 1  # an explicit directory wins
+
 
 class TestGenerators:
     @pytest.mark.parametrize("n,k", [(10, 3), (30, 5), (100, 8)])

@@ -9,7 +9,7 @@ canonical order are worked out here.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fga import gadgets
@@ -29,7 +29,7 @@ class _EdgeByEdge:
         self.edges.append((u, v, w))
 
     def ballast(self, rater: int, fairness: float, errors: list[float]) -> None:
-        sinks, m, w = gadgets._ballast_plan(fairness, errors)
+        w, sinks, m = gadgets._ballast_plan(fairness, errors)
         for _ in range(sinks):
             sink = self.add_node()
             self.add_edge(rater, sink, w)
@@ -112,6 +112,7 @@ FAIRNESS = st.floats(0.05, 1.0, exclude_min=True)
 class TestBlockBuilder:
     @settings(deadline=None)
     @given(k=st.integers(1, 5), l=st.integers(0, 200), fairness=FAIRNESS)
+    @example(k=3, l=4, fairness=1.0)  # no sinks: every ballast plan has count 0
     def test_stabilised_star_matches_an_edge_by_edge_build(self, k, l, fairness):
         assert_built_as_reference(
             gadgets.stabilised_star, reference_stabilised_star, k, l, fairness
@@ -123,6 +124,7 @@ class TestBlockBuilder:
             st.tuples(st.integers(1, 5), FAIRNESS, st.floats(-1.0, 1.0)), min_size=1, max_size=3
         )
     )
+    @example(groups=[(2, 1.0, 1.0), (3, 1.0, 1.0)])  # no sinks
     def test_goodness_star_matches_an_edge_by_edge_build(self, groups):
         assert_built_as_reference(gadgets.goodness_star, reference_goodness_star, groups)
 

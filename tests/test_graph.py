@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from fga.engine import HIGH_PRECISION, compute_fga, compute_fga_many
-from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn
+from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn, splice
 
 WEIGHTS = st.floats(min_value=-1, max_value=1, allow_nan=False)
 
@@ -574,6 +574,26 @@ class TestLocate:
             overlay = overlay.with_rating(u, v, w)
             assert_same_store(overlay, bulk(n, [(a, b, x) for (a, b), x in edited.items()]))
         assert_same_store(flat.with_ratings((u, v, w) for (u, v), w in edits), overlay)
+
+
+@pytest.mark.ci_profile
+@settings(deadline=None)
+@given(
+    dtype=st.sampled_from([np.int64, np.float64]),
+    size=st.integers(0, 12),
+    data=st.data(),
+)
+def test_splice_equals_np_insert(dtype, size, data):
+    """Ascending positions, repeats and both ends included, insert as ``np.insert`` does."""
+    array = np.arange(size, dtype=dtype) * 3 - 7
+    at = sorted(data.draw(st.lists(st.integers(0, size), max_size=6)))
+    if data.draw(st.booleans()):  # both ends, each twice
+        at = [0, 0, *at, size, size]
+    values = data.draw(st.lists(st.integers(-50, 50), min_size=len(at), max_size=len(at)))
+    values = [dtype(v) / 4 if dtype is np.float64 else v for v in values]
+    got = splice(array, at, values)
+    assert got.dtype == array.dtype
+    assert np.array_equal(got, np.insert(array, np.asarray(at, dtype=np.intp), values))
 
 
 class EditPathMachine(RuleBasedStateMachine):
