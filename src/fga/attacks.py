@@ -488,7 +488,7 @@ def solve_exhaustive(
     # the engine reads the overlays a batch ahead of the sets they are paired with
     combos, ahead = itertools.tee(combos)
     views = (flat.with_ratings(combo) for combo in ahead)
-    solved = compute_fga_many(views, itertools.repeat(base), ATTACK_CONFIG)
+    solved = compute_fga_many(views, base, ATTACK_CONFIG)
     for combo, scores in zip(combos, solved):
         value = _objective(problem, scores)
         enumerated += 1

@@ -44,8 +44,11 @@ class MinKNeighbourCert:
     """Whether every node clears the degree and incoming-weight-mass conditions."""
 
     k: int
-    holds: bool
     violations: list[tuple[int, str]]
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
 
 @dataclass(slots=True)
@@ -54,17 +57,11 @@ class BoundReport:
 
     bound_value: float
     observed_delta: float
-    satisfied: bool
     context: dict
 
-    @staticmethod
-    def from_trial(bound_value: float, observed_delta: float, context: dict) -> "BoundReport":
-        return BoundReport(
-            bound_value=bound_value,
-            observed_delta=observed_delta,
-            satisfied=abs(observed_delta) <= bound_value + BOUND_TOLERANCE,
-            context=context,
-        )
+    @property
+    def satisfied(self) -> bool:
+        return abs(self.observed_delta) <= self.bound_value + BOUND_TOLERANCE
 
 
 def check_min_k_neighbour(graph: Wsn, k: int) -> MinKNeighbourCert:
@@ -78,7 +75,7 @@ def check_min_k_neighbour(graph: Wsn, k: int) -> MinKNeighbourCert:
     violations = [
         (int(v), ("indeg", "outdeg", "weight-mass")[c]) for v, c in zip(*np.nonzero(failed))
     ]
-    return MinKNeighbourCert(k=k, holds=not violations, violations=violations)
+    return MinKNeighbourCert(k=k, violations=violations)
 
 
 def indirect_sybil_bound(graph: Wsn, intermediary: int, k: int) -> float:
@@ -155,9 +152,9 @@ def _sybil_trials(
     # node n is the fake rater; a generator: an otc-sized graph's overlays are never all held
     grown = graph.flat().with_node()
     views = (grown.with_rating(graph.node_count, rated, weight) for rated, weight, *_ in drawn)
-    solved = compute_fga_many(views, itertools.repeat(base), HIGH_PRECISION)
+    solved = compute_fga_many(views, base, HIGH_PRECISION)
     return [
-        BoundReport.from_trial(cap, float(after.goodness[watched] - base.goodness[watched]), context)
+        BoundReport(cap, float(after.goodness[watched] - base.goodness[watched]), context)
         for (*_, watched, cap, context), after in zip(drawn, solved)
     ]
 
@@ -214,7 +211,7 @@ def verify_stabiliser(
     stars = (gadgets.stabilised_star(k, l, fairness)[0].flat() for k, l, _, fairness in grid)
     solved = compute_fga_many(stars, config=HIGH_PRECISION)
     return [
-        BoundReport.from_trial(
+        BoundReport(
             1.0 - stabiliser_lower_bound(k, l, delta),
             1.0 - float(scores.goodness[0]),  # a stabilised star's centre is node 0
             {"k": k, "l": l, "delta": delta, "influencer_fairness": fairness},

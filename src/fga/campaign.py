@@ -103,10 +103,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not _cells(self) or min((*self.k_values, *self.k1_values, *self.k2_values)) < 0:
+            raise ValueError(f"a {self.mode} campaign needs a non-empty grid of counts >= 0")
 
     @staticmethod
     def for_dataset(dataset: str, mode: str = "direct", **overrides) -> "ExperimentConfig":
@@ -244,13 +246,6 @@ def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
     )
 
 
-_SUMMARY_METRICS = {
-    "abs_delta": lambda r: abs(r["delta"]),
-    "abs_delta_direct": lambda r: abs(r["delta_direct"]) if "delta_direct" in r else None,
-    "abs_delta_indirect": lambda r: abs(r["delta_indirect"]) if "delta_indirect" in r else None,
-}
-
-
 def summarize(records: list[dict]) -> list[dict]:
     """Per-cell statistics over |goodness shift|, recomputable from the records.
 
@@ -261,9 +256,8 @@ def summarize(records: list[dict]) -> list[dict]:
     rows = []
     for cell in cells:
         cell_records = [r for r in records if r["cell"] == cell]
-        for metric, extract in _SUMMARY_METRICS.items():
-            values = [extract(r) for r in cell_records]
-            values = [v for v in values if v is not None]
+        for key in ("delta", "delta_direct", "delta_indirect"):
+            values = [abs(r[key]) for r in cell_records if key in r]
             if not values:
                 continue
             data = np.asarray(values)
@@ -272,7 +266,7 @@ def summarize(records: list[dict]) -> list[dict]:
             rows.append(
                 {
                     "cell": cell,
-                    "metric": metric,
+                    "metric": "abs_" + key,
                     "n": n,
                     "mean": float(np.mean(data)),
                     "sd": sd if n > 1 else None,

@@ -8,7 +8,6 @@ few qualifying nodes), 4 structural invariant violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import sys
@@ -39,17 +38,18 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
-#: ``fga bounds`` defaults of the Sybil scenarios, and ``--r-max``'s for an ``--input`` CSV.
-BOUNDS_TRIALS = 100
-BOUNDS_K = 3
+#: ``--r-max``'s default for an ``--input`` CSV.
 INPUT_R_MAX = 10.0
 
-#: The count and tuning flags that each ``fga attack`` mode reads, and their defaults.
-ATTACK_FLAGS = {"direct": ("--k",), "indirect": ("--k",), "mixed": ("--k1", "--k2"),
-                "indirect-scaled": ("--k", "--scale", "--max-edges"),
-                "exhaustive": ("--k", "--threshold")}
-ATTACK_DEFAULTS = {"k": 1, "k1": 0, "k2": 0, "scale": SCALE, "max_edges": MAX_EDGES,
-                   "threshold": 0.0}
+#: By the flag that selects a mode, each mode's flags (by dest) with their defaults. The
+#: stabiliser's stars are fixed, and a direct-Sybil trial rates the target once: no k.
+MODE_FLAGS = {
+    "--mode": {"direct": {"k": 1}, "indirect": {"k": 1}, "mixed": {"k1": 0, "k2": 0},
+               "indirect-scaled": {"k": 1, "scale": SCALE, "max_edges": MAX_EDGES},
+               "exhaustive": {"k": 1, "threshold": 0.0}},
+    "--scenario": {"indirect-sybil": {"trials": 100, "k": 3, "r_max": None},
+                   "direct-sybil": {"trials": 100, "r_max": None}, "stabiliser": {}},
+}
 
 
 #: Each generator spec's parameters and their defaults; an integer default marks a size.
@@ -67,12 +67,14 @@ def _parse_generate(spec: str, seed: int) -> Wsn:
     defaults = GENERATORS.get(kind)
     if defaults is None:
         raise ValueError(f"unknown generator {kind!r} (use {', '.join(GENERATORS)})")
-    params = dict(defaults)
+    params = {}
     for item in rest.split(",") if rest else ():
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in defaults:
             raise ValueError(f"unknown parameter {key!r} for {kind} (use {', '.join(defaults)})")
+        if key in params:
+            raise ValueError(f"repeated parameter {key!r} for {kind}")
         try:
             number = float(value)
         except ValueError:
@@ -84,6 +86,7 @@ def _parse_generate(spec: str, seed: int) -> Wsn:
         if size and not number.is_integer():
             raise ValueError(f"generator parameter {key!r} must be an integer, got {value.strip()!r}")
         params[key] = int(number) if size else number
+    params = {**defaults, **params}
     if kind == "erdos":
         return generators.generate_random_graph(
             params["n"], avg_out_degree=params["deg"], seed=seed, positive_fraction=params["pos"]
@@ -95,10 +98,10 @@ def _parse_generate(spec: str, seed: int) -> Wsn:
     return gadgets.stabilised_star(params["k"], params["l"], params["fairness"])[0]
 
 
-def _load_graph(args) -> Wsn:
-    sources = [bool(getattr(args, "input", None)), bool(getattr(args, "dataset", None)),
-               bool(getattr(args, "generate", None))]
-    if sum(sources) != 1:
+def _load_graph(args, default: str | None = None) -> Wsn:
+    """The graph of the one source flag given, or of the generator spec ``default`` if none is."""
+    sources = [bool(args.input), bool(args.dataset), bool(args.generate)]
+    if sum(sources) > 1 or not (any(sources) or default):
         raise ValueError("specify exactly one of --input, --dataset, --generate")
     if args.input:
         r_max = INPUT_R_MAX if args.r_max is None else args.r_max
@@ -108,7 +111,7 @@ def _load_graph(args) -> Wsn:
     elif args.dataset:
         graph = dataio.load_dataset(args.dataset, args.data_dir)
     else:
-        graph = _parse_generate(args.generate, args.seed)
+        graph = _parse_generate(args.generate or default, args.seed)
     graph.validate()
     return graph
 
@@ -125,11 +128,19 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
                         help=f"synthetic graph spec; kinds and defaults: {' '.join(specs)}")
 
 
+def _add_mode_flags(parser: argparse.ArgumentParser, selector: str, helps: dict) -> None:
+    """Add each dest's flag, with the type and help default of ``MODE_FLAGS[selector]``."""
+    for dest, text in helps.items():
+        default = next(flags[dest] for flags in MODE_FLAGS[selector].values() if dest in flags)
+        parser.add_argument("--" + dest.replace("_", "-"), type=type(default),
+                            help=f"{text} (default {default:g})")
+
+
 def _emit(args, payload: dict | str) -> None:
     """Write ``payload`` (text, or a dict as JSON) to ``--out`` or stdout."""
     if isinstance(payload, dict):
         payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
@@ -182,17 +193,20 @@ def _cmd_axioms(args) -> int:
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_INVARIANT
 
 
-def _reject_flags(what: str, takes, given: dict) -> None:
-    """Raise ValueError naming each flag of ``given`` that is set but not in ``takes``."""
-    extra = [flag for flag, value in given.items() if value is not None and flag not in takes]
+def _mode_flags(args, selector: str) -> None:
+    """Reject each flag of ``MODE_FLAGS[selector]`` that is set but not read by the selected
+    mode, then fill in the defaults of the flags that it reads."""
+    modes = MODE_FLAGS[selector]
+    mode = getattr(args, selector[2:])
+    extra = dict.fromkeys("--" + d.replace("_", "-") for flags in modes.values() for d in flags
+                          if d not in modes[mode] and getattr(args, d) is not None)
     if extra:
-        raise ValueError(f"{what} takes no {' or '.join(extra)}")
+        raise ValueError(f"{selector} {mode} takes no {' or '.join(extra)}")
+    vars(args).update({d: v for d, v in modes[mode].items() if getattr(args, d) is None})
 
 
 def _cmd_attack(args) -> int:
-    given = {"--" + dest.replace("_", "-"): getattr(args, dest) for dest in ATTACK_DEFAULTS}
-    _reject_flags(f"--mode {args.mode}", ATTACK_FLAGS[args.mode], given)
-    vars(args).update({d: v for d, v in ATTACK_DEFAULTS.items() if getattr(args, d) is None})
+    _mode_flags(args, "--mode")
     needed = args.k1 + args.k2 if args.mode == "mixed" else args.k
     if needed < 1:  # a run with no attackers moves nothing, so it shows nothing
         counts = f"--k1 {args.k1} --k2 {args.k2}" if args.mode == "mixed" else f"--k {args.k}"
@@ -258,25 +272,16 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    # the stabiliser's grid of stars is fixed: it draws nothing and takes no trial count, k
-    # or graph option; a direct-Sybil trial rates the target once and takes no k
-    takes = {"direct-sybil": ("--trials", "--r-max"),
-             "indirect-sybil": ("--trials", "--k", "--r-max"), "stabiliser": ()}[args.scenario]
-    given = {"--trials": args.trials, "--k": args.k, "--r-max": args.r_max}
-    _reject_flags(f"--scenario {args.scenario}", takes, given)
-    has_source = bool(args.input or args.dataset or args.generate)
-    trials = BOUNDS_TRIALS if args.trials is None else args.trials
+    _mode_flags(args, "--scenario")
     if args.scenario == "stabiliser":
-        if has_source:
+        if args.input or args.dataset or args.generate:
             raise ValueError("--scenario stabiliser builds its own stars; it takes no graph")
         reports = bounds.verify_stabiliser()
     elif args.scenario == "direct-sybil":
-        reports = bounds.verify_direct_sybil(_load_graph(args), trials, args.seed)
+        reports = bounds.verify_direct_sybil(_load_graph(args), args.trials, args.seed)
     else:
-        k = BOUNDS_K if args.k is None else args.k
-        if not has_source:
-            args.generate = f"min-k:k={k}"
-        reports = bounds.verify_indirect_sybil(_load_graph(args), k, trials, args.seed)
+        graph = _load_graph(args, default=f"min-k:k={args.k}")
+        reports = bounds.verify_indirect_sybil(graph, args.k, args.trials, args.seed)
     rows = [(f"{r.bound_value:.12g}", f"{r.observed_delta:.12g}", str(r.satisfied),
              ";".join(f"{k}={v}" for k, v in sorted(r.context.items()))) for r in reports]
     text = io.StringIO()
@@ -288,24 +293,18 @@ def _cmd_bounds(args) -> int:
 def _cmd_campaign(args) -> int:
     if not args.out_dir:
         raise ValueError("campaign needs --out-dir")
-    if args.dataset:
-        config = campaign_mod.ExperimentConfig.for_dataset(
-            args.dataset, mode=args.mode, seed=args.seed,
-            attacker_class=args.attacker_class, cold=args.cold, jobs=args.jobs,
-        )
-    else:
-        config = campaign_mod.ExperimentConfig(
-            mode=args.mode, attacker_class=args.attacker_class, seed=args.seed,
-            cold=args.cold, jobs=args.jobs, generator=args.generate,
-        )
-    overrides: dict = {}
+    fields = {"mode": args.mode, "seed": args.seed, "attacker_class": args.attacker_class,
+              "cold": args.cold, "jobs": args.jobs, "generator": args.generate}
     if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.k_values:
-        ks = tuple(int(x) for x in args.k_values.split(","))
-        overrides.update(k_values=ks, k1_values=ks, k2_values=ks)
-    # replace() re-runs the config's validation on the overridden fields
-    config = dataclasses.replace(config, **overrides)
+        fields["samples"] = args.samples
+    if args.k_values is not None:
+        try:
+            ks = tuple(int(x) for x in args.k_values.split(","))
+        except ValueError:
+            raise ValueError(f"--k-values must be integers, got {args.k_values!r}") from None
+        fields.update(k_values=ks, k1_values=ks, k2_values=ks)
+    config = (campaign_mod.ExperimentConfig.for_dataset(args.dataset, **fields) if args.dataset
+              else campaign_mod.ExperimentConfig(**fields))
     graph = _load_graph(args)
     # made after the source loads, so a failed load leaves none, and before any sample runs
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
@@ -355,13 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run one attack")
     _add_graph_source(p)
     p.add_argument("--mode", required=True, choices=[*campaign_mod.MODES, "exhaustive"])
-    p.add_argument("--k", type=int, help="attackers (exhaustive: budget), not mixed (default 1)")
-    p.add_argument("--k1", type=int, help="direct attackers, mixed only (default 0)")
-    p.add_argument("--k2", type=int, help="indirect attackers, mixed only (default 0)")
-    p.add_argument("--scale", type=int, help=f"batch scale, indirect-scaled only (default {SCALE})")
-    p.add_argument("--max-edges", type=int,
-                   help=f"batch cap, indirect-scaled only (default {MAX_EDGES})")
-    p.add_argument("--threshold", type=float, help="goal threshold, exhaustive only (default 0)")
+    _add_mode_flags(p, "--mode", {
+        "k": "attackers (exhaustive: budget), not mixed", "k1": "direct attackers, mixed only",
+        "k2": "indirect attackers, mixed only", "scale": "batch scale, indirect-scaled only",
+        "max_edges": "batch cap, indirect-scaled only",
+        "threshold": "goal threshold, exhaustive only",
+    })
     p.add_argument("--attacker-class", choices=["established", "fresh"], default="established")
     p.add_argument("--target", help="target node label (sampled if omitted)")
     p.add_argument("--out", help="results JSON path (stdout if omitted)")
@@ -371,10 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--scenario", required=True,
                    choices=["direct-sybil", "indirect-sybil", "stabiliser"])
-    p.add_argument("--k", type=int, default=None,
-                   help=f"k of indirect-sybil's minimum-k-neighbour graph (default {BOUNDS_K})")
-    p.add_argument("--trials", type=int, default=None,
-                   help=f"fake-rater trials, Sybil scenarios only (default {BOUNDS_TRIALS})")
+    _add_mode_flags(p, "--scenario", {"k": "k of indirect-sybil's minimum-k-neighbour graph",
+                                      "trials": "fake-rater trials, Sybil scenarios only"})
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(handler=_cmd_bounds)
 

@@ -93,7 +93,6 @@ through the same loop, and so is an ``EditSolve`` from sweep 3 on: the loop
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -266,37 +265,30 @@ def _start(flat: FlatEdges, warm: FgaScores | None) -> tuple[np.ndarray, np.ndar
         return warm.fairness, warm.goodness
     if flat.n < n_old:
         raise ValueError(f"graph has {flat.n} nodes but warm scores cover {n_old}")
-    f = np.ones(flat.n)
-    g = np.ones(flat.n)
-    f[:n_old] = warm.fairness
-    g[:n_old] = warm.goodness
-    return f, g
+    added = np.ones(flat.n - n_old)
+    return np.concatenate([warm.fairness, added]), np.concatenate([warm.goodness, added])
 
 
 def compute_fga_many(
     flats: Iterable[FlatEdges],
-    warm: Iterable[FgaScores | None] | None = None,
+    warm: FgaScores | None = None,
     config: FgaConfig | None = None,
 ) -> Iterator[FgaScores]:
     """Solve many graphs as block-diagonal unions, yielding results in input order.
 
     ``flats`` is read one batch at a time: the first result comes once a
     batch of at most ``_BATCH_ITEMS`` nodes plus edges is full or the graphs
-    run out. The i-th warm start, if not None, warm-starts the i-th graph as
-    in ``recompute_after``; otherwise it starts cold. ``warm`` may be longer
-    than ``flats``, even endless. Every result is bit-identical to the
-    graph's own ``compute_fga`` or ``recompute_after`` (module docstring).
+    run out. One warm start serves the whole stream: ``warm``, if not None,
+    warm-starts every graph as in ``recompute_after``; otherwise all start
+    cold. Every result is bit-identical to the graph's own ``compute_fga``
+    or ``recompute_after`` (module docstring).
     """
     config = config or DEFAULT_CONFIG
-    warm = itertools.repeat(None) if warm is None else iter(warm)
     batch: list[FlatEdges] = []
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     items = 0
     for flat in flats:
-        try:
-            start = _start(flat, next(warm))
-        except StopIteration:
-            raise ValueError("fewer warm starts than graphs") from None
+        start = _start(flat, warm)
         size = flat.n + len(flat.src)
         if batch and (items + size > _BATCH_ITEMS or flat.n == 0):
             yield from _iterate_flat(batch, starts, config)
@@ -316,7 +308,7 @@ def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = 
     """Warm-started iteration on a flat edge view over an unchanged node set."""
     if warm.node_count != flat.n:
         raise ValueError(f"warm scores cover {warm.node_count} nodes, view has {flat.n}")
-    return next(compute_fga_many([flat], [warm], config))
+    return next(compute_fga_many([flat], warm, config))
 
 
 class WarmEdits:
@@ -550,7 +542,7 @@ def recompute_after(graph: Wsn, warm: FgaScores, config: FgaConfig | None = None
     cold ``compute_fga`` within the residual tolerance, usually in far fewer
     sweeps. Shrinking the node set is not supported.
     """
-    return next(compute_fga_many([graph.flat()], [warm], config))
+    return next(compute_fga_many([graph.flat()], warm, config))
 
 
 def predict_weight(scores: FgaScores, u: int, v: int) -> float:

@@ -97,7 +97,7 @@ def _ballast_plan(
     """
     f0 = float(target_fairness)
     if not 0.0 < f0 <= 1.0:
-        raise GadgetError(f"fairness {f0} not realizable (must be in (0, 1])")
+        raise GadgetError(f"fairness {f0} not realizable")
     errors = [float(d) for d in existing_errors]
     if any(d < 0 or d > 2 for d in errors):
         raise GadgetError("existing errors must lie in [0, 2]")
@@ -137,17 +137,15 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
     ``groups`` is a sequence of (size, fairness, rating weight) triples. The
     centre's converged goodness is the size-weighted mean of fairness * weight
     over the groups, and every rater's converged fairness equals its group's
-    requested value.
+    requested value. A fairness outside (0, 1] is a ``GadgetError``.
     """
     if not groups:
         raise ValueError("at least one rater group is required")
-    for size, f0, omega in groups:
+    for size, _, omega in groups:
         if size < 1:
             raise ValueError(f"group size {size} must be >= 1")
         if not -1.0 <= omega <= 1.0:
             raise ValueError(f"rating {omega} outside [-1, 1]")
-        if not 0.0 < f0 <= 1.0:
-            raise GadgetError(f"fairness {f0} not realizable")
     total = sum(size for size, _, _ in groups)
     centre_goodness = sum(size * f0 * omega for size, f0, omega in groups) / total
 
@@ -200,8 +198,6 @@ def stabilised_star(
     if l < 0:
         raise ValueError("stabiliser count must be >= 0")
     f0 = float(influencer_fairness)
-    if not 0.0 < f0 <= 1.0:
-        raise GadgetError(f"fairness {f0} not realizable")
     centre_goodness = (2.0 * k * f0 + l) / (2.0 * k + l)
 
     graph = _EdgeList()

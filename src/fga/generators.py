@@ -78,6 +78,8 @@ def generate_random_graph(
         raise ValueError("n must be >= 1")
     if not 0.0 <= positive_fraction <= 1.0:
         raise ValueError("positive_fraction must be in [0, 1]")
+    if not 0.0 <= avg_out_degree < np.inf:
+        raise ValueError(f"avg_out_degree must be finite and >= 0, got {avg_out_degree}")
     target_edges = min(int(round(n * avg_out_degree)), n * (n - 1))
     rng = np.random.default_rng([seed, n])
     chosen: set[tuple[int, int]] = set()

@@ -239,12 +239,14 @@ class TestEmpiricalHarnesses:
         assert "specify exactly one of" in capsys.readouterr().err
 
     def test_report_satisfaction_rule(self):
-        report = BoundReport.from_trial(0.5, -0.4, {})
+        report = BoundReport(0.5, -0.4, {})
         assert report.satisfied
-        report = BoundReport.from_trial(0.5, 0.5 + 5e-10, {})
+        report = BoundReport(0.5, 0.5 + 5e-10, {})
         assert report.satisfied  # inside the 1e-9 slack
-        report = BoundReport.from_trial(0.5, 0.51, {})
+        report = BoundReport(0.5, 0.51, {})
         assert not report.satisfied
+        report.observed_delta = -0.4  # the verdict is worked out from the numbers beside it
+        assert report.satisfied
 
 
 def _one_at_a_time(graph, rated, watched, weight, base):
@@ -266,7 +268,7 @@ def reference_direct_sybil(graph, trials, seed):
         weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
         delta = _one_at_a_time(graph, target, target, weight, base)
         context = {"trial": trial, "target": target, "weight": weight}
-        reports.append(BoundReport.from_trial(direct_sybil_bound(graph, target), delta, context))
+        reports.append(BoundReport(direct_sybil_bound(graph, target), delta, context))
     return reports
 
 
@@ -287,7 +289,7 @@ def reference_indirect_sybil(graph, k, trials, seed):
             "trial": trial, "target": target, "intermediary": intermediary, "k": k, "weight": weight,
         }
         bound = indirect_sybil_bound(graph, intermediary, k)
-        reports.append(BoundReport.from_trial(bound, delta, context))
+        reports.append(BoundReport(bound, delta, context))
     return reports
 
 

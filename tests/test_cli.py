@@ -5,7 +5,7 @@ import math
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fga import campaign
@@ -16,7 +16,7 @@ from fga.campaign import (
     run_campaign,
     summarize,
 )
-from fga.cli import GENERATORS, _parse_generate, main
+from fga.cli import GENERATORS, MODE_FLAGS, _parse_generate, main
 from fga.dataio import load_rating_csv
 from fga.engine import FgaScores
 from fga.generators import generate_random_graph
@@ -300,6 +300,11 @@ class TestBoundsCommand:
         assert main(["stats", "--generate", "erdos:nodes=500"]) == 2
         assert "unknown parameter 'nodes' for erdos" in capsys.readouterr().err
 
+    def test_repeated_generator_parameter_is_exit_2(self, capsys):
+        # the last value must not silently win
+        assert main(["stats", "--generate", "erdos:n=3,n=4"]) == 2
+        assert capsys.readouterr().err == "error: repeated parameter 'n' for erdos\n"
+
     def test_fractional_generator_size_is_exit_2(self, capsys):
         # a size is not truncated to 20 nodes
         assert main(["stats", "--generate", "erdos:n=20.7"]) == 2
@@ -347,6 +352,21 @@ class TestBoundsCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert len(outputs[0].decode().strip().split("\n")) == 101
+
+
+@pytest.mark.parametrize("command, selector", [("attack", "--mode"), ("bounds", "--scenario")])
+def test_help_shows_each_table_default(capsys, command, selector):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flags in MODE_FLAGS[selector].values():
+        for dest, default in flags.items():
+            if default is None:  # --r-max, whose default depends on the graph source
+                continue
+            # the option's help runs from its metavar to the next option
+            flag = "--" + dest.replace("_", "-")
+            option = text.split(f" {flag} {dest.upper()} ")[1].split(" --")[0]
+            assert option.endswith(f"(default {default:g})"), (flag, option)
 
 
 class TestCampaignCommand:
@@ -447,7 +467,8 @@ class TestCampaignCommand:
         (["--generate", "erdos:n=20,bogus=1"], 2),
         (["--dataset", "bitcoin-otc"], 3),
         (["--generate", "erdos:n=20", "--r-max", "5"], 2),
-    ], ids=["bad-generator-parameter", "missing-dataset", "r-max-without-input"])
+        (["--generate", "erdos:n=70,deg=5,pos=0.95", "--k-values=-1"], 2),
+    ], ids=["bad-generator-parameter", "missing-dataset", "r-max-without-input", "negative-k"])
     def test_a_source_that_fails_leaves_no_out_dir(self, tmp_path, source, code):
         out = tmp_path / "out"
         assert main([
@@ -455,6 +476,16 @@ class TestCampaignCommand:
             "--out-dir", str(out),
         ]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize("k_values", ["1,,2", ""])
+    def test_malformed_k_values_names_the_flag(self, tmp_path, capsys, k_values):
+        # an empty value is not the default grid
+        assert main([
+            "campaign", "--generate", "erdos:n=20", "--mode", "direct", "--k-values", k_values,
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --k-values must be integers, got {k_values!r}\n"
 
     def test_missing_out_dir_is_exit_2(self):
         assert main([
@@ -532,6 +563,18 @@ class TestCampaignLibrary:
         assert row["ci95_half_width"] is None
         assert row["sd"] is None
 
+    @pytest.mark.parametrize("grid", [
+        {"k_values": (1, -1)},
+        {"mode": "mixed", "k1_values": (-1,), "k2_values": (2,)},
+        {"k_values": ()},
+        {"mode": "mixed", "k1_values": (), "k2_values": (2,)},
+        {"k1_values": (-1,)},  # recorded in config.json, so checked though direct runs no k1
+    ], ids=["negative-k", "negative-k1", "no-k", "no-k1", "negative-unused-k1"])
+    def test_config_rejects_a_negative_count_or_an_empty_grid(self, grid):
+        # caught when the config is made, not mid-run or as a run of no samples
+        with pytest.raises(ValueError, match="non-empty grid of counts >= 0"):
+            ExperimentConfig(**grid)
+
     def test_zero_attackers_cell_gives_zero_delta(self):
         g = generate_random_graph(70, avg_out_degree=5.0, seed=30, positive_fraction=0.95)
         config = ExperimentConfig(mode="direct", samples=3, seed=6, k_values=(0,))
@@ -608,21 +651,25 @@ class TestCampaignLibrary:
             assert a["delta"] == pytest.approx(b["delta"], abs=1e-9)
 
 
+#: Values that make a generator spec malformed, and so a run that reads it exit 2.
+MALFORMED_VALUES = ("1e400", "inf", "nan", "-3", "x")
+MALFORMED_SPECS = st.builds(
+    "{0[0]}:{0[1]}={1}".format,
+    st.sampled_from(
+        [("erdos", "n"), ("erdos", "deg"), ("min-k", "n"), ("min-k", "k"), ("complete", "n"),
+         ("star", "k"), ("star", "l")]
+    ),
+    st.sampled_from(MALFORMED_VALUES),
+)
+
+
 def _bounds_sources(tmp_dir):
     """``fga bounds`` graph options: none, small valid specs, malformed specs, bad paths."""
     valid = st.sampled_from(["erdos:n=20,deg=3", "min-k:n=12,k=3", "complete:n=5", "star:k=2,l=3"])
-    malformed = st.builds(
-        "{0[0]}:{0[1]}={1}".format,
-        st.sampled_from(
-            [("erdos", "n"), ("erdos", "deg"), ("min-k", "n"), ("min-k", "k"), ("complete", "n"),
-             ("star", "k"), ("star", "l")]
-        ),
-        st.sampled_from(["1e400", "inf", "nan", "-3", "x"]),
-    )
     return st.one_of(
         st.just([]),
         valid.map(lambda spec: ["--generate", spec]),
-        malformed.map(lambda spec: ["--generate", spec]),
+        MALFORMED_SPECS.map(lambda spec: ["--generate", spec]),
         st.just(["--input", str(tmp_dir / "missing.csv")]),
         st.just(["--input", str(tmp_dir)]),
     )
@@ -751,15 +798,17 @@ def _command_sources(tmp_dir):
 
 def _run_command(argv):
     """``main(argv)``'s exit code, checked to be 0, 2, 3 or 4, and 2 on a malformed CSV or
-    on ``--r-max`` without ``--input``."""
+    generator spec or on ``--r-max`` without ``--input``."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse may only exit 2
         code = exc.code
         assert code == 2, argv
     assert code in (0, 2, 3, 4), argv
-    if any(argv[i - 1] == "--input" and arg.endswith(MALFORMED_CSVS) for i, arg in enumerate(argv)):
-        assert code == 2, argv
+    for flag, arg in zip(argv, argv[1:]):
+        if (flag == "--input" and arg.endswith(MALFORMED_CSVS)
+                or flag == "--generate" and arg.rpartition("=")[2] in MALFORMED_VALUES):
+            assert code == 2, argv
     if "--r-max" in argv and "--input" not in argv:
         assert code == 2, argv
     return code
@@ -768,6 +817,14 @@ def _run_command(argv):
 def _out_flag(tmp_dir):
     """No ``--out``, a writable file, or a directory, which cannot be written (exit 2)."""
     return st.sampled_from([[], ["--out", str(tmp_dir / "out.txt")], ["--out", str(tmp_dir)]])
+
+
+@settings(deadline=None)
+@given(command=st.sampled_from(["compute", "stats"]), spec=MALFORMED_SPECS)
+@example(command="stats", spec="erdos:deg=-3")
+def test_malformed_spec_exit_codes(command, spec):
+    """A malformed generator spec is exit 2 (``_run_command`` checks it)."""
+    _run_command([command, "--generate", spec])
 
 
 @pytest.mark.ci_profile

@@ -327,6 +327,12 @@ class TestGenerators:
         g2 = generate_random_graph(200, avg_out_degree=5.0, seed=8, positive_fraction=0.0)
         assert all(w < 0 for _, _, w in g2.edges())
 
+    @pytest.mark.parametrize("degree", [-1.0, -1e-9, float("inf"), float("nan")])
+    def test_random_graph_rejects_a_negative_or_non_finite_degree(self, degree):
+        # a ValueError that names the argument, not an edgeless graph or an OverflowError
+        with pytest.raises(ValueError, match="avg_out_degree"):
+            generate_random_graph(5, degree)
+
     def test_stabilised_star_shape(self):
         g, centre, influencers, stabilisers = stabilised_star(2, 5)
         assert g.indeg(centre) == 7
