@@ -54,6 +54,9 @@ ATTACK_CONFIG = HIGH_PRECISION
 #: ``indirect_attack_scaled``'s batch defaults: min(scale * indeg, max_edges) edges a pick.
 SCALE, MAX_EDGES = 5, 10
 
+#: The attacker pools of ``qualifying_attackers``, each with its rule in ``SelectionCriteria``.
+ATTACKER_CLASSES = ("established", "fresh")
+
 #: Candidate scores closer than this are treated as equal when ranking moves.
 TIE_TOLERANCE = 1e-9
 
@@ -520,15 +523,15 @@ def qualifying_targets(graph: Wsn, scores: FgaScores, criteria: SelectionCriteri
 def qualifying_attackers(
     graph: Wsn, scores: FgaScores, criteria: SelectionCriteria, attacker_class: str
 ) -> list[int]:
+    if attacker_class not in ATTACKER_CLASSES:
+        raise ValueError(f"unknown attacker class {attacker_class!r}")
     flat = graph.flat()
     if attacker_class == "established":
         mask = (flat.outdeg > criteria.established_min_outdeg) & (
             scores.fairness > criteria.established_min_fairness
         )
-    elif attacker_class == "fresh":
-        mask = (flat.indeg > 0) & (flat.indeg < criteria.fresh_max_indeg) & (flat.outdeg == 0)
     else:
-        raise ValueError(f"unknown attacker class {attacker_class!r}")
+        mask = (flat.indeg > 0) & (flat.indeg < criteria.fresh_max_indeg) & (flat.outdeg == 0)
     return np.flatnonzero(mask).tolist()
 
 

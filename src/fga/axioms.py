@@ -114,19 +114,19 @@ def increase_weight(f0: float, omega0: float, delta: float, num_raters: int = 2)
     return probes, lambda v: abs(v[0] - (v[1] + v[2]))
 
 
+def _mean_gap(sizes: list[int]) -> Callable[[list[float]], float]:
+    """The gap between v[0] and the ``sizes``-weighted mean of v[1:], as a function of v."""
+    total = sum(sizes)
+    return lambda v: abs(v[0] - sum(size * value for size, value in zip(sizes, v[1:])) / total)
+
+
 def groups_goodness(partition: list[tuple[int, float, float]]) -> Check:
     """Goodness of a node rated by homogeneous groups is their size-weighted mean."""
     if not partition:
         raise ValueError("partition must be non-empty")
     probes = [_goodness_probe(partition)]
     probes += [_goodness_probe([(size, f0, omega)]) for size, f0, omega in partition]
-    total = sum(size for size, _, _ in partition)
-
-    def gap_of(v: list[float]) -> float:
-        expected = sum(size * value for (size, _, _), value in zip(partition, v[1:])) / total
-        return abs(v[0] - expected)
-
-    return probes, gap_of
+    return probes, _mean_gap([size for size, _, _ in partition])
 
 
 def smooth_fairness(d: float, big_d: float, set_size: int = 2) -> Check:
@@ -145,13 +145,7 @@ def groups_fairness(partition: list[tuple[int, float]]) -> Check:
         errors.extend([d] * size)
     probes = [_fairness_probe(errors)]
     probes += [_fairness_probe([d] * size) for size, d in partition]
-    total = sum(size for size, _ in partition)
-
-    def gap_of(v: list[float]) -> float:
-        expected = sum(size * value for (size, _), value in zip(partition, v[1:])) / total
-        return abs(v[0] - expected)
-
-    return probes, gap_of
+    return probes, _mean_gap([size for size, _ in partition])
 
 
 def check_maximal_trust_and_baselines() -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,6 +13,7 @@ import numpy as np
 from . import dataio
 from .attacks import (
     ATTACK_CONFIG,
+    ATTACKER_CLASSES,
     MAX_EDGES,
     SCALE,
     AttackOutcome,
@@ -103,12 +103,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not _cells(self) or min((*self.k_values, *self.k1_values, *self.k2_values)) < 0:
+        if self.attacker_class not in ATTACKER_CLASSES:
+            raise ValueError(f"unknown attacker class {self.attacker_class!r}")
+        # numpy seeds no stream from a negative seed
+        for name, least in (("jobs", 1), ("samples", 1), ("scale", 1), ("max_edges", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        cells = _cells(self)
+        if not cells or min((*self.k_values, *self.k1_values, *self.k2_values)) < 0:
             raise ValueError(f"a {self.mode} campaign needs a non-empty grid of counts >= 0")
+        if len(set(cells)) < len(cells):
+            raise ValueError(f"a {self.mode} campaign's grid repeats a cell")
 
     @staticmethod
     def for_dataset(dataset: str, mode: str = "direct", **overrides) -> "ExperimentConfig":
@@ -150,11 +155,6 @@ def _cell_label(cell: tuple) -> str:
     if len(cell) == 2:
         return f"k1={cell[0]},k2={cell[1]}"
     return f"k={cell[0]}"
-
-
-def _cell_sort_key(label: str) -> tuple:
-    # numeric ordering, so k=10 sorts after k=2
-    return tuple(int(part.split("=")[1]) for part in label.split(","))
 
 
 def _run_sample(
@@ -205,15 +205,16 @@ def _run_sample(
 def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
     """Sample targets and attackers per cell, run the attack, summarize the shifts.
 
-    Every sample draws its random stream from (seed, cell, sample index), so
-    serial and parallel execution produce identical records. Cells that cannot
-    field enough qualifying nodes are reported in ``errors``, not raised.
+    Samples run, and are reported, in order of their cells' counts. Each draws
+    its random stream from (seed, cell's grid index, sample index), so serial
+    and parallel execution produce identical records. Cells that cannot field
+    enough qualifying nodes are reported in ``errors``, not raised.
     """
     base_scores = compute_fga(graph, ATTACK_CONFIG)
-    cells = _cells(config)
+    cells = sorted(enumerate(_cells(config)), key=lambda item: item[1])
     tasks = [
         (cell, cell_index, sample_index)
-        for cell_index, cell in enumerate(cells)
+        for cell_index, cell in cells
         for sample_index in range(config.samples)
     ]
 
@@ -236,8 +237,6 @@ def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
 
     records = [record for record, _ in results if record is not None]
     errors = [error for _, error in results if error is not None]
-    records.sort(key=lambda r: (_cell_sort_key(r["cell"]), r["sample"]))
-    errors.sort(key=lambda e: (_cell_sort_key(e["cell"]), e["sample"]))
     return CampaignResult(
         config=config.to_dict(),
         records=records,
@@ -249,12 +248,12 @@ def run_campaign(graph: Wsn, config: ExperimentConfig) -> CampaignResult:
 def summarize(records: list[dict]) -> list[dict]:
     """Per-cell statistics over |goodness shift|, recomputable from the records.
 
-    The 95% interval half-width uses the normal approximation
+    Rows follow the order of the caller's records, one per cell where it first
+    appears. The 95% interval half-width uses the normal approximation
     1.96 * sd / sqrt(n); with fewer than two samples it is null.
     """
-    cells = sorted({r["cell"] for r in records}, key=_cell_sort_key)
     rows = []
-    for cell in cells:
+    for cell in dict.fromkeys(r["cell"] for r in records):
         cell_records = [r for r in records if r["cell"] == cell]
         for key in ("delta", "delta_direct", "delta_indirect"):
             values = [abs(r[key]) for r in cell_records if key in r]
@@ -299,7 +298,7 @@ def _write_csv(rows: list[dict], path: Path) -> Path:
 
 
 def _write_json(payload, path: Path) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(dataio.json_text(payload), encoding="utf-8")
     return path
 
 

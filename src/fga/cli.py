@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import numpy as np
 from . import axioms, bounds, campaign as campaign_mod, dataio, gadgets, generators
 from .attacks import (
     ATTACK_CONFIG,
+    ATTACKER_CLASSES,
     MAX_EDGES,
     SCALE,
     AttackProblem,
@@ -139,7 +139,7 @@ def _add_mode_flags(parser: argparse.ArgumentParser, selector: str, helps: dict)
 def _emit(args, payload: dict | str) -> None:
     """Write ``payload`` (text, or a dict as JSON) to ``--out`` or stdout."""
     if isinstance(payload, dict):
-        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = dataio.json_text(payload)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "max_edges": "batch cap, indirect-scaled only",
         "threshold": "goal threshold, exhaustive only",
     })
-    p.add_argument("--attacker-class", choices=["established", "fresh"], default="established")
+    p.add_argument("--attacker-class", choices=ATTACKER_CLASSES, default="established")
     p.add_argument("--target", help="target node label (sampled if omitted)")
     p.add_argument("--out", help="results JSON path (stdout if omitted)")
     p.set_defaults(handler=_cmd_attack)
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=list(campaign_mod.MODES))
     p.add_argument("--k-values", help="comma-separated attacker counts, e.g. 1,2,3")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--attacker-class", choices=["established", "fresh"], default="established")
+    p.add_argument("--attacker-class", choices=ATTACKER_CLASSES, default="established")
     p.add_argument("--cold", action="store_true", help="verify deltas with cold recomputation")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", default=None, help="output directory (required)")

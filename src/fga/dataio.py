@@ -1,9 +1,10 @@
-"""Rating-CSV ingestion, the one CSV writer (ratings, scores, reports), and dataset statistics."""
+"""Rating-CSV ingestion, the one CSV writer and JSON format, and dataset statistics."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -91,6 +92,11 @@ def write_csv(fh, rows) -> None:
     line terminator's characters, so rows are formatted with CRLF, then cut to LF."""
     lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
     csv.writer(lf, lineterminator="\r\n").writerows(rows)
+
+
+def json_text(payload) -> str:
+    """``payload`` as the one JSON format: indented, keys sorted, ending in a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def export_rating_csv(graph: Wsn, path, scale: RatingScale) -> None:

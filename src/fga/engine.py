@@ -47,25 +47,25 @@ whose plans for both sweeps are built when the frontier is made:
   frontier rates, then fairness at every rater of those nodes.
 
 Each frontier value is summed over the node's edges in canonical order,
-with the edited edge spliced in at its canonical position, so it is the
-dense sweep's value bit for bit (``bincount`` adds a node's terms in array
-order). Off the frontier a node's value comes from the same edges and the
-same inputs as in the unedited store's sweep. Goodness at v reads the
-previous fairness of v's raters only; that fairness differs from the
-unedited store's only on the previous fairness frontier (at sweep 1 on no
-node, since both start from the warm scores), and every node those raters
-rate is in the goodness frontier. Fairness at u reads the fresh goodness of
-u's successors only, and every rater of the goodness frontier is in the
-fairness frontier. Sweep 1's frontiers lie inside sweep 2's, so off sweep
-2's both the value and the previous value are the unedited store's, and so
-is the step. A frontier sweep reads the steps off its frontier only when
-the store's fairness step or residual, as the sweep loop reported them,
-could exceed the frontier's; it then takes the maxima of |fairness - f| and
-|goodness - g| over its own whole arrays. Maxima are exact, so scores,
-fairness step, residual and stop decision equal the dense sweeps' exactly,
-and no overlay is built before sweep 3. From sweep 3 on the solve sweeps
-the overlay through the one sweep loop, so it ends bit-identical to
-``recompute_flat``.
+with the edited edge spliced in at its canonical position, by the dense
+sweep's own kernels, so it is the dense sweep's value bit for bit
+(``bincount`` adds a node's terms in array order). Off the frontier a
+node's value comes from the same edges and the same inputs as in the
+unedited store's sweep. Goodness at v reads the previous fairness of v's
+raters only; that fairness differs from the unedited store's only on the
+previous fairness frontier (at sweep 1 on no node, since both start from
+the warm scores), and every node those raters rate is in the goodness
+frontier. Fairness at u reads the fresh goodness of u's successors only,
+and every rater of the goodness frontier is in the fairness frontier. Sweep
+1's frontiers lie inside sweep 2's, so off sweep 2's both the value and the
+previous value are the unedited store's, and so is the step. A frontier
+sweep reads the steps off its frontier only when the store's fairness step
+or residual, as the sweep loop reported them, could exceed the frontier's;
+it then takes the maxima of |fairness - f| and |goodness - g| over its own
+whole arrays. Maxima are exact, so scores, fairness step, residual and stop
+decision equal the dense sweeps' exactly, and no overlay is built before
+sweep 3. From sweep 3 on the solve sweeps the overlay through the one sweep
+loop, so it ends bit-identical to ``recompute_flat``.
 
 Every solve sweeps a ``FlatEdges``: the graph's own edge store
 (``compute_fga``, ``recompute_after``) or an overlay of it from
@@ -145,6 +145,28 @@ class FgaScores:
 _BATCH_ITEMS = 1 << 15
 
 
+def _goodness(terms: np.ndarray, nodes: np.ndarray, indeg: np.ndarray) -> np.ndarray:
+    """Each node's mean in-edge term f(u) * w(u, v), clipped to [-1, 1]; both sweeps call it."""
+    # bincount of no edges gives int zeros, which the in-place divide rejects
+    values = np.bincount(nodes, terms, len(indeg)) if len(terms) else np.zeros(len(indeg))
+    values /= indeg
+    np.minimum(values, 1.0, out=values)
+    np.maximum(values, -1.0, out=values)
+    return values
+
+
+def _fairness(gaps: np.ndarray, nodes: np.ndarray, outdeg: np.ndarray) -> np.ndarray:
+    """Each node's 1 - mean |gap| / 2 over its out-edges' w(u, v) - g(v), clipped to [0, 1]."""
+    np.abs(gaps, out=gaps)
+    gaps *= 0.5
+    values = np.bincount(nodes, gaps, len(outdeg)) if len(gaps) else np.zeros(len(outdeg))
+    values /= outdeg
+    np.subtract(1.0, values, out=values)
+    np.minimum(values, 1.0, out=values)
+    np.maximum(values, 0.0, out=values)
+    return values
+
+
 class _Sweeps:
     """The one sweep loop, resumable: a disjoint union of non-empty stores.
 
@@ -199,27 +221,17 @@ class _Sweeps:
         """Run one sweep; True once every component has stopped."""
         src, dst, w = self._edges
         f, g = self.f, self.g
-        n = len(f)
         edge_buf = self._edge_buf
         # clip mode: every index is in range, and it skips the copy of out that raise mode makes
         f.take(src, out=edge_buf, mode="clip")
         edge_buf *= w
-        # bincount of no edges gives int zeros, which the in-place divide rejects
-        g_new = np.bincount(dst, weights=edge_buf, minlength=n) if len(w) else np.zeros(n)
-        g_new /= self._indeg_safe
+        # the baselines go in after the clip, which leaves 1.0 as it is
+        g_new = _goodness(edge_buf, dst, self._indeg_safe)
         np.copyto(g_new, 1.0, where=self._unrated)
-        np.minimum(g_new, 1.0, out=g_new)
-        np.maximum(g_new, -1.0, out=g_new)
         g_new.take(dst, out=edge_buf, mode="clip")
         np.subtract(w, edge_buf, out=edge_buf)
-        np.abs(edge_buf, out=edge_buf)
-        edge_buf *= 0.5
-        f_new = np.bincount(src, weights=edge_buf, minlength=n) if len(w) else np.zeros(n)
-        f_new /= self._outdeg_safe
-        np.subtract(1.0, f_new, out=f_new)
+        f_new = _fairness(edge_buf, src, self._outdeg_safe)
         np.copyto(f_new, 1.0, where=self._silent)
-        np.minimum(f_new, 1.0, out=f_new)
-        np.maximum(f_new, 0.0, out=f_new)
         # the steps: max |change| of fairness and of goodness over each component
         f_delta, g_delta = self._node_bufs
         np.subtract(f_new, f, out=f_delta)
@@ -491,23 +503,14 @@ class EditSolve:
         terms = f[into.ends]
         terms *= into.w
         terms[into.at] = f[a] * weight
-        values = np.bincount(into.bins, weights=terms, minlength=len(into.nodes))
-        values /= into.deg
-        np.minimum(values, 1.0, out=values)
-        np.maximum(values, -1.0, out=values)
+        values = _goodness(terms, into.bins, into.deg)
         g_step = float(np.abs(values - g[into.nodes]).max())
         goodness = base._g[t].copy()
         goodness[into.nodes] = values
         terms = goodness[out.ends]
         np.subtract(out.w, terms, out=terms)
         terms[out.at] = weight - goodness[r]
-        np.abs(terms, out=terms)
-        terms *= 0.5
-        values = np.bincount(out.bins, weights=terms, minlength=len(out.nodes))
-        values /= out.deg
-        np.subtract(1.0, values, out=values)
-        np.minimum(values, 1.0, out=values)
-        np.maximum(values, 0.0, out=values)
+        values = _fairness(terms, out.bins, out.deg)
         f_step = float(np.abs(values - f[out.nodes]).max())
         fairness = base._f[t].copy()
         fairness[out.nodes] = values

@@ -53,6 +53,12 @@ class _EdgeList:
         self.blocks.append((src, dst, w))
         return list(ids[:: m + 1])
 
+    def pinned_rater(self, fairness: float, error: float) -> int:
+        """A new rater whose fairness is pinned at ``fairness`` beside one rating of ``error``."""
+        rater = self.add_nodes(1)[0]
+        self.pin_sinks(rater, *_ballast_plan(fairness, [error]))
+        return rater
+
     def build(self) -> Wsn:
         # every gadget has an edge; from_arrays sorts them into canonical order
         src, dst, w = (np.concatenate(column) for column in zip(*self.blocks))
@@ -153,11 +159,7 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
     centre = graph.add_nodes(1)[0]
     rater_groups: list[list[int]] = []
     for size, f0, omega in groups:
-        raters = []
-        for _ in range(size):
-            rater = graph.add_nodes(1)[0]
-            graph.pin_sinks(rater, *_ballast_plan(f0, [abs(omega - centre_goodness)]))
-            raters.append(rater)
+        raters = [graph.pinned_rater(f0, abs(omega - centre_goodness)) for _ in range(size)]
         graph.rate(raters, centre, omega)
         rater_groups.append(raters)
     return graph.build(), centre, rater_groups
@@ -202,11 +204,7 @@ def stabilised_star(
 
     graph = _EdgeList()
     centre = graph.add_nodes(1)[0]
-    influencers = []
-    for _ in range(k):
-        rater = graph.add_nodes(1)[0]
-        graph.pin_sinks(rater, *_ballast_plan(f0, [1.0 - centre_goodness]))
-        influencers.append(rater)
+    influencers = [graph.pinned_rater(f0, 1.0 - centre_goodness) for _ in range(k)]
     stabilisers = list(graph.add_nodes(l))
     graph.rate(influencers + stabilisers, centre, 1.0)
     return graph.build(), centre, influencers, stabilisers

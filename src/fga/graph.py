@@ -77,9 +77,11 @@ class Wsn:
 
     Every weight lies in [-1, 1], there is at most one edge per ordered pair,
     and self-loops are rejected. Node ids are dense non-negative integers
-    assigned at creation; external string labels map bijectively to ids. A
-    node added without a label is named str(id), and only explicit labels
-    are stored, so generated graphs and gadgets keep no label strings.
+    assigned at creation, and the edge store holds the node count; external
+    string labels map bijectively to ids. A node added without a label is
+    named str(id). Names are stored only once some node has an explicit
+    label, and then every node's is, so generated graphs and gadgets keep no
+    label strings.
 
     The edges live in one read-only ``FlatEdges``, returned by ``flat()``.
     Every query reads it. Every edit (``add_node``, ``add_edge``,
@@ -95,8 +97,8 @@ class Wsn:
     __slots__ = ("_labels", "_ids", "_edges")
 
     def __init__(self) -> None:
-        self._labels: list[str | None] = []  # None: the node is named str(id)
-        self._ids: dict[str, int] = {}  # explicit labels only
+        self._labels: list[str] | None = None  # every node's name, once one is explicit
+        self._ids: dict[str, int] | None = None
         self._edges = _NO_EDGES
 
     @classmethod
@@ -108,8 +110,8 @@ class Wsn:
         """
         graph = cls()
         graph._edges = FlatEdges.from_arrays(n, src, dst, w)
-        graph._labels = [None] * n if labels is None else list(labels)
         if labels is not None:
+            graph._labels = list(labels)
             graph._ids = {label: node for node, label in enumerate(graph._labels)}
             if not len(graph._labels) == len(graph._ids) == n:
                 raise ValueError(f"labels must name the {n} nodes, each with its own name")
@@ -119,7 +121,7 @@ class Wsn:
 
     @property
     def node_count(self) -> int:
-        return len(self._labels)
+        return self._edges.n
 
     @property
     def edge_count(self) -> int:
@@ -127,54 +129,51 @@ class Wsn:
 
     def add_node(self, label: str | None = None) -> int:
         """Add a node named ``label``, or str(id) when None; a name is used only once."""
-        name = str(len(self._labels)) if label is None else label
-        if name in self._ids or (label is not None and self._implied(label) is not None):
+        node = self._edges.n
+        name = str(node) if label is None else label
+        labels, ids = self._labels, self._ids
+        if labels is None and label is not None:  # the first explicit name: store them all
+            labels = [str(other) for other in range(node)]
+            ids = dict(zip(labels, range(node)))
+        if ids is not None and name in ids:
             raise ValueError(f"duplicate node label {name!r}")
-        node = len(self._labels)
         self._edges = self._edges.with_node()
-        self._labels.append(label)
-        if label is not None:
-            self._ids[label] = node
+        if labels is not None:
+            labels.append(name)
+            ids[name] = node
+            self._labels, self._ids = labels, ids
         return node
 
-    def _implied(self, label) -> int | None:
-        """The unlabelled node whose name str(id) is ``label``, if any."""
-        if not (isinstance(label, str) and label.isascii() and label.isdecimal()):
-            return None
-        node = int(label)
-        if node < len(self._labels) and self._labels[node] is None and str(node) == label:
-            return node
-        return None
-
     def id_of(self, label: str) -> int:
-        node = self._ids.get(label)
-        if node is None:
-            node = self._implied(label)
-            if node is None:
-                raise KeyError(f"unknown node label {label!r}")
+        if self._ids is not None:
+            node = self._ids.get(label, -1)
+        else:  # node i is named str(i): a canonical ASCII decimal below the node count
+            decimal = isinstance(label, str) and label.isascii() and label.isdecimal()
+            node = int(label) if decimal and str(int(label)) == label else -1
+        if not 0 <= node < self._edges.n:
+            raise KeyError(f"unknown node label {label!r}")
         return node
 
     def label_of(self, node: int) -> str:
         node = self._check_node(node)
-        label = self._labels[node]
-        return str(node) if label is None else label
+        return str(node) if self._labels is None else self._labels[node]
 
     def labels(self) -> list[str]:
-        return [str(node) if label is None else label for node, label in enumerate(self._labels)]
+        return [str(node) for node in self.nodes()] if self._labels is None else list(self._labels)
 
     def nodes(self) -> range:
-        return range(len(self._labels))
+        return range(self._edges.n)
 
     def _check_node(self, node: int) -> int:
-        if type(node) is int and 0 <= node < len(self._labels):
+        if type(node) is int and 0 <= node < self._edges.n:
             return node  # the common case, without the call
-        return node_index(node, len(self._labels))
+        return node_index(node, self._edges.n)
 
     # -- edges ---------------------------------------------------------
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
         """Add the edge (u, v). Rejects duplicates; re-rating goes through update_weight."""
-        u, v, weight = _check_edge(u, v, weight, len(self._labels))
+        u, v, weight = _check_edge(u, v, weight, self._edges.n)
         if self._edges.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present; use update_weight")
         self._edges = self._edges.with_rating(u, v, weight)
@@ -237,8 +236,8 @@ class Wsn:
 
     def copy(self) -> "Wsn":
         dup = Wsn.__new__(Wsn)
-        dup._labels = list(self._labels)
-        dup._ids = dict(self._ids)
+        dup._labels = None if self._labels is None else list(self._labels)
+        dup._ids = None if self._ids is None else dict(self._ids)
         dup._edges = self._edges  # never written, so safe to share
         return dup
 
@@ -269,20 +268,18 @@ class Wsn:
         """Full-scan check of the structural invariants; raises on any violation."""
         flat = self._edges
         problems: list[str] = []
-        if flat.n != len(self._labels):
-            problems.append(f"edge store covers {flat.n} nodes, the graph {len(self._labels)}")
         problems += [f"self-loop at {u}" for u in flat.src[flat.src == flat.dst].tolist()]
         bad = ~((flat.w >= -1.0) & (flat.w <= 1.0))  # nan fails both
         problems += [
             f"weight {w} on ({u}, {v}) outside [-1, 1]"
             for u, v, w in zip(flat.src[bad].tolist(), flat.dst[bad].tolist(), flat.w[bad].tolist())
         ]
-        explicit = [(node, label) for node, label in enumerate(self._labels) if label is not None]
-        if len(self._ids) != len(explicit) or any(
-            self._ids.get(label) != node or self._implied(label) is not None
-            for node, label in explicit
-        ):
-            problems.append("label index is not a bijection")
+        if self._labels is not None:
+            names, ids = self._labels, self._ids
+            if len(names) != flat.n:
+                problems.append(f"{len(names)} names for the edge store's {flat.n} nodes")
+            if len(ids) != len(names) or ids != {name: node for node, name in enumerate(names)}:
+                problems.append("label index is not a bijection")
         if problems:
             raise InvariantViolationError("; ".join(problems))
 

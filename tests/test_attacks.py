@@ -374,6 +374,40 @@ def test_campaign_reports_are_pinned(mode, tmp_path):
     assert digests == {"records.csv": records, "summary.csv": summary}
 
 
+#: Grids given out of order, with the sha256 of their two reports and the (cell, sample) of
+#: each error: records, summary rows and errors all come in order of the cells' counts.
+PINNED_UNSORTED = {
+    "direct": (
+        {"mode": "direct", "k_values": (10, 200, 2, 3), "samples": 4},
+        "ae1f98dc9d94961527f7a25317b434a871980b1b8d3d6aeb8b7d41b8b9b4fd3b",
+        "6e3c5f05de193f75cb26647118a76ae2488a8b33b052366ffe0aeeb3974686ad",
+        [("k=200", sample) for sample in range(4)],  # 200 established attackers: none
+    ),
+    "mixed": (
+        {"mode": "mixed", "k1_values": (2, 1), "k2_values": (3, 1), "samples": 3},
+        "51bebe3a54ab15385b278cb0a26fc0c4daf1f1233c70e38551f6f044b16dd339",
+        "28bbbc94c06b1ca258d88d9045eb1639afece915eb9449b1c2205c72cc733669",
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("grid", PINNED_UNSORTED)
+def test_unsorted_grid_reports_are_pinned(grid, jobs, tmp_path):
+    """A grid given out of order is reported sorted, serial or parallel, byte for byte."""
+    fields, records, summary, errors = PINNED_UNSORTED[grid]
+    g = generate_random_graph(300, avg_out_degree=4.0, seed=11, positive_fraction=0.85)
+    result = run_campaign(g, ExperimentConfig(seed=2024, jobs=jobs, **fields))
+    assert [(e["cell"], e["sample"]) for e in result.errors] == errors
+    report(result, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("records.csv", "summary.csv")
+    }
+    assert digests == {"records.csv": records, "summary.csv": summary}
+
+
 def outcomed_exhausted(outcome):
     return outcome.exhausted
 

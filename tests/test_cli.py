@@ -468,13 +468,27 @@ class TestCampaignCommand:
         (["--dataset", "bitcoin-otc"], 3),
         (["--generate", "erdos:n=20", "--r-max", "5"], 2),
         (["--generate", "erdos:n=70,deg=5,pos=0.95", "--k-values=-1"], 2),
-    ], ids=["bad-generator-parameter", "missing-dataset", "r-max-without-input", "negative-k"])
+        (["--generate", "erdos:n=70,deg=5,pos=0.95", "--k-values=2,2"], 2),
+    ], ids=["bad-generator-parameter", "missing-dataset", "r-max-without-input", "negative-k",
+            "repeated-k"])
     def test_a_source_that_fails_leaves_no_out_dir(self, tmp_path, source, code):
         out = tmp_path / "out"
         assert main([
             "--data-dir", str(tmp_path / "no-data"), "campaign", *source, "--mode", "direct",
             "--out-dir", str(out),
         ]) == code
+        assert not out.exists()
+
+    def test_negative_seed_names_the_seed_and_leaves_no_out_dir(self, tmp_path, capsys):
+        # an --input graph loads whatever the seed, so only the config can reject it
+        csv_path = tmp_path / "g.csv"
+        csv_path.write_text("a,b,5\nb,c,-3\nc,a,10\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([
+            "--seed", "-1", "campaign", "--input", str(csv_path), "--mode", "direct",
+            "--k-values", "1", "--out-dir", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("k_values", ["1,,2", ""])
@@ -563,16 +577,25 @@ class TestCampaignLibrary:
         assert row["ci95_half_width"] is None
         assert row["sd"] is None
 
-    @pytest.mark.parametrize("grid", [
-        {"k_values": (1, -1)},
-        {"mode": "mixed", "k1_values": (-1,), "k2_values": (2,)},
-        {"k_values": ()},
-        {"mode": "mixed", "k1_values": (), "k2_values": (2,)},
-        {"k1_values": (-1,)},  # recorded in config.json, so checked though direct runs no k1
-    ], ids=["negative-k", "negative-k1", "no-k", "no-k1", "negative-unused-k1"])
-    def test_config_rejects_a_negative_count_or_an_empty_grid(self, grid):
+    @pytest.mark.parametrize("grid, match", [
+        ({"k_values": (1, -1)}, "non-empty grid of counts >= 0"),
+        ({"mode": "mixed", "k1_values": (-1,), "k2_values": (2,)}, "non-empty grid of counts >= 0"),
+        ({"k_values": ()}, "non-empty grid of counts >= 0"),
+        ({"mode": "mixed", "k1_values": (), "k2_values": (2,)}, "non-empty grid of counts >= 0"),
+        # recorded in config.json, so checked though direct runs no k1
+        ({"k1_values": (-1,)}, "non-empty grid of counts >= 0"),
+        ({"k_values": (2, 2), "samples": 2}, "direct campaign's grid repeats a cell"),
+        ({"mode": "mixed", "k1_values": (1, 1), "k2_values": (2,)}, "grid repeats a cell"),
+        ({"attacker_class": "bogus"}, "unknown attacker class 'bogus'"),
+        ({"mode": "indirect-scaled", "scale": 0}, "scale must be >= 1, got 0"),
+        ({"max_edges": -1}, "max_edges must be >= 1, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["negative-k", "negative-k1", "no-k", "no-k1", "negative-unused-k1", "repeated-k",
+            "repeated-mixed-cell", "unknown-class", "zero-scale", "negative-max-edges",
+            "negative-seed"])
+    def test_config_rejects_a_negative_count_or_an_empty_grid(self, grid, match):
         # caught when the config is made, not mid-run or as a run of no samples
-        with pytest.raises(ValueError, match="non-empty grid of counts >= 0"):
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig(**grid)
 
     def test_zero_attackers_cell_gives_zero_delta(self):

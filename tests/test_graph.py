@@ -272,7 +272,7 @@ class TestLabels:
         g = Wsn()
         for _ in range(3):
             g.add_node()
-        assert g._ids == {} and g._labels == [None, None, None]
+        assert g._ids is None and g._labels is None
         assert g.labels() == ["0", "1", "2"]
         assert [g.id_of(label) for label in ("0", "1", "2")] == [0, 1, 2]
         with pytest.raises(ValueError, match="duplicate node label '2'"):
@@ -288,7 +288,9 @@ class TestLabels:
         g.add_node()  # "0"
         with pytest.raises(ValueError, match="duplicate node label '0'"):
             g.add_node("0")
+        assert g._labels is None  # a rejected name stores nothing
         g.add_node("2")  # node 1, explicitly named like node 2's default
+        assert g._labels == ["0", "2"]  # the first explicit name stores every name
         with pytest.raises(ValueError, match="duplicate node label '2'"):
             g.add_node()
         assert g.labels() == ["0", "2"] and g.id_of("2") == 1
@@ -357,9 +359,9 @@ class TestValidate:
             g.validate()
 
     def test_store_of_another_node_count(self):
-        g = triangle_graph()
+        g = triangle_graph()  # labelled, so its names cover 3 nodes
         raw_store(g, [(0, 1, 0.5), (1, 2, -0.25)], n=4)
-        with pytest.raises(InvariantViolationError, match="covers 4 nodes, the graph 3"):
+        with pytest.raises(InvariantViolationError, match="3 names for the edge store's 4 nodes"):
             g.validate()
 
     @pytest.mark.parametrize(
