@@ -35,18 +35,16 @@ labels plus the final overlay.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
 from .engine import EditSolve, WarmEdits, compute_fga_many
 from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
-from .graph import Wsn, node_index
+from .graph import KIND_ADD, KIND_UPDATE, Wsn, node_index
 
 #: Measurement-grade settings; attack deltas are asserted at 1e-9 downstream.
 ATTACK_CONFIG = HIGH_PRECISION
@@ -62,9 +60,6 @@ TIE_TOLERANCE = 1e-9
 
 #: ``solve_exhaustive`` refuses instances with more candidate move sets than this.
 MAX_MOVE_SETS = 1_000_000
-
-KIND_ADD = "edge-addition"
-KIND_UPDATE = "weight-update"
 
 
 class InsufficientCandidatesError(RuntimeError):
@@ -83,24 +78,6 @@ class AttackMove:
     weight: float
 
 
-def _graph_after(graph: Wsn, final: FlatEdges) -> Callable[[], Wsn]:
-    """Getter of the attacked graph's labels plus the attack's final overlay, made on first call.
-
-    The attacked graph must be unchanged by then: every ``Wsn`` edit replaces
-    its ``FlatEdges``, so a ``flat()`` other than the one the attack scored
-    means the graph changed, and the call raises instead of guessing.
-    """
-    base = graph.flat()
-
-    @functools.cache
-    def get() -> Wsn:
-        if graph.flat() is not base:
-            raise RuntimeError("the attacked graph changed after the attack; graph_after is lost")
-        return graph.with_edges(final)
-
-    return get
-
-
 @dataclass
 class AttackOutcome:
     """Before/after scores and the committed move log of one attack on ``target``.
@@ -116,18 +93,13 @@ class AttackOutcome:
     target: int
     exhausted: bool = False
     delta_direct: float | None = None
-    _after: Callable[[], Wsn] = field(kw_only=True, repr=False, compare=False)
+    graph_after: Wsn = field(kw_only=True, repr=False, compare=False)
 
     @property
     def delta(self) -> float:
         """The target's goodness shift."""
         after, before = self.scores_after.goodness, self.scores_before.goodness
         return float(after[self.target] - before[self.target])
-
-    @property
-    def graph_after(self) -> Wsn:
-        """The attacked graph with ``moves`` applied, made on first read and cached."""
-        return self._after()
 
 
 @dataclass(frozen=True)
@@ -202,8 +174,6 @@ class ExhaustiveSearchResult:
 
 
 # -- shared internals ------------------------------------------------------
-# Attacks re-solve overlays of the graph's FlatEdges, never writing the base
-# arrays; ``graph_after`` wraps the final overlay.
 
 
 def _by_descending_fairness(attackers: set[int], scores: FgaScores) -> list[int]:
@@ -352,7 +322,7 @@ def direct_attack(
     pool, target, config, before = _prologue(graph, attackers, target, config, before)
     edits = [(attacker, target, -1.0) for attacker in sorted(pool)]
     view, after, moves = _rate_all(graph.flat(), before, edits, config)
-    return AttackOutcome(moves, before, after, target, _after=_graph_after(graph, view))
+    return AttackOutcome(moves, before, after, target, graph_after=graph.with_edges(view))
 
 
 def indirect_attack_greedy(
@@ -395,7 +365,8 @@ def indirect_attack_scaled(
     view, after, moves, exhausted = _indirect_scan(
         graph.flat(), before, ordered, target, config, scale, max_edges
     )
-    return AttackOutcome(moves, before, after, target, exhausted, _after=_graph_after(graph, view))
+    graph_after = graph.with_edges(view)
+    return AttackOutcome(moves, before, after, target, exhausted, graph_after=graph_after)
 
 
 def mixed_attack(
@@ -425,7 +396,7 @@ def mixed_attack(
     )
     return AttackOutcome(
         direct_moves + indirect_moves, before, after, target, exhausted, delta_direct,
-        _after=_graph_after(graph, view),
+        graph_after=graph.with_edges(view),
     )
 
 

@@ -394,6 +394,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # numpy seeds no stream from a negative seed
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         return args.handler(args)
     except (DatasetMissingError, InsufficientCandidatesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,9 @@ import numpy as np
 
 NodeId = int
 
+KIND_ADD = "edge-addition"  # the two kinds of move ``Wsn.rate`` makes
+KIND_UPDATE = "weight-update"
+
 
 def node_index(node, n: int) -> int:
     """``node`` as a plain int below ``n``; any integer type but bool is accepted."""
@@ -90,8 +93,9 @@ class Wsn:
     thread, still describes the graph as it was. An edit costs O(m); build a
     graph of many edges in one call with ``from_arrays``.
 
-    ``copy()`` copies the labels and shares the edge store; the copy is fully
-    independent. Do not edit a graph while another thread reads it.
+    ``add_node`` replaces the labels too, so ``copy()`` shares them and the
+    store, and the copy is fully independent. Do not edit a graph while
+    another thread reads it.
     """
 
     __slots__ = ("_labels", "_ids", "_edges")
@@ -139,16 +143,15 @@ class Wsn:
             raise ValueError(f"duplicate node label {name!r}")
         self._edges = self._edges.with_node()
         if labels is not None:
-            labels.append(name)
-            ids[name] = node
-            self._labels, self._ids = labels, ids
+            self._labels, self._ids = [*labels, name], {**ids, name: node}
         return node
 
     def id_of(self, label: str) -> int:
         if self._ids is not None:
             node = self._ids.get(label, -1)
-        else:  # node i is named str(i): a canonical ASCII decimal below the node count
-            decimal = isinstance(label, str) and label.isascii() and label.isdecimal()
+        else:  # node i is named str(i), a canonical ASCII decimal no longer than str(n)
+            short = isinstance(label, str) and len(label) <= len(str(self._edges.n))
+            decimal = short and label.isascii() and label.isdecimal()
             node = int(label) if decimal and str(int(label)) == label else -1
         if not 0 <= node < self._edges.n:
             raise KeyError(f"unknown node label {label!r}")
@@ -186,12 +189,12 @@ class Wsn:
         self._edges = self._edges.with_rating(u, v, weight)
 
     def rate(self, u: int, v: int, weight: float) -> str:
-        """Add or update the edge (u, v); returns "edge-addition" or "weight-update"."""
+        """Add or update the edge (u, v); returns ``KIND_ADD`` or ``KIND_UPDATE``."""
         if self.has_edge(u, v):
             self.update_weight(u, v, weight)
-            return "weight-update"
+            return KIND_UPDATE
         self.add_edge(u, v, weight)
-        return "edge-addition"
+        return KIND_ADD
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = self._check_node(u), self._check_node(v)
@@ -235,16 +238,12 @@ class Wsn:
     # -- whole-graph operations ------------------------------------------
 
     def copy(self) -> "Wsn":
-        dup = Wsn.__new__(Wsn)
-        dup._labels = None if self._labels is None else list(self._labels)
-        dup._ids = None if self._ids is None else dict(self._ids)
-        dup._edges = self._edges  # never written, so safe to share
-        return dup
+        return self.with_edges(self._edges)
 
     def with_edges(self, flat: "FlatEdges") -> "Wsn":
-        """A copy whose edge store is ``flat``, an overlay over the same nodes."""
-        dup = self.copy()
-        dup._edges = flat
+        """A copy whose edge store is ``flat``, an overlay over the same nodes; labels are shared."""
+        dup = Wsn.__new__(Wsn)
+        dup._labels, dup._ids, dup._edges = self._labels, self._ids, flat
         return dup
 
     def __eq__(self, other: object) -> bool:

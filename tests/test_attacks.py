@@ -935,13 +935,16 @@ class TestFlatCore:
 
 
 class TestGraphAfter:
-    """``graph_after`` is built from the attacked graph and the move log on first read."""
+    """``graph_after`` is the attacked graph's labels plus the attack's final overlay."""
 
     @staticmethod
-    def attacked():
-        """A graph and the outcomes of every attack on it, none of them read yet."""
+    def attacked(named=False):
+        """A graph, named "v0", "v1", ... if ``named``, and the outcomes of every attack on it."""
         core = TestFlatCore()
         g, scores, target, attackers = core.scored_instance()
+        if named:
+            flat, labels = g.flat(), [f"v{node}" for node in g.nodes()]
+            g = Wsn.from_arrays(g.node_count, flat.src, flat.dst, flat.w, labels=labels)
         return g, core.run_every_attack(g, target, attackers, scores)
 
     @staticmethod
@@ -951,29 +954,25 @@ class TestGraphAfter:
             work.rate(move.attacker, move.rated, move.weight)
         return work
 
-    def test_unread_graph_after_is_never_built(self, monkeypatch):
-        copies = []
-        original = Wsn.copy
-        monkeypatch.setattr(Wsn, "copy", lambda self: copies.append(1) or original(self))
-        _, outcomes = self.attacked()
-        assert copies == []
-        outcomes[0].graph_after
-        assert copies == [1]
-
     def test_graph_after_equals_the_eager_build(self):
         g, outcomes = self.attacked()
         for outcome in outcomes:
-            built = outcome.graph_after
-            assert built == self.eager(g, outcome.moves)
-            assert built != g
-            assert outcome.graph_after is built
+            assert outcome.graph_after == self.eager(g, outcome.moves)
+            assert outcome.graph_after != g
 
-    def test_read_after_the_attacked_graph_changed_raises(self):
-        g, (read_early, *outcomes) = self.attacked()
-        built = read_early.graph_after
-        u, v, _ = next(iter(g.edges()))
+    @pytest.mark.parametrize("named", [False, True], ids=["implied-names", "stored-names"])
+    def test_edits_of_the_attacked_graph_do_not_reach_graph_after(self, named):
+        g, outcomes = self.attacked(named)
+        want = [self.eager(g, outcome.moves) for outcome in outcomes]
+        n = g.node_count
+        u, v, weight = next(iter(g.edges()))
+        assert weight != 0.25
+        g.add_node("extra")
         g.update_weight(u, v, 0.25)
-        assert read_early.graph_after is built
-        for outcome in outcomes:
-            with pytest.raises(RuntimeError, match="changed"):
-                outcome.graph_after
+        for outcome, eager in zip(outcomes, want):
+            after = outcome.graph_after
+            assert after == eager
+            assert after.node_count == n and "extra" not in after.labels()
+            with pytest.raises(KeyError):
+                after.id_of("extra")
+            assert after.weight(u, v) == eager.weight(u, v) != 0.25

@@ -77,6 +77,31 @@ class TestComputeCommand:
         assert "iterations=1" in capsys.readouterr().err
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--mode", "direct", "--input", "{csv}", "--k", "1"],
+        ["bounds", "--scenario", "direct-sybil", "--input", "{csv}", "--trials", "1"],
+        ["bounds", "--scenario", "stabiliser"],
+        ["axioms", "--samples", "1"],
+        ["compute", "--generate", "erdos:n=5"],
+        ["compute", "--input", "{csv}"],
+        ["predict", "--input", "{csv}", "--source", "2", "--target", "4"],
+        ["stats", "--input", "{csv}"],
+        ["campaign", "--input", "{csv}", "--mode", "direct", "--out-dir", "{out}"],
+    ], ids=["attack", "bounds-direct-sybil", "bounds-stabiliser", "axioms", "compute-generate",
+            "compute-input", "predict", "stats", "campaign"])
+    def test_a_negative_seed_is_exit_2_for_every_command_before_it_runs(
+        self, argv, ratings_csv, tmp_path, capsys
+    ):
+        # numpy seeds no stream from a negative seed; some commands used to fail late
+        # with its message, and the stabiliser and compute --input ignored the seed
+        out = tmp_path / "out"
+        argv = [arg.format(csv=ratings_csv, out=out) for arg in argv]
+        assert main(["--seed", "-1", *argv]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+
 class TestPredictCommand:
     def test_prediction_payload(self, ratings_csv, capsys):
         code = main([

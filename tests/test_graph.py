@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from fga.engine import HIGH_PRECISION, compute_fga, compute_fga_many
+from fga.generators import generate_random_graph
 from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn, splice
 
 WEIGHTS = st.floats(min_value=-1, max_value=1, allow_nan=False)
@@ -283,6 +284,14 @@ class TestLabels:
                 g.id_of(other)
         g.validate()
 
+    def test_a_long_decimal_label_is_unknown_not_an_int_conversion_error(self):
+        # int() refuses strings over 4300 digits, so this used to raise ValueError
+        g = generate_random_graph(5, 1.0, seed=1)
+        for label in ("1" * 5000, "1" * 2, "0" * 5000):
+            with pytest.raises(KeyError, match="unknown node label"):
+                g.id_of(label)
+        assert g.id_of("4") == 4
+
     def test_default_and_explicit_names_never_collide(self):
         g = Wsn()
         g.add_node()  # "0"
@@ -316,6 +325,20 @@ class TestCopy:
         dup.add_node("c")
         assert g.weight(0, 1) == 0.5
         assert g.node_count == 2
+
+    @pytest.mark.parametrize("edited", ["copy", "original"])
+    def test_copy_shares_labels_and_store_and_neither_side_sees_the_others_node(self, edited):
+        g = pair_graph()
+        dup = g.copy()
+        assert dup._labels is g._labels and dup._ids is g._ids and dup._edges is g._edges
+        changed, other = (dup, g) if edited == "copy" else (g, dup)
+        assert changed.add_node("x") == 2
+        assert changed.labels() == ["a", "b", "x"] and changed.id_of("x") == 2
+        assert other.labels() == ["a", "b"] and other.node_count == 2
+        with pytest.raises(KeyError):
+            other.id_of("x")
+        other.validate()
+        changed.validate()
 
     def test_validate_catches_corruption(self):
         g = pair_graph()
