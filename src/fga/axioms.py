@@ -22,17 +22,14 @@ from typing import Callable
 import numpy as np
 
 from . import generators
-from .engine import HIGH_PRECISION, FgaScores, FlatEdges, compute_fga, compute_fga_many
+from .engine import HIGH_PRECISION, FgaScores, FlatEdges, compute_fga_many
+from .engine import compute_fga  # noqa: F401  bench/tracing.py wraps it by this name
 from .gadgets import GadgetError, fairness_fan, goodness_star
 
 TOLERANCE = 1e-9
 
 #: Ordering ties below this are treated as exact (fixed-point residual noise).
 _EPS = 1e-12
-
-def closed_form_goodness(fairness: float, rating: float) -> float:
-    """Goodness of a node rated ``rating`` by unanimous raters of equal fairness."""
-    return fairness * rating
 
 
 def closed_form_fairness(error: float) -> float:
@@ -91,14 +88,6 @@ def gap(check: Check) -> float:
     return gap_of(_measure(probes))
 
 
-def measured_goodness(num_raters: int, fairness: float, rating: float) -> float:
-    return _measure([_goodness_probe([(num_raters, fairness, rating)])])[0]
-
-
-def measured_fairness(errors: list[float]) -> float:
-    return _measure([_fairness_probe(errors)])[0]
-
-
 # -- checks ----------------------------------------------------------------
 
 
@@ -146,19 +135,6 @@ def groups_fairness(partition: list[tuple[int, float]]) -> Check:
     probes = [_fairness_probe(errors)]
     probes += [_fairness_probe([d] * size) for size, d in partition]
     return probes, _mean_gap([size for size, _ in partition])
-
-
-def check_maximal_trust_and_baselines() -> bool:
-    """All-ones star gives goodness 1; unrated nodes g = 1; non-rating nodes f = 1."""
-    graph, centre, _ = goodness_star([(5, 1.0, 1.0)])
-    lone = graph.add_node()
-    scores = compute_fga(graph, HIGH_PRECISION)
-    if abs(scores.goodness[centre] - 1.0) > TOLERANCE:
-        return False
-    if scores.goodness[lone] != 1.0 or scores.fairness[lone] != 1.0:
-        return False
-    # Raters of the centre have no incoming edges and the centre rates no one.
-    return scores.goodness[centre + 1] == 1.0 and scores.fairness[centre] == 1.0
 
 
 # -- sampled draws ---------------------------------------------------------

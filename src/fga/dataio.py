@@ -67,6 +67,9 @@ def load_rating_csv(path, scale: RatingScale) -> Wsn:
                     ) from None
             if not math.isfinite(timestamp):
                 raise ValueError(f"{path}: line {line_no}: timestamp {row[3]!r} is not finite")
+            for role, label in (("source", source_label), ("target", target_label)):
+                if not label:
+                    raise ValueError(f"{path}: line {line_no}: empty {role} label")
             if source_label == target_label:
                 raise ValueError(f"{path}: line {line_no}: self-rating {source_label!r}")
             if not abs(raw) <= scale.r_max:  # also rejects nan
@@ -97,13 +100,6 @@ def write_csv(fh, rows) -> None:
 def json_text(payload) -> str:
     """``payload`` as the one JSON format: indented, keys sorted, ending in a newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def export_rating_csv(graph: Wsn, path, scale: RatingScale) -> None:
-    """Headerless ``source,target,rating`` rows; raw ratings keep 12 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_csv(fh, ((graph.label_of(u), graph.label_of(v), f"{scale.denormalize(w):.12g}")
-                       for u, v, w in graph.edges()))
 
 
 def export_scores_csv(graph: Wsn, scores: FgaScores, fh) -> None:

@@ -10,26 +10,17 @@ import numpy as np
 from .graph import Wsn
 
 
-def generate_min_k_neighbour(
-    n: int,
-    k: int,
-    seed: int = 0,
-    weight_range: tuple[float, float] = (-1.0, 1.0),
-) -> Wsn:
+def generate_min_k_neighbour(n: int, k: int, seed: int = 0) -> Wsn:
     """Random digraph where every node has exactly k in- and out-edges.
 
-    With |weight| <= 1 each node's incoming absolute-weight mass is at most k
-    automatically, so the minimum-k-neighbour certificate holds by
-    construction. Starts from k cyclic shifts and randomizes with
-    degree-preserving edge swaps.
+    Each node's k incoming edges carry an absolute-weight mass of at most
+    k, so the minimum-k-neighbour certificate holds by construction. Starts
+    from k cyclic shifts and randomizes with degree-preserving edge swaps.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < k + 1:
         raise ValueError(f"infeasible: need n >= k + 1, got n={n}, k={k}")
-    lo, hi = weight_range
-    if not -1.0 <= lo <= hi <= 1.0:
-        raise ValueError(f"weight range {weight_range} outside [-1, 1]")
 
     rng = np.random.default_rng([seed, n, k])
     edges = [(u, (u + shift) % n) for shift in range(1, k + 1) for u in range(n)]
@@ -52,7 +43,7 @@ def generate_min_k_neighbour(
         edges[j] = (u2, v1)
 
     src, dst = zip(*sorted(present))
-    return Wsn.from_arrays(n, src, dst, [float(rng.uniform(lo, hi)) for _ in src])
+    return Wsn.from_arrays(n, src, dst, [float(rng.uniform(-1.0, 1.0)) for _ in src])
 
 
 def generate_complete_positive(n: int) -> Wsn:

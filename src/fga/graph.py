@@ -71,9 +71,6 @@ class RatingScale:
             raise ValueError(f"raw rating {raw} outside [-{self.r_max}, {self.r_max}]")
         return raw / self.r_max
 
-    def denormalize(self, weight: float) -> float:
-        return weight * self.r_max
-
 
 class Wsn:
     """Directed weighted signed network.
@@ -216,24 +213,8 @@ class Wsn:
         """The graph's edge store: canonical-order arrays, read-only, replaced by every edit."""
         return self._edges
 
-    # -- neighbourhood queries ------------------------------------------
-
-    def pred(self, v: int) -> set[int]:
-        v = self._check_node(v)
-        flat = self._edges
-        return set(flat.src[flat.dst == v].tolist())
-
-    def succ(self, u: int) -> set[int]:
-        u = self._check_node(u)
-        flat = self._edges
-        lo = int(flat.src.searchsorted(u))
-        return set(flat.dst[lo : lo + int(flat.outdeg[u])].tolist())
-
     def indeg(self, v: int) -> int:
         return int(self._edges.indeg[self._check_node(v)])
-
-    def outdeg(self, u: int) -> int:
-        return int(self._edges.outdeg[self._check_node(u)])
 
     # -- whole-graph operations ------------------------------------------
 

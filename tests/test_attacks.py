@@ -131,6 +131,13 @@ class TestDirectAttack:
             assert outcome.scores_after.goodness[target] < 0.0
 
 
+def co_rated(graph, target):
+    """Every node that some rater of ``target`` rates, read off the edge list."""
+    edges = list(graph.edges())
+    raters = {u for u, v, _ in edges if v == target}
+    return {v for u, v, _ in edges if u in raters}
+
+
 def greedy_scan_oracle(graph, attackers, target):
     """Per-step exhaustive scan with cold recomputation and the same tie rule."""
     base = compute_fga(graph, ATTACK_CONFIG)
@@ -138,10 +145,7 @@ def greedy_scan_oracle(graph, attackers, target):
     work = graph.copy()
     moves = []
     for attacker in ordered:
-        candidates = set()
-        for n1 in work.pred(target):
-            candidates |= work.succ(n1)
-        candidates -= {target, attacker}
+        candidates = co_rated(work, target) - {target, attacker}
         best = None
         for rated in sorted(candidates):
             for weight in (1.0, -1.0):
@@ -306,10 +310,7 @@ class TestIndirectGreedy:
         ordered = sorted(set(attackers), key=lambda a: (-base.fairness[a], a))
         for move, attacker in zip(outcome.moves, ordered):
             assert move.attacker == attacker
-            candidates = set()
-            for n1 in work.pred(target):
-                candidates |= work.succ(n1)
-            candidates -= {target, attacker}
+            candidates = co_rated(work, target) - {target, attacker}
             committed_value = None
             best_value = None
             for rated in sorted(candidates):
@@ -532,7 +533,7 @@ class TestInjectSybil:
         scores = compute_fga(attacked, HIGH_PRECISION)
         assert scores.goodness[0] == pytest.approx(-1.0, abs=TOL)
         assert scores.fairness[sybil] == pytest.approx(1.0, abs=TOL)
-        assert attacked.outdeg(sybil) == 1 and attacked.indeg(sybil) == 0
+        assert attacked.flat().outdeg[sybil] == 1 and attacked.indeg(sybil) == 0
         assert g.node_count == 1  # input untouched
 
     def test_injections_commute(self):
@@ -785,18 +786,20 @@ class TestSelection:
     def test_attacker_classes(self):
         g, scores = self.make_scored_graph()
         criteria = SelectionCriteria()
+        outdeg = g.flat().outdeg
         for v in qualifying_attackers(g, scores, criteria, "established"):
-            assert g.outdeg(v) > criteria.established_min_outdeg
+            assert outdeg[v] > criteria.established_min_outdeg
             assert scores.fairness[v] > criteria.established_min_fairness
         for v in qualifying_attackers(g, scores, criteria, "fresh"):
             assert 0 < g.indeg(v) < criteria.fresh_max_indeg
-            assert g.outdeg(v) == 0
+            assert outdeg[v] == 0
         with pytest.raises(ValueError):
             qualifying_attackers(g, scores, criteria, "nope")
 
     def test_pools_match_per_node_scan(self):
         g, scores = self.make_scored_graph()
         criteria = SelectionCriteria(target_max_indeg=4, fresh_max_indeg=3)
+        outdeg = g.flat().outdeg
         assert qualifying_targets(g, scores, criteria) == [
             v for v in g.nodes()
             if 0 < g.indeg(v) < criteria.target_max_indeg
@@ -804,12 +807,12 @@ class TestSelection:
         ]
         assert qualifying_attackers(g, scores, criteria, "established") == [
             v for v in g.nodes()
-            if g.outdeg(v) > criteria.established_min_outdeg
+            if outdeg[v] > criteria.established_min_outdeg
             and scores.fairness[v] > criteria.established_min_fairness
         ]
         assert qualifying_attackers(g, scores, criteria, "fresh") == [
             v for v in g.nodes()
-            if 0 < g.indeg(v) < criteria.fresh_max_indeg and g.outdeg(v) == 0
+            if 0 < g.indeg(v) < criteria.fresh_max_indeg and outdeg[v] == 0
         ]
 
     def test_seeded_determinism_and_exclusion(self):

@@ -3,15 +3,11 @@ import pytest
 
 from fga.axioms import (
     AXIOM_NAMES,
-    check_maximal_trust_and_baselines,
     closed_form_fairness,
-    closed_form_goodness,
     gap,
     groups_fairness,
     groups_goodness,
     increase_weight,
-    measured_fairness,
-    measured_goodness,
     run_axiom_suite,
     smooth_fairness,
     smooth_goodness,
@@ -23,6 +19,18 @@ from fga.gadgets import stabilised_star
 TOL = 1e-9
 
 
+def star_goodness(raters: int, fairness: float, rating: float) -> float:
+    """The centre's goodness when ``raters`` raters of equal fairness all rate it ``rating``."""
+    graph, centre, _ = goodness_star([(raters, fairness, rating)])
+    return float(compute_fga(graph, HIGH_PRECISION).goodness[centre])
+
+
+def fan_fairness(errors: list[float]) -> float:
+    """The fairness of a rater whose ratings miss by ``errors``."""
+    graph, rater, _ = fairness_fan(errors)
+    return float(compute_fga(graph, HIGH_PRECISION).fairness[rater])
+
+
 class TestGadgetRealization:
     """The pinning construction must hit requested scores exactly."""
 
@@ -32,7 +40,7 @@ class TestGadgetRealization:
     def test_goodness_star_realizes_fairness_and_product(self, f0, omega):
         graph, centre, groups = goodness_star([(3, f0, omega)])
         scores = compute_fga(graph, HIGH_PRECISION)
-        assert scores.goodness[centre] == pytest.approx(closed_form_goodness(f0, omega), abs=TOL)
+        assert scores.goodness[centre] == pytest.approx(f0 * omega, abs=TOL)
         for rater in groups[0]:
             assert scores.fairness[rater] == pytest.approx(f0, abs=TOL)
 
@@ -82,45 +90,52 @@ class TestGadgetRealization:
 class TestSmoothGoodness:
     def test_additivity_with_unit_rating(self):
         # fairness 0.4 plus a 0.3 bump, rating 1: goodness 0.7 = 0.4 + 0.3
-        assert measured_goodness(2, 0.7, 1.0) == pytest.approx(0.7, abs=TOL)
-        assert measured_goodness(2, 0.4, 1.0) == pytest.approx(0.4, abs=TOL)
-        assert measured_goodness(2, 0.3, 1.0) == pytest.approx(0.3, abs=TOL)
+        assert star_goodness(2, 0.7, 1.0) == pytest.approx(0.7, abs=TOL)
+        assert star_goodness(2, 0.4, 1.0) == pytest.approx(0.4, abs=TOL)
+        assert star_goodness(2, 0.3, 1.0) == pytest.approx(0.3, abs=TOL)
         assert gap(smooth_goodness(0.4, 0.3, 1.0)) <= TOL
 
     def test_additivity_with_negative_rating(self):
         # -0.6 = -0.4 + -0.2 at rating -0.8
-        assert measured_goodness(2, 0.75, -0.8) == pytest.approx(-0.6, abs=TOL)
+        assert star_goodness(2, 0.75, -0.8) == pytest.approx(-0.6, abs=TOL)
         assert gap(smooth_goodness(0.5, 0.25, -0.8)) <= TOL
 
 
 class TestIncreaseWeight:
     def test_additivity_at_full_fairness(self):
-        assert measured_goodness(2, 1.0, 0.7) == pytest.approx(0.7, abs=TOL)
+        assert star_goodness(2, 1.0, 0.7) == pytest.approx(0.7, abs=TOL)
         assert gap(increase_weight(1.0, 0.2, 0.5)) <= TOL
 
     def test_additivity_cancels_to_zero(self):
-        assert measured_goodness(2, 0.5, 0.0) == pytest.approx(0.0, abs=TOL)
+        assert star_goodness(2, 0.5, 0.0) == pytest.approx(0.0, abs=TOL)
         assert gap(increase_weight(0.5, -0.4, 0.4)) <= TOL
 
 
 class TestMonotonicityGoodness:
     def test_weight_ordering(self):
-        assert measured_goodness(1, 1.0, 0.9) >= measured_goodness(1, 1.0, 0.1) - 1e-12
+        assert star_goodness(1, 1.0, 0.9) >= star_goodness(1, 1.0, 0.1) - 1e-12
 
     def test_fairness_ordering_positive_rating(self):
-        assert measured_goodness(1, 0.8, 1.0) >= measured_goodness(1, 0.3, 1.0) - 1e-12
+        assert star_goodness(1, 0.8, 1.0) >= star_goodness(1, 0.3, 1.0) - 1e-12
 
     def test_fairness_ordering_flips_for_negative_rating(self):
         # at rating -1 the raw ordering reverses; magnitude ordering holds
-        hi = measured_goodness(1, 0.8, -1.0)
-        lo = measured_goodness(1, 0.3, -1.0)
+        hi = star_goodness(1, 0.8, -1.0)
+        lo = star_goodness(1, 0.3, -1.0)
         assert hi <= lo
         assert abs(hi) >= abs(lo)
 
 
 class TestMaximalTrustAndBaselines:
     def test_all(self):
-        assert check_maximal_trust_and_baselines()
+        graph, centre, groups = goodness_star([(5, 1.0, 1.0)])
+        lone = graph.add_node()
+        scores = compute_fga(graph, HIGH_PRECISION)
+        assert scores.goodness[centre] == pytest.approx(1.0, abs=TOL)
+        # unrated nodes have goodness exactly 1, and nodes that rate no one fairness 1
+        assert scores.goodness[lone] == scores.fairness[lone] == 1.0
+        assert scores.fairness[centre] == 1.0
+        assert all(scores.goodness[rater] == 1.0 for rater in groups[0])
 
     def test_star_of_five(self):
         graph, centre, _ = goodness_star([(5, 1.0, 1.0)])
@@ -132,9 +147,7 @@ class TestGroupsGoodness:
     def test_symmetric_average(self):
         # opposite-rating groups of equal size and fairness: centre lands at 0.
         # Fairness exactly 1 cannot coexist with the nonzero error these raters
-        # carry in the combined graph, so the idealized full-trust endpoint is
-        # covered by the closed form and the gadget runs at fairness 0.9.
-        assert (closed_form_goodness(1.0, 1.0) + closed_form_goodness(1.0, -1.0)) / 2 == 0.0
+        # carry in the combined graph, so the gadget runs at fairness 0.9.
         partition = [(1, 0.9, 1.0), (1, 0.9, -1.0)]
         assert gap(groups_goodness(partition)) <= TOL
         graph, centre, _ = goodness_star(partition)
@@ -156,13 +169,13 @@ class TestGroupsGoodness:
 
 class TestFairnessAxioms:
     def test_endpoints(self):
-        assert measured_fairness([0.0, 0.0]) == pytest.approx(1.0, abs=TOL)
+        assert fan_fairness([0.0, 0.0]) == pytest.approx(1.0, abs=TOL)
         assert closed_form_fairness(2.0) == 0.0
         assert closed_form_fairness(0.0) == 1.0
 
     def test_midpoint_between_extremes(self):
         # error-1 fairness must equal the average of the error-0 and error-2 extremes
-        f_mid = measured_fairness([1.0, 1.0])
+        f_mid = fan_fairness([1.0, 1.0])
         assert f_mid == pytest.approx(
             (closed_form_fairness(0.0) + closed_form_fairness(2.0)) / 2, abs=TOL
         )
@@ -171,13 +184,13 @@ class TestFairnessAxioms:
         assert gap(smooth_fairness(0.2, 1.4, set_size=2)) <= TOL
 
     def test_monotonicity(self):
-        assert measured_fairness([1.5]) <= measured_fairness([0.2]) + 1e-12
+        assert fan_fairness([1.5]) <= fan_fairness([0.2]) + 1e-12
 
     def test_groups_weighted_mean(self):
         # sizes (2, 3) with errors 0.4 and 1.0: fairness (2*0.8 + 3*0.5) / 5 = 0.62
         assert gap(groups_fairness([(2, 0.4), (3, 1.0)])) <= TOL
         errors = [0.4] * 2 + [1.0] * 3
-        assert measured_fairness(errors) == pytest.approx(0.62, abs=TOL)
+        assert fan_fairness(errors) == pytest.approx(0.62, abs=TOL)
 
 
 class TestStabilisedStarGadget:

@@ -92,10 +92,11 @@ class TestBoundFormulas:
 
     def test_indirect_bound_formula_case(self):
         # indeg(i) = 9, k = 5 gives 2 / 50 = 0.04
-        g = generate_min_k_neighbour(40, 9, seed=2, weight_range=(-0.5, 0.5))
-        cert = check_min_k_neighbour(g, 5)
-        if cert.holds:  # indeg 9 >= 5 and |w| <= 0.5 keeps mass under 5
-            assert indirect_sybil_bound(g, 3, 5) == pytest.approx(0.04, abs=1e-12)
+        flat = generate_min_k_neighbour(40, 9, seed=2).flat()
+        g = Wsn.from_arrays(40, flat.src, flat.dst, flat.w / 2)
+        # indeg 9 >= 5, and |w| <= 0.5 keeps each node's rating mass under 5
+        assert check_min_k_neighbour(g, 5).holds
+        assert indirect_sybil_bound(g, 3, 5) == pytest.approx(0.04, abs=1e-12)
 
     def test_indirect_bound_requires_certificate(self):
         g = generate_complete_positive(4)

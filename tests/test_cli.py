@@ -112,10 +112,14 @@ class TestPredictCommand:
         # node 4 rates no one (fairness 1) and 3 is unrated (goodness 1)
         assert payload["predicted_weight"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_unknown_label(self, ratings_csv):
-        assert main([
-            "predict", "--input", str(ratings_csv), "--source", "zz", "--target", "1"
-        ]) == 2
+    def test_unknown_label(self, ratings_csv, capsys):
+        # printed bare: str() of the KeyError would wrap the message in quotes
+        for argv in (
+            ["predict", "--input", str(ratings_csv), "--source", "zz", "--target", "1"],
+            ["attack", "--mode", "direct", "--input", str(ratings_csv), "--target", "zz"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: unknown node label 'zz'\n")
 
 
 class TestStatsCommand:
