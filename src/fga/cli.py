@@ -227,8 +227,8 @@ def _cmd_attack(args) -> int:
         "target": graph.label_of(target),
         "attackers": [graph.label_of(a) for a in attackers],
     }
-    if args.mode == "exhaustive":  # over direct+indirect single-target moves
-        intermediaries = tuple(v for v in graph.nodes() if v != target and v not in set(attackers))
+    if args.mode == "exhaustive":  # every attacker rates any node but the target, itself excepted
+        intermediaries = tuple(v for v in graph.nodes() if v != target)
         problem = AttackProblem(
             graph=graph,
             attackers=tuple(attackers),

@@ -43,7 +43,7 @@ def load_rating_csv(path, scale: RatingScale) -> Wsn:
     # (timestamp, line_no) orders duplicates; raw ratings are normalized late
     # so an out-of-scale row still reports its line number.
     latest: dict[tuple[int, int], tuple[tuple[float, int], float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not a label
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):

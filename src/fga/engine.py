@@ -269,7 +269,10 @@ def _iterate_flat(
 
 
 def _start(flat: FlatEdges, warm: FgaScores | None) -> tuple[np.ndarray, np.ndarray]:
-    """Start scores: the warm ones, with f = g = 1 for nodes added since."""
+    """Start scores: all ones, or the warm ones with f = g = 1 for nodes added since.
+
+    The one check of warm scores against a store: a store with fewer nodes is refused.
+    """
     if warm is None:
         return np.ones(flat.n), np.ones(flat.n)
     n_old = warm.node_count
@@ -317,29 +320,26 @@ def compute_fga_many(
 
 
 def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
-    """Warm-started iteration on a flat edge view over an unchanged node set."""
-    if warm.node_count != flat.n:
-        raise ValueError(f"warm scores cover {warm.node_count} nodes, view has {flat.n}")
+    """Warm-started iteration on a flat edge view, started as ``recompute_after`` starts."""
     return next(compute_fga_many([flat], warm, config))
 
 
 class WarmEdits:
     """Warm re-solves of one-edit overlays of one store, sharing its first two sweeps.
 
-    Made from a store and the scores every re-solve starts from, it runs two
-    dense sweeps of the unedited store at once. ``solve(a, r, w)`` then
-    starts the re-solve of ``flat.with_rating(a, r, w)``, whose sweeps 1-2
-    recompute only the nodes the edit can reach and take every other value
-    from these two sweeps (module docstring).
+    Made from a store and warm scores, it starts as ``recompute_after`` does
+    and runs two dense sweeps of the unedited store at once. ``solve(a, r,
+    w)`` then starts the re-solve of ``flat.with_rating(a, r, w)``, whose
+    sweeps 1-2 recompute only the nodes the edit can reach and take every
+    other value from these two sweeps (module docstring).
     """
 
     def __init__(self, flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = None) -> None:
-        if warm.node_count != flat.n:
-            raise ValueError(f"warm scores cover {warm.node_count} nodes, the store {flat.n}")
         self.flat = flat
         self.config = config or DEFAULT_CONFIG
-        base = _Sweeps([flat], [(warm.fairness, warm.goodness)], self.config)
-        self._f, self._g = [warm.fairness], [warm.goodness]
+        f, g = _start(flat, warm)
+        base = _Sweeps([flat], [(f, g)], self.config)
+        self._f, self._g = [f], [g]
         self._steps = [(math.inf, math.inf)]  # per sweep, the residual and largest fairness step
         for _ in (1, 2):
             base.advance()

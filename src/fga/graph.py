@@ -36,19 +36,15 @@ def node_index(node, n: int) -> int:
     return index
 
 
-def _check_weight(weight) -> float:
-    weight = float(weight)
-    if not math.isfinite(weight) or weight < -1.0 or weight > 1.0:
-        raise ValueError(f"weight {weight} outside [-1, 1]")
-    return weight
-
-
 def _check_edge(u, v, weight, n: int) -> tuple[int, int, float]:
     """(u, v, weight) checked as ``Wsn.add_edge`` checks a new edge, except for duplicates."""
     u, v = node_index(u, n), node_index(v, n)
     if u == v:
         raise ValueError(f"self-loop ({u}, {v}) not allowed")
-    return u, v, _check_weight(weight)
+    weight = float(weight)
+    if not math.isfinite(weight) or weight < -1.0 or weight > 1.0:
+        raise ValueError(f"weight {weight} outside [-1, 1]")
+    return u, v, weight
 
 
 class InvariantViolationError(RuntimeError):
@@ -84,11 +80,11 @@ class Wsn:
     label strings.
 
     The edges live in one read-only ``FlatEdges``, returned by ``flat()``.
-    Every query reads it. Every edit (``add_node``, ``add_edge``,
-    ``update_weight``, ``rate``) replaces it with an overlay, so a
-    ``FlatEdges`` handed out earlier, to a solve, an attack or another
-    thread, still describes the graph as it was. An edit costs O(m); build a
-    graph of many edges in one call with ``from_arrays``.
+    Every query reads it. Every edit (``add_node``, ``add_edge``, ``rate``)
+    replaces it with an overlay, so a ``FlatEdges`` handed out earlier, to a
+    solve, an attack or another thread, still describes the graph as it
+    was. An edit costs O(m); build a graph of many edges in one call with
+    ``from_arrays``.
 
     ``add_node`` replaces the labels too, so ``copy()`` shares them and the
     store, and the copy is fully independent. Do not edit a graph while
@@ -155,7 +151,7 @@ class Wsn:
         return node
 
     def label_of(self, node: int) -> str:
-        node = self._check_node(node)
+        node = node_index(node, self._edges.n)
         return str(node) if self._labels is None else self._labels[node]
 
     def labels(self) -> list[str]:
@@ -164,41 +160,26 @@ class Wsn:
     def nodes(self) -> range:
         return range(self._edges.n)
 
-    def _check_node(self, node: int) -> int:
-        if type(node) is int and 0 <= node < self._edges.n:
-            return node  # the common case, without the call
-        return node_index(node, self._edges.n)
-
     # -- edges ---------------------------------------------------------
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
-        """Add the edge (u, v). Rejects duplicates; re-rating goes through update_weight."""
+        """Add the edge (u, v). Rejects duplicates; re-rating goes through ``rate``."""
         u, v, weight = _check_edge(u, v, weight, self._edges.n)
         if self._edges.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present; use update_weight")
-        self._edges = self._edges.with_rating(u, v, weight)
-
-    def update_weight(self, u: int, v: int, weight: float) -> None:
-        u, v = self._check_node(u), self._check_node(v)
-        weight = _check_weight(weight)
-        if not self._edges.has_edge(u, v):
-            raise KeyError(f"edge ({u}, {v}) does not exist")
+            raise ValueError(f"edge ({u}, {v}) already present; use rate")
         self._edges = self._edges.with_rating(u, v, weight)
 
     def rate(self, u: int, v: int, weight: float) -> str:
         """Add or update the edge (u, v); returns ``KIND_ADD`` or ``KIND_UPDATE``."""
-        if self.has_edge(u, v):
-            self.update_weight(u, v, weight)
-            return KIND_UPDATE
-        self.add_edge(u, v, weight)
-        return KIND_ADD
+        kind = KIND_UPDATE if self.has_edge(u, v) else KIND_ADD
+        self._edges = self._edges.with_rating(u, v, weight)  # checks the edge as add_edge does
+        return kind
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = self._check_node(u), self._check_node(v)
-        return self._edges.has_edge(u, v)
+        return self._edges.has_edge(node_index(u, self._edges.n), node_index(v, self._edges.n))
 
     def weight(self, u: int, v: int) -> float:
-        u, v = self._check_node(u), self._check_node(v)
+        u, v = node_index(u, self._edges.n), node_index(v, self._edges.n)
         at, present = self._edges.locate(u, v)
         if not present:
             raise KeyError(f"edge ({u}, {v}) does not exist")
@@ -214,7 +195,7 @@ class Wsn:
         return self._edges
 
     def indeg(self, v: int) -> int:
-        return int(self._edges.indeg[self._check_node(v)])
+        return int(self._edges.indeg[node_index(v, self._edges.n)])
 
     # -- whole-graph operations ------------------------------------------
 
@@ -319,7 +300,7 @@ class FlatEdges:
             for edge in zip(src.tolist(), dst.tolist(), w.tolist()):
                 u, v, _ = _check_edge(*edge, n)
                 if (u, v) in seen:
-                    raise ValueError(f"edge ({u}, {v}) already present; use update_weight")
+                    raise ValueError(f"edge ({u}, {v}) already present; use rate")
                 seen.add((u, v))
             # every edge passed, so the ids are integers held in another dtype
             return cls.from_arrays(n, src.astype(np.int64), dst.astype(np.int64), w)

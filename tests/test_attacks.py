@@ -971,7 +971,7 @@ class TestGraphAfter:
         u, v, weight = next(iter(g.edges()))
         assert weight != 0.25
         g.add_node("extra")
-        g.update_weight(u, v, 0.25)
+        assert g.rate(u, v, 0.25) == "weight-update"
         for outcome, eager in zip(outcomes, want):
             after = outcome.graph_after
             assert after == eager

@@ -211,6 +211,17 @@ class TestAttackCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("seed", [21, 23])
+    def test_exhaustive_is_no_worse_than_greedy_with_the_same_attackers(self, seed, capsys):
+        # at seed 21 the best pair of moves has one attacker rate the other
+        argv = ["--seed", str(seed), "attack", "--generate", "erdos:n=12,deg=3", "--k", "2"]
+        assert main([*argv, "--mode", "indirect"]) == 0
+        greedy = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--mode", "exhaustive"]) == 0
+        exhaustive = json.loads(capsys.readouterr().out)
+        assert exhaustive["attackers"] == greedy["attackers"]
+        assert exhaustive["objective_value"] <= greedy["goodness_after"] + 1e-9
+
     def test_insufficient_attackers_is_exit_3(self):
         assert main([
             "attack", "--generate", "complete:n=3", "--mode", "direct", "--k", "5",

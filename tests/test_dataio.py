@@ -44,6 +44,13 @@ class TestLoader:
             g = load_rating_csv(write(tmp_path, f"{header}\na,b,5,100\n"), SCALE10)
             assert g.node_count == 2 and g.edge_count == 1, header
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,5\n")
+        g = load_rating_csv(path, SCALE10)
+        assert g.labels() == ["a", "b"]
+        assert g.weight(g.id_of("a"), g.id_of("b")) == 0.5
+
     @pytest.mark.parametrize("text", ["alice,bob,x\n", "alice,bob,ratings\ncarol,dave,5\n"])
     def test_first_row_without_a_rating_name_is_data(self, tmp_path, text):
         # only a rating field reading "rating" or "weight" makes the first row a header

@@ -21,7 +21,7 @@ from fga.engine import (
     recompute_flat,
 )
 from fga.generators import generate_random_graph
-from fga.graph import Wsn
+from fga.graph import FlatEdges, Wsn
 
 TOL = 1e-9
 
@@ -274,6 +274,32 @@ class TestEditSolve:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
+    def test_a_grown_store_starts_as_compute_fga_many_starts(self, data):
+        g = draw_graph(data, 2, 6)
+        warm = compute_fga(g, HIGH_PRECISION)
+        weights = st.sampled_from([-1.0, 1.0, 0.0, 0.5])
+        grown = g.copy()  # nodes added since the warm scores start from f = g = 1
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2), label="added")):
+            sybil = grown.add_node()
+            rated = data.draw(st.integers(min_value=0, max_value=sybil - 1), label="rated")
+            grown.rate(sybil, rated, data.draw(weights, label="sybil weight"))
+        nodes = grown.nodes()
+        a, r = data.draw(
+            st.sampled_from([(u, v) for u in nodes for v in nodes if u != v]), label="edit"
+        )
+        edit = (a, r, data.draw(weights, label="edit weight"))
+        config = data.draw(
+            st.sampled_from(
+                [HIGH_PRECISION, FgaConfig(max_iterations=1), FgaConfig(max_iterations=3)]
+            ),
+            label="config",
+        )
+        (want,) = compute_fga_many([grown.flat().with_rating(*edit)], warm, config)
+        assert_same_scores(recompute_flat(grown.flat().with_rating(*edit), warm, config), want)
+        assert_same_scores(WarmEdits(grown.flat(), warm, config).solve(*edit).finish(), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
     def test_decides_only_what_the_final_value_allows(self, data):
         flat, warm, edit = draw_warm_edit(data)
         full = recompute_flat(flat.with_rating(*edit), warm, HIGH_PRECISION)
@@ -323,8 +349,9 @@ class TestEditSolve:
     def test_misuse_is_refused(self):
         g = generate_random_graph(6, avg_out_degree=2.0, seed=1)
         warm = compute_fga(g, HIGH_PRECISION)
-        with pytest.raises(ValueError, match="warm scores cover"):
-            WarmEdits(g.flat().with_node(), warm)
+        shrunk = FlatEdges.from_arrays(5, [0], [1], [0.5])
+        with pytest.raises(ValueError, match="graph has 5 nodes but warm scores cover 6"):
+            WarmEdits(shrunk, warm)
         edits = WarmEdits(g.flat(), warm, HIGH_PRECISION)
         with pytest.raises(ValueError, match="self-loop"):
             edits.solve(2, 2, 1.0)
@@ -400,7 +427,7 @@ class TestWarmStart:
         warm = compute_fga(g, HIGH_PRECISION)
         u, v, _ = next(iter(g.edges()))
         g2 = g.copy()
-        g2.update_weight(u, v, -1.0)
+        assert g2.rate(u, v, -1.0) == "weight-update"
         warm_result = recompute_after(g2, warm, HIGH_PRECISION)
         cold_result = compute_fga(g2, HIGH_PRECISION)
         assert np.max(np.abs(warm_result.fairness - cold_result.fairness)) < TOL
@@ -648,9 +675,9 @@ class TestFlatEdgeViews:
     def test_view_node_count_mismatch(self):
         from fga.engine import recompute_flat
 
-        g = generate_random_graph(10, seed=46)
-        warm = compute_fga(generate_random_graph(5, seed=46))
-        with pytest.raises(ValueError, match="warm scores cover"):
+        g = generate_random_graph(5, seed=46)
+        warm = compute_fga(generate_random_graph(10, seed=46))
+        with pytest.raises(ValueError, match="graph has 5 nodes but warm scores cover 10"):
             recompute_flat(g.flat(), warm)
 
 

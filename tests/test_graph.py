@@ -66,23 +66,45 @@ class TestAddEdge:
         g.validate()
 
 
-class TestUpdateWeight:
+class TestRate:
     def test_replaces_weight(self):
         g = pair_graph(1.0)
-        g.update_weight(0, 1, -1.0)
+        assert g.rate(0, 1, -1.0) == "weight-update"
         assert g.weight(0, 1) == -1.0
         assert g.edge_count == 1
 
     def test_missing_edge(self):
         g = pair_graph()
-        with pytest.raises(KeyError, match="does not exist"):
-            g.update_weight(1, 0, 0.2)
+        with pytest.raises(KeyError, match=r"edge \(1, 0\) does not exist"):
+            g.weight(1, 0)
+        assert g.rate(1, 0, 0.2) == "edge-addition"
+        assert g.weight(1, 0) == 0.2
+        assert g.edge_count == 2
 
     def test_same_weight_is_identity(self):
         g = pair_graph(0.25)
         before = g.copy()
-        g.update_weight(0, 1, 0.25)
+        assert g.rate(0, 1, 0.25) == "weight-update"
         assert g == before
+
+    @pytest.mark.parametrize(
+        "u, v, weight, error, message",
+        [
+            (0, 5, 2.0, KeyError, "unknown node 5"),
+            (-1, 1, 0.5, KeyError, "unknown node -1"),
+            (0, 1.0, 0.5, TypeError, "node id must be an integer, not 1.0"),
+            (1, 1, 2.0, ValueError, r"self-loop \(1, 1\) not allowed"),
+            (0, 1, 1.5, ValueError, r"weight 1.5 outside \[-1, 1\]"),
+            (1, 0, float("nan"), ValueError, r"weight nan outside \[-1, 1\]"),
+        ],
+        ids=["unknown", "negative", "float-id", "self-loop", "update-weight", "add-weight"],
+    )
+    def test_rejects_what_add_edge_rejects_and_leaves_the_store(self, u, v, weight, error, message):
+        g = pair_graph()
+        flat = g.flat()
+        with pytest.raises(error, match=message):
+            g.rate(u, v, weight)
+        assert g.flat() is flat
 
 
 class TestNeighbourhood:
@@ -320,7 +342,7 @@ class TestCopy:
     def test_copy_is_independent(self):
         g = pair_graph(0.5)
         dup = g.copy()
-        dup.update_weight(0, 1, -1.0)
+        dup.rate(0, 1, -1.0)
         dup.add_node("c")
         assert g.weight(0, 1) == 0.5
         assert g.node_count == 2
@@ -473,10 +495,10 @@ class TestCachedFlat:
         [
             (lambda g: g.add_node("d"), 4, [(0, 1, 0.5), (1, 2, -0.25)]),
             (lambda g: g.add_edge(2, 0, 1.0), 3, [(0, 1, 0.5), (1, 2, -0.25), (2, 0, 1.0)]),
-            (lambda g: g.update_weight(0, 1, -1.0), 3, [(0, 1, -1.0), (1, 2, -0.25)]),
+            (lambda g: g.rate(0, 1, -1.0), 3, [(0, 1, -1.0), (1, 2, -0.25)]),
             (lambda g: g.rate(0, 2, 0.75), 3, [(0, 1, 0.5), (0, 2, 0.75), (1, 2, -0.25)]),
         ],
-        ids=["add_node", "add_edge", "update_weight", "rate"],
+        ids=["add_node", "add_edge", "rate-update", "rate"],
     )
     def test_every_mutator_clears_the_cache(self, mutate, n, edges):
         g = triangle_graph()
@@ -539,7 +561,7 @@ class TestFromArrays:
             ([(0, 1, 1.2)], ValueError, r"weight 1.2 outside \[-1, 1\]"),
             ([(0, 1, float("nan"))], ValueError, r"weight nan outside \[-1, 1\]"),
             ([(0, 1, 0.5), (1, 2, 0.1), (0, 1, 0.3)], ValueError,
-             r"edge \(0, 1\) already present; use update_weight"),
+             r"edge \(0, 1\) already present; use rate"),
             ([(0, 1.0, 0.5)], TypeError, "node id must be an integer, not 1.0"),
             ([(True, 1, 0.5)], TypeError, "node id must be an integer, not True"),
         ],
@@ -652,16 +674,12 @@ class EditPathMachine(RuleBasedStateMachine):
             self.graph.add_edge(u, v, w)
             self.model[u, v] = w
 
-    @precondition(lambda self: self.n >= 2)
+    @precondition(lambda self: self.model)
     @rule(data=st.data(), w=WEIGHTS)
-    def update_weight(self, data, w):
-        u, v = self.pair(data)
-        if (u, v) in self.model:
-            self.graph.update_weight(u, v, w)
-            self.model[u, v] = w
-        else:
-            with pytest.raises(KeyError, match="does not exist"):
-                self.graph.update_weight(u, v, w)
+    def re_rate(self, data, w):
+        u, v = data.draw(st.sampled_from(sorted(self.model)), label="edge")
+        assert self.graph.rate(u, v, w) == "weight-update"
+        self.model[u, v] = w
 
     @precondition(lambda self: self.n >= 2)
     @rule(data=st.data(), w=WEIGHTS)
