@@ -147,8 +147,9 @@ def _emit(args, payload: dict | str) -> None:
 
 
 def _cmd_compute(args) -> int:
+    config = FgaConfig(args.max_iterations, args.tolerance)
     graph = _load_graph(args)
-    scores = compute_fga(graph, FgaConfig(args.max_iterations, args.tolerance))
+    scores = compute_fga(graph, config)
     text = io.StringIO()
     dataio.export_scores_csv(graph, scores, text)
     _emit(args, text.getvalue())

@@ -11,13 +11,33 @@ between what u says and what the rated node deserves:
     f(u) = 1 - (1 / outdeg(u)) * sum_{v in Succ(u)} |w(u, v) - g(v)| / 2
 
 Unrated nodes have g = 1 and non-rating nodes have f = 1; these baselines are
-part of the definition and are re-applied on every sweep. Iteration starts
+part of the definition. Every sweep re-applies the goodness one; a
+non-rating node's empty sum gives f = 1 - 0 = 1 by itself. Iteration starts
 from f = g = 1 and alternates a full goodness sweep (using the previous
 fairness) with a full fairness sweep (using the fresh goodness).
 
+No sweep clips a value, and none halves a gap on its edge. Start scores lie
+in range (f in [0, 1], g in [-1, 1]; ``_check_warm`` checks warm ones once
+per solve stream), and then so do every sweep's: a term f(u) * w(u, v) rounds
+into [-1, 1] and a gap |w(u, v) - g(v)| into [0, 2], because rounding is
+monotone and the bounds are doubles, and for the same reason a node's sum of
+k of them rounds into [-k, k] (or [0, 2k]), k being exact. So each mean is in
+range, and so is 1 minus half of one. The halving is a divisor of 2 * outdeg,
+on the nodes. It gives the bits of halving each gap whenever every gap is a
+multiple of 2^-1073: each half is then exact, a sum of halves rounds to half
+the rounded sum of the gaps (scaling by 2 commutes with rounding down to
+2^-1022, and below that both sums are exact), and dividing by k or by 2 * k
+then rounds the same number. A gap that is an odd multiple of 2^-1074 needs
+a weight or goodness that is nonzero and below 2^-1021 in magnitude, which no
+rating scale gives. Halving it would drop its last bit. Two sums that differ
+stay apart when a term t is added only if one is at least half an ulp of t,
+so each out-edge lifts the difference at most about 2^54-fold, from below
+2^-966, where it can start, to above 2^-53, where 1 - v first reads it: that
+takes a crafted run of rounding ties over at least 18 out-edges of one node.
+
 Both sweeps are nonexpansive in the max norm: the goodness sweep G is
 1-Lipschitz in f because |w| <= 1, the fairness sweep F is 1/2-Lipschitz in
-g, and the clips and fixed baselines keep both properties. Let d_t =
+g, and the fixed baselines keep both properties. Let d_t =
 max|f_t - f_{t-1}| be the fairness step of sweep t. Each sweep reads only
 the scores of the sweep before, so g_{s+1} = G(f_s) for s >= 0 and f_s =
 F(g_s) for s >= 1, whatever the start scores (f_0, g_0) are. Hence
@@ -110,10 +130,15 @@ class FgaConfig:
     residual_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+        # numpy integers are integers; a bool is not a sweep count
+        sweeps, tolerance = self.max_iterations, self.residual_tolerance
+        if type(sweeps) is bool or not isinstance(sweeps, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {sweeps!r}")
+        if sweeps < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.residual_tolerance > 0:
-            raise ValueError("residual_tolerance must be > 0")
+        # an infinite tolerance would stop every solve after one sweep
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"residual_tolerance must be finite and > 0, got {tolerance}")
 
     def stops(self, residual, sweeps: int):
         """Whether a solve stops with ``residual`` after ``sweeps`` sweeps; elementwise on arrays."""
@@ -146,24 +171,24 @@ _BATCH_ITEMS = 1 << 15
 
 
 def _goodness(terms: np.ndarray, nodes: np.ndarray, indeg: np.ndarray) -> np.ndarray:
-    """Each node's mean in-edge term f(u) * w(u, v), clipped to [-1, 1]; both sweeps call it."""
+    """Each node's mean in-edge term f(u) * w(u, v), in [-1, 1]; both sweeps call it."""
     # bincount of no edges gives int zeros, which the in-place divide rejects
     values = np.bincount(nodes, terms, len(indeg)) if len(terms) else np.zeros(len(indeg))
     values /= indeg
-    np.minimum(values, 1.0, out=values)
-    np.maximum(values, -1.0, out=values)
     return values
 
 
-def _fairness(gaps: np.ndarray, nodes: np.ndarray, outdeg: np.ndarray) -> np.ndarray:
-    """Each node's 1 - mean |gap| / 2 over its out-edges' w(u, v) - g(v), clipped to [0, 1]."""
+def _fairness(gaps: np.ndarray, nodes: np.ndarray, twice_outdeg: np.ndarray) -> np.ndarray:
+    """Each node's 1 - mean |gap| / 2 over its out-edges' w(u, v) - g(v), in [0, 1].
+
+    The halving is in the divisor ``twice_outdeg``; the module docstring says why
+    neither function needs a clip.
+    """
     np.abs(gaps, out=gaps)
-    gaps *= 0.5
-    values = np.bincount(nodes, gaps, len(outdeg)) if len(gaps) else np.zeros(len(outdeg))
-    values /= outdeg
+    n = len(twice_outdeg)
+    values = np.bincount(nodes, gaps, n) if len(gaps) else np.zeros(n)
+    values /= twice_outdeg
     np.subtract(1.0, values, out=values)
-    np.minimum(values, 1.0, out=values)
-    np.maximum(values, 0.0, out=values)
     return values
 
 
@@ -177,12 +202,14 @@ class _Sweeps:
     run on the start scores, so a solve can resume from a later sweep.
     ``residuals`` holds each component's residual in the last sweep, and
     ``fairness_steps()`` its largest fairness step, reduced only on request.
+    ``starts`` holds each component's start scores, or is None for the cold
+    start f = g = 1.
     """
 
     def __init__(
         self,
         flats: list[FlatEdges],
-        starts: list[tuple[np.ndarray, np.ndarray]],
+        starts: list[tuple[np.ndarray, np.ndarray]] | None,
         config: FgaConfig,
         iterations: int = 0,
     ) -> None:
@@ -192,7 +219,6 @@ class _Sweeps:
             (flat,) = flats
             src, dst, w = flat.src, flat.dst, flat.w
             indeg, outdeg = flat.indeg, flat.outdeg
-            f, g = starts[0]
         else:
             shift = np.repeat(offsets, [len(flat.src) for flat in flats])
             src = np.concatenate([flat.src for flat in flats]) + shift
@@ -200,8 +226,10 @@ class _Sweeps:
             w = np.concatenate([flat.w for flat in flats])
             indeg = np.concatenate([flat.indeg for flat in flats])
             outdeg = np.concatenate([flat.outdeg for flat in flats])
-            f = np.concatenate([f for f, _ in starts])
-            g = np.concatenate([g for _, g in starts])
+        if starts is None:
+            f, g = np.ones(len(indeg)), np.ones(len(indeg))
+        else:
+            f, g = (np.concatenate(scores) for scores in zip(*starts))
         self.f, self.g = f, g
         self.iterations = iterations
         self.residuals = np.full(len(flats), math.inf)
@@ -209,10 +237,10 @@ class _Sweeps:
         self._edges = src, dst, w
         self._sizes, self._offsets = sizes, offsets
         self._indeg_safe = np.maximum(indeg, 1.0)
-        self._outdeg_safe = np.maximum(outdeg, 1.0)
-        self._unrated = indeg == 0
-        self._silent = outdeg == 0
+        self._twice_outdeg = 2.0 * np.maximum(outdeg, 1.0)
+        self._unrated = np.flatnonzero(indeg == 0)
         self._stopped = np.zeros(len(flats), dtype=bool)
+        self._running = len(flats)
         self._config = config
         self._edge_buf = np.empty(len(src))
         self._node_bufs = np.empty(len(f)), np.empty(len(f))
@@ -225,13 +253,11 @@ class _Sweeps:
         # clip mode: every index is in range, and it skips the copy of out that raise mode makes
         f.take(src, out=edge_buf, mode="clip")
         edge_buf *= w
-        # the baselines go in after the clip, which leaves 1.0 as it is
         g_new = _goodness(edge_buf, dst, self._indeg_safe)
-        np.copyto(g_new, 1.0, where=self._unrated)
+        g_new[self._unrated] = 1.0
         g_new.take(dst, out=edge_buf, mode="clip")
         np.subtract(w, edge_buf, out=edge_buf)
-        f_new = _fairness(edge_buf, src, self._outdeg_safe)
-        np.copyto(f_new, 1.0, where=self._silent)
+        f_new = _fairness(edge_buf, src, self._twice_outdeg)
         # the steps: max |change| of fairness and of goodness over each component
         f_delta, g_delta = self._node_bufs
         np.subtract(f_new, f, out=f_delta)
@@ -243,15 +269,17 @@ class _Sweeps:
         self.residuals = residuals = np.maximum.reduceat(g_delta, self._offsets)
         self.f, self.g = f_new, g_new
         self.iterations += 1
-        done = self._config.stops(residuals, self.iterations)
-        done &= ~self._stopped
-        for i in np.flatnonzero(done).tolist():
-            lo, hi = self._offsets[i], self._offsets[i] + self._sizes[i]
-            self.results[i] = FgaScores(
-                f_new[lo:hi].copy(), g_new[lo:hi].copy(), self.iterations, float(residuals[i])
-            )
-        self._stopped |= done
-        return bool(self._stopped.all())
+        # the components that stop on this sweep: the rule holds, and they had not stopped
+        newly = self._config.stops(residuals, self.iterations) > self._stopped
+        if newly.any():
+            for i in np.flatnonzero(newly).tolist():
+                lo, hi = self._offsets[i], self._offsets[i] + self._sizes[i]
+                self.results[i] = FgaScores(
+                    f_new[lo:hi].copy(), g_new[lo:hi].copy(), self.iterations, float(residuals[i])
+                )
+                self._running -= 1
+            self._stopped |= newly
+        return not self._running
 
     def fairness_steps(self) -> np.ndarray:
         """Each component's largest fairness step d_t in the last sweep."""
@@ -259,7 +287,7 @@ class _Sweeps:
 
 
 def _iterate_flat(
-    flats: list[FlatEdges], starts: list[tuple[np.ndarray, np.ndarray]], config: FgaConfig
+    flats: list[FlatEdges], starts: list[tuple[np.ndarray, np.ndarray]] | None, config: FgaConfig
 ) -> list[FgaScores]:
     """Solve the disjoint union of non-empty ``flats`` until every component stops."""
     sweeps = _Sweeps(flats, starts, config)
@@ -268,13 +296,21 @@ def _iterate_flat(
     return sweeps.results
 
 
-def _start(flat: FlatEdges, warm: FgaScores | None) -> tuple[np.ndarray, np.ndarray]:
-    """Start scores: all ones, or the warm ones with f = g = 1 for nodes added since.
+def _check_warm(warm: FgaScores) -> None:
+    """Refuse warm scores out of range (NaN included), naming the first node; the sweeps
+    rely on f in [0, 1] and g in [-1, 1] (module docstring)."""
+    for name, scores, low in (("fairness", warm.fairness, 0.0), ("goodness", warm.goodness, -1.0)):
+        bad = ~((scores >= low) & (scores <= 1.0))
+        if bad.any():
+            node = int(bad.argmax())
+            raise ValueError(f"warm {name} of node {node} is {scores[node]}, outside [{low:g}, 1]")
+
+
+def _start(flat: FlatEdges, warm: FgaScores) -> tuple[np.ndarray, np.ndarray]:
+    """Warm start scores, with f = g = 1 for nodes added since.
 
     The one check of warm scores against a store: a store with fewer nodes is refused.
     """
-    if warm is None:
-        return np.ones(flat.n), np.ones(flat.n)
     n_old = warm.node_count
     if n_old == flat.n:
         return warm.fairness, warm.goodness
@@ -294,29 +330,33 @@ def compute_fga_many(
     ``flats`` is read one batch at a time: the first result comes once a
     batch of at most ``_BATCH_ITEMS`` nodes plus edges is full or the graphs
     run out. One warm start serves the whole stream: ``warm``, if not None,
-    warm-starts every graph as in ``recompute_after``; otherwise all start
-    cold. Every result is bit-identical to the graph's own ``compute_fga``
-    or ``recompute_after`` (module docstring).
+    is checked once, before the first graph is read, and warm-starts every
+    graph as in ``recompute_after``; otherwise all start cold. Every result
+    is bit-identical to the graph's own ``compute_fga`` or
+    ``recompute_after`` (module docstring).
     """
     config = config or DEFAULT_CONFIG
+    if warm is not None:
+        _check_warm(warm)
     batch: list[FlatEdges] = []
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
+    starts: list[tuple[np.ndarray, np.ndarray]] = []  # stays empty in a cold stream
     items = 0
     for flat in flats:
-        start = _start(flat, warm)
+        start = None if warm is None else _start(flat, warm)
         size = flat.n + len(flat.src)
         if batch and (items + size > _BATCH_ITEMS or flat.n == 0):
-            yield from _iterate_flat(batch, starts, config)
+            yield from _iterate_flat(batch, starts or None, config)
             batch, starts, items = [], [], 0
         if flat.n == 0:
             # one sweep over no nodes: residual 0, so it stops at once
             yield FgaScores(np.ones(0), np.ones(0), 1, 0.0)
             continue
         batch.append(flat)
-        starts.append(start)
+        if start is not None:
+            starts.append(start)
         items += size
     if batch:
-        yield from _iterate_flat(batch, starts, config)
+        yield from _iterate_flat(batch, starts or None, config)
 
 
 def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
@@ -337,6 +377,7 @@ class WarmEdits:
     def __init__(self, flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = None) -> None:
         self.flat = flat
         self.config = config or DEFAULT_CONFIG
+        _check_warm(warm)
         f, g = _start(flat, warm)
         base = _Sweeps([flat], [(f, g)], self.config)
         self._f, self._g = [f], [g]
@@ -363,8 +404,9 @@ class _Side(NamedTuple):
     Edge i adds a term to node ``nodes[bins[i]]`` that reads the value of node
     ``ends[i]`` and weight ``w[i]``; the edited edge is edge ``at``, whose weight each
     solve puts in (if absent, ``graph.splice`` inserts it, as ``FlatEdges.with_ratings``
-    does). ``deg`` holds the nodes' degrees after the edit. Every node has an edge, so no
-    baseline value applies and deg >= 1.
+    does). ``divisor`` holds the nodes' degrees after the edit, doubled on a fairness side
+    (the halving, module docstring). Every node has an edge, so no baseline value applies
+    and every degree is at least 1.
     """
 
     nodes: np.ndarray
@@ -372,7 +414,7 @@ class _Side(NamedTuple):
     bins: np.ndarray
     w: np.ndarray
     at: int
-    deg: np.ndarray
+    divisor: np.ndarray
 
 
 class _Frontier:
@@ -396,7 +438,7 @@ class _Frontier:
             edges = ((flat.dst == r) if t == 1 else rated[flat.dst]).nonzero()[0]
             local = np.empty(flat.n, dtype=np.intp)
             local[nodes] = np.arange(len(nodes))
-            into = self._side(nodes, edges, local[flat.dst[edges]], flat.src, flat.indeg, r, a)
+            into = self._side(nodes, edges, local[flat.dst[edges]], flat.src, flat.indeg, 1.0, r, a)
             raters = np.zeros(flat.n, dtype=bool)
             raters[into.ends] = True
             nodes = raters.nonzero()[0]
@@ -406,21 +448,22 @@ class _Frontier:
             edges = np.arange(offsets[-1] + counts[-1])
             edges += np.repeat(starts - offsets, counts)
             bins = np.repeat(np.arange(len(nodes)), counts)
-            out = self._side(nodes, edges, bins, flat.dst, flat.outdeg, a, r)
+            out = self._side(nodes, edges, bins, flat.dst, flat.outdeg, 2.0, a, r)
             self.sides.append((into, out))
             rated[out.ends] = True  # sweep 2's goodness frontier: r is among them, as a rates it
 
-    def _side(self, nodes, edges, bins, ends, degrees, own, end) -> _Side:
-        """The side over ``edges`` (ascending), with the edited edge (own's, to ``end``) spliced in."""
+    def _side(self, nodes, edges, bins, ends, degrees, scale, own, end) -> _Side:
+        """The side over ``edges`` (ascending), with the edited edge (own's, to ``end``) spliced
+        in; its divisor is ``scale`` times the degrees."""
         ends, w = ends[edges], self.flat.w[edges]
         at = int(edges.searchsorted(self.at))
-        deg = degrees[nodes]
+        divisor = scale * degrees[nodes]
         if not self.present:
             own_bin = int(nodes.searchsorted(own))
             ends, bins, w = (splice(ends, (at,), (end,)), splice(bins, (at,), (own_bin,)),
                              splice(w, (at,), (0.0,)))
-            deg[own_bin] += 1.0
-        return _Side(nodes, ends, bins, w, at, deg)
+            divisor[own_bin] += scale
+        return _Side(nodes, ends, bins, w, at, divisor)
 
 
 class EditSolve:
@@ -503,14 +546,14 @@ class EditSolve:
         terms = f[into.ends]
         terms *= into.w
         terms[into.at] = f[a] * weight
-        values = _goodness(terms, into.bins, into.deg)
+        values = _goodness(terms, into.bins, into.divisor)
         g_step = float(np.abs(values - g[into.nodes]).max())
         goodness = base._g[t].copy()
         goodness[into.nodes] = values
         terms = goodness[out.ends]
         np.subtract(out.w, terms, out=terms)
         terms[out.at] = weight - goodness[r]
-        values = _fairness(terms, out.bins, out.deg)
+        values = _fairness(terms, out.bins, out.divisor)
         f_step = float(np.abs(values - f[out.nodes]).max())
         fairness = base._f[t].copy()
         fairness[out.nodes] = values

@@ -68,6 +68,14 @@ class TestComputeCommand:
         assert main(["compute", "--input", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_tolerance_is_exit_2(self, tolerance, capsys):
+        # an infinite tolerance would stop after one sweep and exit 0, unconverged
+        assert main(["compute", "--generate", "erdos", "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        assert "residual_tolerance must be finite" in captured.err
+        assert captured.out == ""
+
     def test_non_convergence_is_reported_not_fatal(self, ratings_csv, capsys):
         code = main([
             "compute", "--input", str(ratings_csv), "--max-iterations", "1",
@@ -902,7 +910,11 @@ def test_compute_exit_codes(command_tmp_dir, data, max_iterations, tolerance):
     argv += data.draw(_out_flag(command_tmp_dir))
     argv += [] if max_iterations is None else ["--max-iterations", str(max_iterations)]
     argv += [] if tolerance is None else ["--tolerance", str(tolerance)]
-    _run_command(argv)
+    code = _run_command(argv)
+    if max_iterations is not None and max_iterations < 1:
+        assert code == 2, argv
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        assert code == 2, argv
 
 
 @pytest.mark.ci_profile

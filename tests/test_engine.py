@@ -382,6 +382,22 @@ class TestIterationBehaviour:
         with pytest.raises(ValueError):
             FgaConfig(residual_tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [np.inf, -np.inf, np.nan])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # an infinite tolerance would stop every solve after one sweep
+        with pytest.raises(ValueError, match="residual_tolerance must be finite"):
+            FgaConfig(residual_tolerance=tolerance)
+
+    @pytest.mark.parametrize("sweeps", [2.5, 3.0, True, np.bool_(True), "3", None])
+    def test_non_integer_sweep_ceiling_rejected(self, sweeps):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            FgaConfig(max_iterations=sweeps)
+
+    def test_numpy_integer_sweep_ceiling_accepted(self):
+        g = generate_random_graph(10, seed=1)
+        got = compute_fga(g, FgaConfig(max_iterations=np.int64(3)))
+        assert_same_scores(got, compute_fga(g, FgaConfig(max_iterations=3)))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_range_preservation(self, seed):
@@ -465,6 +481,49 @@ class TestWarmStart:
         smaller = generate_random_graph(5, seed=1)
         with pytest.raises(ValueError, match="nodes"):
             recompute_after(smaller, warm)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fairness", np.nan), ("fairness", -0.25), ("fairness", 1.5), ("fairness", np.inf),
+         ("goodness", np.nan), ("goodness", -1.5), ("goodness", 1.0 + 2**-52),
+         ("goodness", -np.inf)],
+    )
+    @pytest.mark.parametrize("entry", ["recompute_after", "compute_fga_many", "WarmEdits"])
+    def test_out_of_range_warm_scores_refused_before_any_sweep(
+        self, monkeypatch, entry, field, value
+    ):
+        from fga import engine
+
+        g = generate_random_graph(10, seed=1)
+        good = compute_fga(g)
+        warm = dataclasses.replace(good, **{field: getattr(good, field).copy()})
+        getattr(warm, field)[7] = value
+
+        def no_sweep(*_):
+            raise AssertionError("swept before the warm scores were checked")
+
+        monkeypatch.setattr(engine._Sweeps, "__init__", no_sweep)
+        with pytest.raises(ValueError, match=f"warm {field} of node 7 is"):
+            if entry == "recompute_after":
+                recompute_after(g, warm)
+            elif entry == "compute_fga_many":
+                next(compute_fga_many([g.flat()], warm))
+            else:
+                WarmEdits(g.flat(), warm)
+
+    def test_a_stream_checks_its_warm_start_once(self, monkeypatch):
+        from fga import engine
+
+        g = generate_random_graph(6, seed=2)
+        warm = compute_fga(g)
+        checks = []
+        check = engine._check_warm
+        monkeypatch.setattr(engine, "_check_warm", lambda scores: checks.append(check(scores)))
+        monkeypatch.setattr(engine, "_BATCH_ITEMS", 40)  # many batches
+        solved = list(compute_fga_many([g.flat()] * 450, warm))
+        assert len(solved) == 450 and len(checks) == 1
+        WarmEdits(g.flat(), warm).solve(0, 1, 1.0).finish()
+        assert len(checks) == 2  # and one per WarmEdits
 
 
 def assert_same_scores(got, want):
