@@ -44,7 +44,7 @@ import numpy as np
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
 from .engine import EditSolve, WarmEdits, compute_fga_many
 from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
-from .graph import KIND_ADD, KIND_UPDATE, Wsn, node_index
+from .graph import KIND_ADD, KIND_UPDATE, Wsn, as_count, node_index
 
 #: Measurement-grade settings; attack deltas are asserted at 1e-9 downstream.
 ATTACK_CONFIG = HIGH_PRECISION
@@ -135,8 +135,7 @@ class AttackProblem:
     def __post_init__(self) -> None:
         if self.direction not in ("decrease", "increase"):
             raise ValueError(f"direction must be decrease or increase, got {self.direction!r}")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+        self.budget = as_count(self.budget, "budget")
         if not -1.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [-1, 1]")
         if (self.targets is None) == (self.target_pairs is None):
@@ -358,8 +357,7 @@ def indirect_attack_scaled(
     drawn from the fairness-sorted attacker list at the running cursor; all
     batch members rate the picked node with the picked weight.
     """
-    if scale < 1 or max_edges < 1:
-        raise ValueError("scale and max_edges must be >= 1")
+    scale, max_edges = as_count(scale, "scale", 1), as_count(max_edges, "max_edges", 1)
     pool, target, config, before = _prologue(graph, attackers, target, config, before)
     ordered = _by_descending_fairness(pool, before)
     view, after, moves, exhausted = _indirect_scan(
@@ -384,8 +382,7 @@ def mixed_attack(
     attacker is assigned twice. The outcome's first k1 moves are the direct
     ones, and it sets ``delta_direct``; ``exhausted`` is the indirect scan's.
     """
-    if k1 < 0 or k2 < 0:
-        raise ValueError("k1 and k2 must be >= 0")
+    k1, k2 = as_count(k1, "k1"), as_count(k2, "k2")
     pool, target, config, before = _prologue(graph, attackers, target, config, before, k1 + k2)
     ordered = _by_descending_fairness(pool, before)
     edits = [(attacker, target, -1.0) for attacker in ordered[:k1]]
@@ -428,6 +425,9 @@ def solve_exhaustive(
     by the objective whether or not it is feasible. Instances whose move-set
     count exceeds ``MAX_MOVE_SETS`` are rejected outright.
     """
+    grid = [float(weight) for weight in weight_grid]
+    if not all(-1.0 <= w <= 1.0 for w in grid) or len(set(grid)) < len(grid):  # nan fails
+        raise ValueError(f"weight_grid must hold distinct weights in [-1, 1], got {weight_grid!r}")
     graph = problem.graph
     pool: list[tuple[int, int, float]] = []
     for attacker in sorted(set(problem.attackers)):
@@ -435,10 +435,10 @@ def solve_exhaustive(
             if attacker == rated:
                 continue
             existing = graph.weight(attacker, rated) if graph.has_edge(attacker, rated) else None
-            for weight in weight_grid:
+            for weight in grid:
                 if existing is not None and existing == weight:
                     continue  # updating to the same value is a null move
-                pool.append((attacker, rated, float(weight)))
+                pool.append((attacker, rated, weight))
 
     total_sets = sum(math.comb(len(pool), size) for size in range(0, problem.budget + 1))
     if total_sets > MAX_MOVE_SETS:
@@ -507,8 +507,7 @@ def qualifying_attackers(
 
 
 def _sample(pool: list[int], count: int, rng: np.random.Generator, what: str) -> list[int]:
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = as_count(count, "count")
     if len(pool) < count:
         raise InsufficientCandidatesError(
             f"requested {count} {what} but only {len(pool)} qualify"

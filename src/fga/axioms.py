@@ -25,6 +25,7 @@ from . import generators
 from .engine import HIGH_PRECISION, FgaScores, FlatEdges, compute_fga_many
 from .engine import compute_fga  # noqa: F401  bench/tracing.py wraps it by this name
 from .gadgets import GadgetError, fairness_fan, goodness_star
+from .graph import as_count
 
 TOLERANCE = 1e-9
 
@@ -227,8 +228,6 @@ def _draw_obvious_fairness(rng, index: int) -> Check:
     # fairness 0) is not attainable by any finite graph, so it is checked
     # against the closed form while sampled gadgets confirm agreement with
     # 1 - error / 2 across the realizable range.
-    if closed_form_fairness(2.0) != 0.0 or closed_form_fairness(0.0) != 1.0:
-        raise AssertionError("closed-form endpoints broken")
     size = int(rng.integers(1, 4))
     d = 0.0 if index == 0 else float(rng.uniform(0.0, 1.8))
     return [_fairness_probe([d] * size)], lambda v: abs(v[0] - closed_form_fairness(d))
@@ -286,8 +285,7 @@ def _verdict(name: str, draw: Draw, samples: int, rng) -> AxiomVerdict:
 
 def run_axiom_suite(samples: int = 1000, seed: int = 0) -> list[AxiomVerdict]:
     """Run all eleven property checks over seeded random draws."""
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    samples = as_count(samples, "samples", 1)
     return [
         _verdict(name, draw, samples, np.random.default_rng([seed, row]))
         for row, (name, draw) in enumerate(_DRAWS.items())

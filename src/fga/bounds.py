@@ -27,7 +27,7 @@ import numpy as np
 from . import gadgets
 from .engine import HIGH_PRECISION, FgaScores, compute_fga, compute_fga_many
 from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
-from .graph import Wsn
+from .graph import Wsn, as_count
 
 #: Absolute slack on bound comparisons, absorbing fixed-point residual.
 BOUND_TOLERANCE = 1e-9
@@ -66,8 +66,7 @@ class BoundReport:
 
 def check_min_k_neighbour(graph: Wsn, k: int) -> MinKNeighbourCert:
     """List every node violating indeg >= k, outdeg >= k, or sum |w_in| <= k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_count(k, "k", 1)
     flat = graph.flat()
     mass = np.bincount(flat.dst, weights=np.abs(flat.w), minlength=flat.n)
     failed = np.stack([flat.indeg < k, flat.outdeg < k, mass > k + 1e-12], axis=1)
@@ -123,7 +122,8 @@ def stabiliser_lower_bound(k: int, l: int, delta: float) -> float:
     If the k influencing raters lose at most ``delta`` fairness, goodness
     stays at or above 1 - 2 * delta * k / (k + l).
     """
-    if k < 0 or l < 0 or k + l < 1:
+    k, l = as_count(k, "k"), as_count(l, "l")
+    if k + l < 1:
         raise ValueError("need k, l >= 0 with k + l >= 1")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
@@ -141,8 +141,7 @@ def _sybil_trials(
     ``draw()`` picks a trial's (rated, watched, cap, context) from ``rng``;
     the weight is drawn after it and closes the context.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    trials = as_count(trials, "trials", 1)
     base = compute_fga(graph, HIGH_PRECISION)
     drawn = []
     for trial in range(trials):

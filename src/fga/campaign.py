@@ -27,7 +27,7 @@ from .attacks import (
     select_targets,
 )
 from .engine import FgaScores, compute_fga
-from .graph import Wsn
+from .graph import Wsn, as_count
 
 MODES = ("direct", "indirect", "indirect-scaled", "mixed")
 
@@ -105,12 +105,13 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.attacker_class not in ATTACKER_CLASSES:
             raise ValueError(f"unknown attacker class {self.attacker_class!r}")
-        # numpy seeds no stream from a negative seed
+        # plain ints, as config.json holds them; numpy seeds no stream from a negative seed
         for name, least in (("jobs", 1), ("samples", 1), ("scale", 1), ("max_edges", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            setattr(self, name, as_count(getattr(self, name), name, least))
+        for name in ("k_values", "k1_values", "k2_values"):
+            setattr(self, name, tuple(as_count(k, name) for k in getattr(self, name)))
         cells = _cells(self)
-        if not cells or min((*self.k_values, *self.k1_values, *self.k2_values)) < 0:
+        if not cells:
             raise ValueError(f"a {self.mode} campaign needs a non-empty grid of counts >= 0")
         if len(set(cells)) < len(cells):
             raise ValueError(f"a {self.mode} campaign's grid repeats a cell")

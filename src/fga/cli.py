@@ -31,7 +31,7 @@ from .attacks import (
 from .dataio import DatasetMissingError
 from .engine import DEFAULT_CONFIG, FgaConfig, compute_fga, predict_weight
 from .gadgets import GadgetError
-from .graph import InvariantViolationError, RatingScale, Wsn
+from .graph import InvariantViolationError, RatingScale, Wsn, as_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -395,8 +395,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:  # numpy seeds no stream from a negative seed
-            raise ValueError(f"seed must be >= 0, got {args.seed}")
+        args.seed = as_count(args.seed, "seed")  # numpy seeds no stream from a negative seed
         return args.handler(args)
     except (DatasetMissingError, InsufficientCandidatesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -119,7 +119,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graph import FlatEdges, Wsn, _check_edge, node_index, splice
+from .graph import FlatEdges, Wsn, _check_edge, as_count, node_index, splice
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,10 @@ class FgaConfig:
     residual_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        # numpy integers are integers; a bool is not a sweep count
-        sweeps, tolerance = self.max_iterations, self.residual_tolerance
-        if type(sweeps) is bool or not isinstance(sweeps, (int, np.integer)):
-            raise ValueError(f"max_iterations must be an integer, got {sweeps!r}")
-        if sweeps < 1:
-            raise ValueError("max_iterations must be >= 1")
-        # an infinite tolerance would stop every solve after one sweep
-        if not (math.isfinite(tolerance) and tolerance > 0):
+        sweeps = as_count(self.max_iterations, "max_iterations", 1)
+        object.__setattr__(self, "max_iterations", sweeps)
+        tolerance = self.residual_tolerance  # an infinite one would stop every solve at sweep 1
+        if isinstance(tolerance, (bool, np.bool_)) or not 0 < tolerance < math.inf:  # nan fails
             raise ValueError(f"residual_tolerance must be finite and > 0, got {tolerance}")
 
     def stops(self, residual, sweeps: int):

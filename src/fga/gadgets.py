@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Wsn
+from .graph import Wsn, as_count
 
 
 class _EdgeList:
@@ -147,9 +147,8 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
     """
     if not groups:
         raise ValueError("at least one rater group is required")
-    for size, _, omega in groups:
-        if size < 1:
-            raise ValueError(f"group size {size} must be >= 1")
+    groups = [(as_count(size, "group size", 1), f0, omega) for size, f0, omega in groups]
+    for _, _, omega in groups:
         if not -1.0 <= omega <= 1.0:
             raise ValueError(f"rating {omega} outside [-1, 1]")
     total = sum(size for size, _, _ in groups)
@@ -195,10 +194,7 @@ def stabilised_star(
     With influencers pinned at fairness f0, the centre's converged goodness is
     (2 k f0 + l) / (2 k + l). The centre is node 0.
     """
-    if k < 1:
-        raise ValueError("at least one influencer is required")
-    if l < 0:
-        raise ValueError("stabiliser count must be >= 0")
+    k, l = as_count(k, "k", 1), as_count(l, "l")
     f0 = float(influencer_fairness)
     centre_goodness = (2.0 * k * f0 + l) / (2.0 * k + l)
 

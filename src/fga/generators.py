@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Wsn
+from .graph import Wsn, as_count
 
 
 def generate_min_k_neighbour(n: int, k: int, seed: int = 0) -> Wsn:
@@ -21,8 +21,7 @@ def generate_min_k_neighbour(n: int, k: int, seed: int = 0) -> Wsn:
     from k cyclic shifts, tries 10 * n * k degree-preserving swaps of two
     drawn edges, then draws one weight per edge in canonical order.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    n, k = as_count(n, "n"), as_count(k, "k", 1)
     if n < k + 1:
         raise ValueError(f"infeasible: need n >= k + 1, got n={n}, k={k}")
 
@@ -50,8 +49,7 @@ def generate_min_k_neighbour(n: int, k: int, seed: int = 0) -> Wsn:
 
 def generate_complete_positive(n: int) -> Wsn:
     """Every ordered pair rated with the maximum weight 1.0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n", 1)
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
     return Wsn.from_arrays(n, src, dst, np.ones(len(src)))
 
@@ -70,8 +68,7 @@ def generate_random_graph(
     ``positive_fraction`` of the edges are positive; trust networks are
     predominantly positive.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n", 1)
     if not 0.0 <= positive_fraction <= 1.0:
         raise ValueError("positive_fraction must be in [0, 1]")
     if not 0.0 <= avg_out_degree < np.inf:

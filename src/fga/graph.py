@@ -21,19 +21,33 @@ KIND_ADD = "edge-addition"  # the two kinds of move ``Wsn.rate`` makes
 KIND_UPDATE = "weight-update"
 
 
+def _integer(value) -> int | None:
+    """``value`` as a plain int if it has an integer type other than bool, else None."""
+    try:
+        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        return None
+
+
 def node_index(node, n: int) -> int:
     """``node`` as a plain int below ``n``; any integer type but bool is accepted."""
-    index = node
-    if type(node) is not int:
-        if isinstance(node, (bool, np.bool_)):
-            raise TypeError(f"node id must be an integer, not {node!r}")
-        try:
-            index = operator.index(node)
-        except TypeError:
-            raise TypeError(f"node id must be an integer, not {node!r}") from None
+    index = node if type(node) is int else _integer(node)
+    if index is None:
+        raise TypeError(f"node id must be an integer, not {node!r}")
     if not 0 <= index < n:
         raise KeyError(f"unknown node {node}")
     return index
+
+
+def as_count(value, name: str, least: int = 0) -> int:
+    """``value``, a count the library takes, as a plain int >= ``least``, or a ``ValueError``
+    naming it; any integer type but bool is accepted, so a numpy integer becomes an int."""
+    count = value if type(value) is int else _integer(value)
+    if count is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _check_edge(u, v, weight, n: int) -> tuple[int, int, float]:

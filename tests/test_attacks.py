@@ -517,7 +517,7 @@ class TestMixedAttack:
         monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)  # both checks come first
         with pytest.raises(ValueError, match="distinct attackers"):
             mixed_attack(g, [1, 2], 0, k1=2, k2=1)
-        with pytest.raises(ValueError, match="k1 and k2"):
+        with pytest.raises(ValueError, match="k1 must be >= 0, got -1"):
             mixed_attack(g, [1, 2], 0, k1=-1, k2=1)
 
 
@@ -740,6 +740,22 @@ class TestSolveExhaustive:
         assert result.sets_enumerated == 3
         assert result.feasible
         assert len(result.moves) == 1
+
+    @pytest.mark.parametrize(
+        "grid", [(-1.0, 1.0, 1.0), (0.0, -0.0), (2.0,), (-1.0, np.nan), (np.inf,), (-1.5, 1.0)]
+    )
+    def test_bad_weight_grid_rejected_before_the_base_solve(self, grid, monkeypatch):
+        # a repeated weight enumerated every set holding it twice, and a weight outside
+        # [-1, 1] failed only in the first overlay, after the base solve
+        g = two_rater_chain()
+        problem = AttackProblem(
+            graph=g, attackers=(g.add_node("5"),), intermediaries=(0, 1), budget=1,
+            threshold=0.0, direction="decrease", targets=(0,),
+        )
+        monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)
+        monkeypatch.setattr(attacks, "compute_fga_many", no_cold_solve)
+        with pytest.raises(ValueError, match=r"weight_grid must hold distinct weights in \[-1, 1\]"):
+            solve_exhaustive(problem, weight_grid=grid)
 
     def test_instance_guard(self):
         g = generate_random_graph(60, seed=1)

@@ -215,7 +215,7 @@ class TestSuiteRunner:
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_is_rejected(self, samples):
         # all eleven verdicts would pass vacuously, having checked nothing
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
             run_axiom_suite(samples=samples)
 
     def test_verdicts_pinned(self):

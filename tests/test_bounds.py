@@ -216,9 +216,9 @@ class TestEmpiricalHarnesses:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_is_rejected(self, trials):
         # an empty report list would read as every bound satisfied
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_direct_sybil(generate_random_graph(20, seed=3), trials=trials)
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_indirect_sybil(generate_min_k_neighbour(12, 3, seed=1), k=3, trials=trials)
 
     def test_stabiliser_grid(self):

@@ -626,12 +626,12 @@ class TestCampaignLibrary:
         assert row["sd"] is None
 
     @pytest.mark.parametrize("grid, match", [
-        ({"k_values": (1, -1)}, "non-empty grid of counts >= 0"),
-        ({"mode": "mixed", "k1_values": (-1,), "k2_values": (2,)}, "non-empty grid of counts >= 0"),
+        ({"k_values": (1, -1)}, "k_values must be >= 0, got -1"),
+        ({"mode": "mixed", "k1_values": (-1,), "k2_values": (2,)}, "k1_values must be >= 0, got -1"),
         ({"k_values": ()}, "non-empty grid of counts >= 0"),
         ({"mode": "mixed", "k1_values": (), "k2_values": (2,)}, "non-empty grid of counts >= 0"),
         # recorded in config.json, so checked though direct runs no k1
-        ({"k1_values": (-1,)}, "non-empty grid of counts >= 0"),
+        ({"k1_values": (-1,)}, "k1_values must be >= 0, got -1"),
         ({"k_values": (2, 2), "samples": 2}, "direct campaign's grid repeats a cell"),
         ({"mode": "mixed", "k1_values": (1, 1), "k2_values": (2,)}, "grid repeats a cell"),
         ({"attacker_class": "bogus"}, "unknown attacker class 'bogus'"),

@@ -388,6 +388,12 @@ class TestIterationBehaviour:
         with pytest.raises(ValueError, match="residual_tolerance must be finite"):
             FgaConfig(residual_tolerance=tolerance)
 
+    @pytest.mark.parametrize("tolerance", [True, np.bool_(True)])
+    def test_bool_tolerance_rejected(self, tolerance):
+        # True == 1 passed the range test, as a bool sweep ceiling would not
+        with pytest.raises(ValueError, match="residual_tolerance must be finite and > 0, got True"):
+            FgaConfig(residual_tolerance=tolerance)
+
     @pytest.mark.parametrize("sweeps", [2.5, 3.0, True, np.bool_(True), "3", None])
     def test_non_integer_sweep_ceiling_rejected(self, sweeps):
         with pytest.raises(ValueError, match="max_iterations must be an integer"):
