@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,17 @@ class SelectionCriteria:
     established_min_outdeg: int = 5
     established_min_fairness: float = 0.7
     fresh_max_indeg: int = 10
+
+    def __post_init__(self) -> None:
+        for name in ("target_max_indeg", "established_min_outdeg", "fresh_max_indeg"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
+        # a NaN threshold, or one outside the score's range, would let the filter admit
+        # every node or none without an error
+        for name, low in (("target_min_goodness", -1.0), ("established_min_fairness", 0.0)):
+            value = getattr(self, name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and low <= value <= 1.0):  # np.bool_ is no Real; NaN is in no range
+                raise ValueError(f"{name} must be a number in [{low:g}, 1], got {value!r}")
 
 
 @dataclass

@@ -285,7 +285,7 @@ def _verdict(name: str, draw: Draw, samples: int, rng) -> AxiomVerdict:
 
 def run_axiom_suite(samples: int = 1000, seed: int = 0) -> list[AxiomVerdict]:
     """Run all eleven property checks over seeded random draws."""
-    samples = as_count(samples, "samples", 1)
+    samples, seed = as_count(samples, "samples", 1), as_count(seed, "seed")
     return [
         _verdict(name, draw, samples, np.random.default_rng([seed, row]))
         for row, (name, draw) in enumerate(_DRAWS.items())

@@ -160,6 +160,7 @@ def _sybil_trials(
 
 def verify_direct_sybil(graph: Wsn, trials: int, seed: int = 0) -> list[BoundReport]:
     """Inject one fake rater straight at random targets; compare |shift| to 2/indeg."""
+    seed = as_count(seed, "seed")
     eligible = [v for v in graph.nodes() if graph.indeg(v) >= 1]
     if not eligible:
         raise ValueError("no node has an incoming edge")
@@ -174,6 +175,7 @@ def verify_direct_sybil(graph: Wsn, trials: int, seed: int = 0) -> list[BoundRep
 
 def verify_indirect_sybil(graph: Wsn, k: int, trials: int, seed: int = 0) -> list[BoundReport]:
     """Inject one fake rater at an intermediary; check the shift of a distinct target."""
+    seed = as_count(seed, "seed")
     cert = check_min_k_neighbour(graph, k)
     if not cert.holds:
         raise ValueError(f"graph is not a minimum-{k}-neighbour network")

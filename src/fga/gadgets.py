@@ -1,13 +1,21 @@
 """Constructed graphs whose converged scores hit requested values exactly.
 
 The basic trick: a rater's fairness is pinned by attaching auxiliary sink
-nodes it rates with a controlled error. Each sink is also rated 1.0 by m
-fresh "pinner" nodes, which makes the sink's goodness solvable in closed
-form, so the whole little fixed point is worked out analytically before any
-node is created. Exact fairness 0 (or a rating error of exactly 2) cannot
-occur in any finite graph, because it would need every incoming term of some
-node to sit at an endpoint the rater itself contradicts; requests outside
-the realizable range raise GadgetError.
+nodes it rates with a controlled error. The sinks are also rated 1.0 by m
+"pinner" nodes, which makes a sink's goodness solvable in closed form, so the
+whole little fixed point is worked out analytically before any node is
+created. Exact fairness 0 (or a rating error of exactly 2) cannot occur in
+any finite graph, because it would need every incoming term of some node to
+sit at an endpoint the rater itself contradicts; requests outside the
+realizable range raise GadgetError.
+
+One set of m pinners rates all of a rater's sinks, so a pinned rater costs
+sinks + m nodes, not sinks * (m + 1), and the closed form is the one for m
+pinners of each sink's own. The rater, of fairness f, rates every sink with
+the same weight w, and the same m pinners rate every sink, so at the (unique)
+fixed point every sink has the same goodness g, and every pinner the fairness
+1 - (1 - g) / 2 = (1 + g) / 2 of a pinner that rates one sink. Then
+g = (f w + m (1 + g) / 2) / (m + 1), so g = (2 f w + m) / (m + 2) at each sink.
 """
 
 from __future__ import annotations
@@ -37,27 +45,31 @@ class _EdgeList:
         self.blocks.append((src, np.full(len(src), target), np.full(len(src), weight)))
 
     def pin_sinks(self, rater: int, weight: float, count: int, m: int) -> list[int]:
-        """``count`` sinks rated ``weight`` by ``rater``, each rated 1.0 by ``m`` fresh pinners.
+        """``count`` sinks rated ``weight`` by ``rater`` and 1.0 by each of ``m`` shared pinners.
 
-        Sink s is followed by its pinners s+1..s+m, as adding them one at a
-        time numbers them. A count of 0 adds nothing.
+        The sinks are numbered first, then the pinners. A count of 0 adds nothing.
         """
         if not count:
             return []
-        ids = self.add_nodes(count * (m + 1))
-        src = np.arange(ids.start, ids.stop)
-        dst = np.repeat(src[:: m + 1], m + 1)  # sink s is rated from s, s+1, ..., s+m,
-        src[:: m + 1] = rater  # where s stands for the rater
+        sinks = self.add_nodes(count + m)[:count]
+        sources = np.arange(sinks.stop - 1, sinks.stop + m)  # the pinners, after
+        sources[0] = rater  # a first slot for the rater
+        src = np.repeat(sources, count)
+        dst = np.empty((m + 1, count), dtype=np.int64)
+        dst[:] = np.arange(sinks.start, sinks.stop)  # each source rates every sink
         w = np.ones(len(src))
-        w[:: m + 1] = weight
-        self.blocks.append((src, dst, w))
-        return list(ids[:: m + 1])
+        w[:count] = weight
+        self.blocks.append((src, dst.reshape(-1), w))
+        return list(sinks)
 
-    def pinned_rater(self, fairness: float, error: float) -> int:
-        """A new rater whose fairness is pinned at ``fairness`` beside one rating of ``error``."""
-        rater = self.add_nodes(1)[0]
-        self.pin_sinks(rater, *_ballast_plan(fairness, [error]))
-        return rater
+    def pinned_raters(self, size: int, fairness: float, error: float) -> list[int]:
+        """``size`` new raters, each pinned at ``fairness`` beside one rating of ``error``."""
+        plan = _ballast_plan(fairness, [error])
+        raters = []
+        for _ in range(size):
+            raters.append(self.add_nodes(1)[0])
+            self.pin_sinks(raters[-1], *plan)
+        return raters
 
     def build(self) -> Wsn:
         # every gadget has an edge; from_arrays sorts them into canonical order
@@ -65,7 +77,7 @@ class _EdgeList:
         return Wsn.from_arrays(self.n, src, dst, w)
 
 
-#: Most sink nodes, and most pinners per sink, one pinned rater may need.
+#: Most sinks, and most pinners shared by them, one pinned rater may need.
 MAX_SINKS = 512
 MAX_PINNERS = 4096
 
@@ -158,7 +170,7 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
     centre = graph.add_nodes(1)[0]
     rater_groups: list[list[int]] = []
     for size, f0, omega in groups:
-        raters = [graph.pinned_rater(f0, abs(omega - centre_goodness)) for _ in range(size)]
+        raters = graph.pinned_raters(size, f0, abs(omega - centre_goodness))
         graph.rate(raters, centre, omega)
         rater_groups.append(raters)
     return graph.build(), centre, rater_groups
@@ -200,7 +212,7 @@ def stabilised_star(
 
     graph = _EdgeList()
     centre = graph.add_nodes(1)[0]
-    influencers = [graph.pinned_rater(f0, 1.0 - centre_goodness) for _ in range(k)]
+    influencers = graph.pinned_raters(k, f0, 1.0 - centre_goodness)
     stabilisers = list(graph.add_nodes(l))
     graph.rate(influencers + stabilisers, centre, 1.0)
     return graph.build(), centre, influencers, stabilisers

@@ -21,7 +21,7 @@ def generate_min_k_neighbour(n: int, k: int, seed: int = 0) -> Wsn:
     from k cyclic shifts, tries 10 * n * k degree-preserving swaps of two
     drawn edges, then draws one weight per edge in canonical order.
     """
-    n, k = as_count(n, "n"), as_count(k, "k", 1)
+    n, k, seed = as_count(n, "n"), as_count(k, "k", 1), as_count(seed, "seed")
     if n < k + 1:
         raise ValueError(f"infeasible: need n >= k + 1, got n={n}, k={k}")
 
@@ -68,7 +68,7 @@ def generate_random_graph(
     ``positive_fraction`` of the edges are positive; trust networks are
     predominantly positive.
     """
-    n = as_count(n, "n", 1)
+    n, seed = as_count(n, "n", 1), as_count(seed, "seed")
     if not 0.0 <= positive_fraction <= 1.0:
         raise ValueError("positive_fraction must be in [0, 1]")
     if not 0.0 <= avg_out_degree < np.inf:

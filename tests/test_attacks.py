@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -841,6 +842,23 @@ class TestSelection:
             g, scores, criteria, 3, np.random.default_rng(42), "established", exclude=set(a)
         )
         assert not (set(excluded) & set(a))
+
+    @pytest.mark.parametrize("field, low", [
+        ("target_min_goodness", "-1"), ("established_min_fairness", "0"),
+    ])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), 1.5, -1.5, True, np.bool_(False), "0.5", None,
+    ])
+    def test_criteria_refuse_a_threshold_outside_the_score_range(self, field, low, value):
+        # each was accepted, and then the filter admitted every node or none
+        message = f"{field} must be a number in [{low}, 1], got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SelectionCriteria(**{field: value})
+
+    def test_criteria_accept_thresholds_at_the_ends_of_the_range(self):
+        low = SelectionCriteria(target_min_goodness=-1, established_min_fairness=np.float64(0.0))
+        high = SelectionCriteria(target_min_goodness=np.int64(1), established_min_fairness=1.0)
+        assert (low.target_min_goodness, high.established_min_fairness) == (-1, 1.0)
 
 
 def no_cold_solve(*args, **kwargs):

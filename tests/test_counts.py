@@ -35,6 +35,17 @@ def _problem(budget):
     )
 
 
+#: The entry points that take a seed: numpy seeds no stream from a negative one.
+SEEDS = {
+    "run_axiom_suite.seed": ("seed", 0, lambda v, rng: run_axiom_suite(samples=1, seed=v)),
+    "verify_direct_sybil.seed": ("seed", 0, lambda v, rng: verify_direct_sybil(GRAPH, 1, v)),
+    "verify_indirect_sybil.seed": (
+        "seed", 0, lambda v, rng: verify_indirect_sybil(MIN_K, 3, 1, v)),
+    "generate_min_k_neighbour.seed": (
+        "seed", 0, lambda v, rng: generate_min_k_neighbour(5, 2, seed=v)),
+    "generate_random_graph.seed": ("seed", 0, lambda v, rng: generate_random_graph(10, seed=v)),
+}
+
 #: (count's name, a valid value, a call of an entry point with the count and a random stream)
 ENTRY_POINTS = {
     "FgaConfig.max_iterations": ("max_iterations", 3, lambda v, rng: FgaConfig(max_iterations=v)),
@@ -75,6 +86,13 @@ ENTRY_POINTS = {
     "generate_min_k_neighbour.k": ("k", 2, lambda v, rng: generate_min_k_neighbour(5, v)),
     "generate_complete_positive": ("n", 3, lambda v, rng: generate_complete_positive(v)),
     "generate_random_graph": ("n", 10, lambda v, rng: generate_random_graph(v)),
+    "SelectionCriteria.target_max_indeg": (
+        "target_max_indeg", 10, lambda v, rng: SelectionCriteria(target_max_indeg=v)),
+    "SelectionCriteria.established_min_outdeg": (
+        "established_min_outdeg", 0, lambda v, rng: SelectionCriteria(established_min_outdeg=v)),
+    "SelectionCriteria.fresh_max_indeg": (
+        "fresh_max_indeg", 10, lambda v, rng: SelectionCriteria(fresh_max_indeg=v)),
+    **SEEDS,
 }
 
 
@@ -106,6 +124,15 @@ def test_a_non_integer_count_fails_where_it_enters(entry, value, monkeypatch):
     message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value, _NoDraws())
+
+
+@pytest.mark.parametrize("entry", SEEDS)
+def test_a_negative_seed_fails_where_it_enters(entry, monkeypatch):
+    # numpy's "expected non-negative integer" named no parameter
+    for module, work in WORK:
+        monkeypatch.setattr(module, work, _refuse)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SEEDS[entry][2](-1, _NoDraws())
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
