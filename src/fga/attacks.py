@@ -30,7 +30,8 @@ and residual as ``recompute_flat``; a scaled batch re-solves instead.
 
 Attacks never edit the attacked graph. They score overlays of its edge store
 (``FlatEdges.with_ratings``), and an outcome's ``graph_after`` is the graph's
-labels plus the final overlay.
+labels plus the final overlay. The exhaustive oracle builds a batch of move
+sets' overlays at once, as one union (``engine._solve_overlays``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import HIGH_PRECISION, FgaConfig, FgaScores, FlatEdges, compute_fga, recompute_flat
-from .engine import EditSolve, WarmEdits, compute_fga_many
+from .engine import EditSolve, WarmEdits, _solve_overlays
 from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
 from .graph import KIND_ADD, KIND_UPDATE, Wsn, as_count, node_index
 
@@ -471,11 +472,7 @@ def solve_exhaustive(
         for combo in itertools.combinations(pool, size)
         if len({(a, v) for a, v, _ in combo}) == size
     )
-    # the engine reads the overlays a batch ahead of the sets they are paired with
-    combos, ahead = itertools.tee(combos)
-    views = (flat.with_ratings(combo) for combo in ahead)
-    solved = compute_fga_many(views, base, ATTACK_CONFIG)
-    for combo, scores in zip(combos, solved):
+    for combo, scores in _solve_overlays(flat, combos, base, ATTACK_CONFIG):
         value = _objective(problem, scores)
         enumerated += 1
         if (value < best_value) if minimize else (value > best_value):

@@ -10,8 +10,12 @@ A ``Check`` is the gadgets a property needs plus its gap as a function of
 their measured values; ``gap`` solves one, and 0 means the property holds
 exactly. The suite is one table, ``_DRAWS``, from each axiom's name to its
 draw of one sampled check. ``run_axiom_suite`` gives every axiom its own
-seeded stream, draws all of its samples, solves all of their gadgets through
-``compute_fga_many`` and scores each draw against ``TOLERANCE``.
+seeded stream, draws all of its samples, solves all of their gadgets and
+scores each draw against ``TOLERANCE``. A probe hands the engine its gadget
+unbuilt, as a node count and edge blocks (``gadgets._EdgeList``), so no
+``Wsn`` is made and each batch of gadgets is sorted once
+(``engine._solve_edge_blocks``); each result is bit-identical to the solve
+of the gadget built alone.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from typing import Callable
 import numpy as np
 
 from . import generators
-from .engine import HIGH_PRECISION, FgaScores, FlatEdges, compute_fga_many
+from .engine import HIGH_PRECISION, Block, FgaScores, _solve_edge_blocks
 from .engine import compute_fga  # noqa: F401  bench/tracing.py wraps it by this name
-from .gadgets import GadgetError, fairness_fan, goodness_star
+from .gadgets import GadgetError, _fairness_fan, _goodness_star
+from .gadgets import fairness_fan, goodness_star  # noqa: F401  bench/tracing.py wraps them
 from .graph import as_count
 
 TOLERANCE = 1e-9
@@ -61,25 +66,25 @@ class AxiomVerdict:
 
 # -- measurement helpers -------------------------------------------------
 
-#: A gadget's flat edges and what to read off its converged scores.
-Probe = tuple[FlatEdges, Callable[[FgaScores], float]]
+#: A gadget, unbuilt (its node count and edge blocks), and what to read off its scores.
+Probe = tuple[tuple[int, list[Block]], Callable[[FgaScores], float]]
 #: The probes of one check and its gap as a function of their measured values.
 Check = tuple[list[Probe], Callable[[list[float]], float]]
 
 
 def _goodness_probe(groups: list[tuple[int, float, float]]) -> Probe:
-    graph, centre, _ = goodness_star(groups)
-    return graph.flat(), lambda scores: float(scores.goodness[centre])
+    graph, centre, _ = _goodness_star(groups)
+    return (graph.n, graph.blocks), lambda scores: float(scores.goodness[centre])
 
 
 def _fairness_probe(errors: list[float]) -> Probe:
-    graph, rater, _ = fairness_fan(errors)
-    return graph.flat(), lambda scores: float(scores.fairness[rater])
+    graph, rater, _ = _fairness_fan(errors)
+    return (graph.n, graph.blocks), lambda scores: float(scores.fairness[rater])
 
 
 def _measure(probes: list[Probe]) -> list[float]:
     """Solve every probe's gadget in batches and read each one's value."""
-    solved = compute_fga_many([flat for flat, _ in probes], config=HIGH_PRECISION)
+    solved = _solve_edge_blocks([graph for graph, _ in probes], HIGH_PRECISION)
     return [read(scores) for (_, read), scores in zip(probes, solved)]
 
 
@@ -207,7 +212,8 @@ def _baseline_check(rng, scores_of: str, degree_of: str) -> Check:
     graph.add_node()
     flat = graph.flat()
     baseline = np.flatnonzero(getattr(flat, degree_of) == 0)
-    return [(flat, lambda s: np.abs(getattr(s, scores_of)[baseline] - 1.0).max())], lambda v: v[0]
+    probe = (flat.n, [(flat.src, flat.dst, flat.w)])
+    return [(probe, lambda s: np.abs(getattr(s, scores_of)[baseline] - 1.0).max())], lambda v: v[0]
 
 
 def _draw_smooth_fairness(rng, _: int) -> Check:

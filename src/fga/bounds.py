@@ -9,10 +9,12 @@ the sign of a positive target directly needs strictly more than
 ceil(2 * g(t) * indeg(t)) attackers of fairness >= 1/2.
 
 The harnesses check the caps empirically. A Sybil harness solves its graph
-once, then all its trials' one-rater overlays as one warm-started
-``compute_fga_many`` stream, each bit-identical to the trial's own
-``recompute_after``; the stabiliser solves its grid of stars as one cold
-stream of the same kind.
+once, then all its trials' one-rater overlays of the graph's store, grown by
+the fake rater, as one warm-started stream whose batches of overlays are
+built at once (``engine._solve_overlays``), each result bit-identical to the
+trial's own ``recompute_after``; the stabiliser hands its grid of stars to
+the engine unbuilt (``engine._solve_edge_blocks``), and each batch of them
+is sorted once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import gadgets
-from .engine import HIGH_PRECISION, FgaScores, compute_fga, compute_fga_many
+from .engine import HIGH_PRECISION, FgaScores, _solve_edge_blocks, _solve_overlays, compute_fga
 from .engine import recompute_after  # noqa: F401  bench/tracing.py wraps it by this name
 from .graph import Wsn, as_count
 
@@ -148,13 +150,12 @@ def _sybil_trials(
         rated, watched, cap, context = draw()
         weight = float(WEIGHT_SWEEP[rng.integers(0, len(WEIGHT_SWEEP))])
         drawn.append((rated, weight, watched, cap, {"trial": trial, **context, "weight": weight}))
-    # node n is the fake rater; a generator: an otc-sized graph's overlays are never all held
-    grown = graph.flat().with_node()
-    views = (grown.with_rating(graph.node_count, rated, weight) for rated, weight, *_ in drawn)
-    solved = compute_fga_many(views, base, HIGH_PRECISION)
+    # node n is the fake rater, added to the store once
+    edits = [((graph.node_count, rated, weight),) for rated, weight, *_ in drawn]
+    solved = _solve_overlays(graph.flat().with_node(), edits, base, HIGH_PRECISION)
     return [
         BoundReport(cap, float(after.goodness[watched] - base.goodness[watched]), context)
-        for (*_, watched, cap, context), after in zip(drawn, solved)
+        for (*_, watched, cap, context), (_, after) in zip(drawn, solved)
     ]
 
 
@@ -209,8 +210,8 @@ def verify_stabiliser(
         (k, l, delta, max(1.0 - delta, STABILISER_MIN_FAIRNESS))
         for k, l, delta in itertools.product(k_values, l_values, deltas)
     ]
-    stars = (gadgets.stabilised_star(k, l, fairness)[0].flat() for k, l, _, fairness in grid)
-    solved = compute_fga_many(stars, config=HIGH_PRECISION)
+    stars = (gadgets._stabilised_star(k, l, fairness)[0] for k, l, _, fairness in grid)
+    solved = _solve_edge_blocks(((star.n, star.blocks) for star in stars), HIGH_PRECISION)
     return [
         BoundReport(
             1.0 - stabiliser_lower_bound(k, l, delta),

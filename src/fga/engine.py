@@ -96,30 +96,43 @@ gadgets and move sets where per-call numpy overhead, not arithmetic, is the
 cost. It reads its graphs as a stream and cuts it into batches of at most
 ``_BATCH_ITEMS`` nodes plus edges (a larger graph is a batch of its own), so
 memory stays bounded however many graphs come; only the engine sizes
-batches. Each batch is concatenated with node offsets into one disjoint
-union (still in canonical order) and swept as one graph. The recurrences
-never couple two components, so each keeps its own fixed point, and each
-stops on its own rule: its residual is the maximum over its own nodes, and
-once that drops below the tolerance (or the sweep ceiling is hit) the
-component's scores, sweep count and residual are copied out, and what later
-sweeps of the batch do to it is ignored. Every result is bit-identical to
-the component's solo solve: a sweep is elementwise except for ``bincount``,
-which adds each node's terms in array order, and that order within the
-union is the component's own canonical order; maxima are exact. Results are
-yielded in input order, batch by batch. A single solve is a batch of one
-through the same loop, and so is an ``EditSolve`` from sweep 3 on: the loop
-(``_Sweeps``) runs one sweep per call and can start at any sweep count.
+batches (``_batches``, for every kind of input). Each batch is one disjoint
+union, a store whose components are the graphs, node ids offset in order
+and each graph's edges in its own canonical order, and it is swept as one
+graph. A batch of one is the graph's own store, with nothing copied. Two
+private paths build the union of a batch at once, for inputs that are
+cheaper to build together than one by one: ``_solve_edge_blocks`` takes
+gadgets unbuilt, as their node counts and edge blocks in any order, and
+sorts a batch's blocks once; ``_solve_overlays`` takes groups of edits of
+one store and builds a batch's overlays in a few vectorised calls
+(``graph.overlay_union``). The recurrences never couple two components, so
+each keeps its own fixed point, and each stops on its own rule: its residual
+is the maximum over its own nodes, and once that drops below the tolerance
+(or the sweep ceiling is hit) the component's scores, sweep count and
+residual are copied out, and what later sweeps of the batch do to it is
+ignored. Every result is bit-identical to the component's solo solve: a
+sweep is elementwise except for ``bincount``, which adds each node's terms
+in array order, and that order within the union is the component's own
+canonical order; maxima are exact. Results are yielded in input order,
+batch by batch. A single solve is a batch of one through the same loop, and
+so is an ``EditSolve`` from sweep 3 on: the loop (``_Sweeps``) runs one
+sweep per call and can start at any sweep count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .graph import FlatEdges, Wsn, _check_edge, as_count, node_index, splice
+from .graph import FlatEdges, Wsn, _check_edge, as_count, node_index, overlay_union, splice
+
+_T = TypeVar("_T")
+
+#: A group of (u, v, weight) edits of one store, on distinct edges.
+Edits = Sequence[tuple[int, int, float]]
 
 
 @dataclass(frozen=True)
@@ -189,57 +202,53 @@ def _fairness(gaps: np.ndarray, nodes: np.ndarray, twice_outdeg: np.ndarray) -> 
 
 
 class _Sweeps:
-    """The one sweep loop, resumable: a disjoint union of non-empty stores.
+    """The one sweep loop, resumable: a disjoint union of non-empty components.
 
-    Each ``advance`` runs one sweep of the whole union from the current
-    scores. A component stops on its own rule and keeps the scores, sweep
-    count and residual of that sweep in ``results``; it is swept on with the
-    rest, but what it does is ignored. ``iterations`` counts sweeps already
-    run on the start scores, so a solve can resume from a later sweep.
-    ``residuals`` holds each component's residual in the last sweep, and
+    ``union`` is one built store whose nodes are its components' nodes in
+    order, ``sizes`` their node counts, and each component's edges its own
+    canonical order (the store's order is then canonical too). Each
+    ``advance`` runs one sweep of the whole union from the current scores. A
+    component stops on its own rule and keeps the scores, sweep count and
+    residual of that sweep in ``results``; it is swept on with the rest, but
+    what it does is ignored. ``iterations`` counts sweeps already run on the
+    start scores, so a solve can resume from a later sweep. ``residuals``
+    holds each component's residual in the last sweep, and
     ``fairness_steps()`` its largest fairness step, reduced only on request.
-    ``starts`` holds each component's start scores, or is None for the cold
-    start f = g = 1.
+    ``start`` holds the union's start scores, or is None for the cold start
+    f = g = 1.
     """
 
     def __init__(
         self,
-        flats: list[FlatEdges],
-        starts: list[tuple[np.ndarray, np.ndarray]] | None,
+        union: FlatEdges,
+        sizes,
+        start: tuple[np.ndarray, np.ndarray] | None,
         config: FgaConfig,
         iterations: int = 0,
     ) -> None:
-        sizes = np.array([flat.n for flat in flats])
+        sizes = np.asarray(sizes)
         offsets = np.cumsum(sizes) - sizes
-        if len(flats) == 1:
-            (flat,) = flats
-            src, dst, w = flat.src, flat.dst, flat.w
-            indeg, outdeg = flat.indeg, flat.outdeg
-        else:
-            shift = np.repeat(offsets, [len(flat.src) for flat in flats])
-            src = np.concatenate([flat.src for flat in flats]) + shift
-            dst = np.concatenate([flat.dst for flat in flats]) + shift
-            w = np.concatenate([flat.w for flat in flats])
-            indeg = np.concatenate([flat.indeg for flat in flats])
-            outdeg = np.concatenate([flat.outdeg for flat in flats])
-        if starts is None:
-            f, g = np.ones(len(indeg)), np.ones(len(indeg))
-        else:
-            f, g = (np.concatenate(scores) for scores in zip(*starts))
+        n = union.n
+        f, g = (np.ones(n), np.ones(n)) if start is None else start
         self.f, self.g = f, g
         self.iterations = iterations
-        self.residuals = np.full(len(flats), math.inf)
-        self.results: list[FgaScores | None] = [None] * len(flats)
-        self._edges = src, dst, w
+        self.residuals = np.full(len(sizes), math.inf)
+        self.results: list[FgaScores | None] = [None] * len(sizes)
+        src, dst = union.src, union.dst
+        if len(sizes) > 1:
+            # take and bincount copy a read-only index array on every call, and a union's
+            # sweeps outlast one copy of its own (a lone store's few warm sweeps may not)
+            src, dst = src.copy(), dst.copy()
+        self._edges = src, dst, union.w
         self._sizes, self._offsets = sizes, offsets
-        self._indeg_safe = np.maximum(indeg, 1.0)
-        self._twice_outdeg = 2.0 * np.maximum(outdeg, 1.0)
-        self._unrated = np.flatnonzero(indeg == 0)
-        self._stopped = np.zeros(len(flats), dtype=bool)
-        self._running = len(flats)
+        self._indeg_safe = np.maximum(union.indeg, 1.0)
+        self._twice_outdeg = 2.0 * np.maximum(union.outdeg, 1.0)
+        self._unrated = np.flatnonzero(union.indeg == 0)
+        self._stopped = np.zeros(len(sizes), dtype=bool)
+        self._running = len(sizes)
         self._config = config
         self._edge_buf = np.empty(len(src))
-        self._node_bufs = np.empty(len(f)), np.empty(len(f))
+        self._node_bufs = np.empty(n), np.empty(n)
 
     def advance(self) -> bool:
         """Run one sweep; True once every component has stopped."""
@@ -282,11 +291,32 @@ class _Sweeps:
         return np.maximum.reduceat(self._node_bufs[0], self._offsets)
 
 
-def _iterate_flat(
-    flats: list[FlatEdges], starts: list[tuple[np.ndarray, np.ndarray]] | None, config: FgaConfig
+def _batches(items: Iterable[_T], size: Callable[[_T], int]) -> Iterator[list[_T]]:
+    """``items`` cut into runs of at most ``_BATCH_ITEMS`` nodes plus edges, read a run at a time.
+
+    ``size(item)`` is the item's nodes plus edges, or a bound on them. A larger item is a run
+    of its own, and so is a graph of no nodes, which a union cannot hold (``_solve``).
+    """
+    batch: list[_T] = []
+    items_in = 0
+    for item in items:
+        items_of = size(item)
+        if batch and (items_in + items_of > _BATCH_ITEMS or not items_in or not items_of):
+            yield batch
+            batch, items_in = [], 0
+        batch.append(item)
+        items_in += items_of
+    if batch:
+        yield batch
+
+
+def _solve(
+    union: FlatEdges, sizes, start: tuple[np.ndarray, np.ndarray] | None, config: FgaConfig
 ) -> list[FgaScores]:
-    """Solve the disjoint union of non-empty ``flats`` until every component stops."""
-    sweeps = _Sweeps(flats, starts, config)
+    """Solve a union of components of ``sizes`` nodes until every one stops."""
+    if not union.n:  # one sweep over no nodes: residual 0, so it stops at once
+        return [FgaScores(np.ones(0), np.ones(0), 1, 0.0)]
+    sweeps = _Sweeps(union, sizes, start, config)
     while not sweeps.advance():
         pass
     return sweeps.results
@@ -334,25 +364,66 @@ def compute_fga_many(
     config = config or DEFAULT_CONFIG
     if warm is not None:
         _check_warm(warm)
-    batch: list[FlatEdges] = []
-    starts: list[tuple[np.ndarray, np.ndarray]] = []  # stays empty in a cold stream
-    items = 0
-    for flat in flats:
-        start = None if warm is None else _start(flat, warm)
-        size = flat.n + len(flat.src)
-        if batch and (items + size > _BATCH_ITEMS or flat.n == 0):
-            yield from _iterate_flat(batch, starts or None, config)
-            batch, starts, items = [], [], 0
-        if flat.n == 0:
-            # one sweep over no nodes: residual 0, so it stops at once
-            yield FgaScores(np.ones(0), np.ones(0), 1, 0.0)
-            continue
-        batch.append(flat)
-        if start is not None:
-            starts.append(start)
-        items += size
-    if batch:
-        yield from _iterate_flat(batch, starts or None, config)
+    for batch in _batches(flats, lambda flat: flat.n + len(flat.src)):
+        start = None if warm is None else tuple(
+            np.concatenate(scores) for scores in zip(*(_start(flat, warm) for flat in batch))
+        )
+        union = batch[0] if len(batch) == 1 else _union(
+            [(flat.n, [(flat.src, flat.dst, flat.w)]) for flat in batch]
+        )
+        yield from _solve(union, [flat.n for flat in batch], start, config)
+
+
+#: One block of a graph's edges: (src, dst, w) arrays, in any order.
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _union(graphs: list[tuple[int, list[Block]]]) -> FlatEdges:
+    """The disjoint union of graphs given as node counts and edge blocks in any order.
+
+    The blocks are offset, concatenated and sorted once (``FlatEdges.from_arrays``), so the
+    union's order is each graph's own canonical order, one graph after another.
+    """
+    sizes = [n for n, _ in graphs]
+    blocks = [block for _, graph_blocks in graphs for block in graph_blocks]
+    block_shift = np.repeat(np.cumsum(sizes) - sizes, [len(graph[1]) for graph in graphs])
+    shift = np.repeat(block_shift, [len(src) for src, _, _ in blocks])
+    src, dst, w = (np.concatenate(column) for column in zip(*blocks))
+    src += shift  # in place, and the shift freed, to keep a batch's peak memory low
+    dst += shift
+    del shift
+    return FlatEdges.from_arrays(sum(sizes), src, dst, w)
+
+
+def _solve_edge_blocks(
+    graphs: Iterable[tuple[int, list[Block]]], config: FgaConfig
+) -> Iterator[FgaScores]:
+    """Cold solves of graphs handed in unbuilt, each as its node count and edge blocks.
+
+    Every graph has at least one block, and each result is bit-identical to ``compute_fga``
+    of the graph built alone.
+    """
+    for batch in _batches(graphs, lambda graph: graph[0] + sum(len(b[0]) for b in graph[1])):
+        yield from _solve(_union(batch), [n for n, _ in batch], None, config)
+
+
+def _solve_overlays(
+    flat: FlatEdges, groups: Iterable[Edits], warm: FgaScores, config: FgaConfig
+) -> Iterator[tuple[Edits, FgaScores]]:
+    """Warm re-solves of overlays of one store: each group of edits, with its scores, in order.
+
+    A group's scores are bit-identical to ``recompute_flat(flat.with_ratings(group), warm,
+    config)``. Its edits are on distinct edges, each checked as ``_check_edge`` checks it.
+    A batch's overlays are built at once, as one union (``graph.overlay_union``), and each
+    component starts from ``warm`` as ``_start`` starts ``flat``.
+    """
+    _check_warm(warm)
+    f, g = _start(flat, warm)
+    key = flat.src * flat.n + flat.dst
+    for batch in _batches(groups, lambda group: flat.n + len(flat.src) + len(group)):
+        count = len(batch)
+        union, start = overlay_union(flat, key, batch), (np.tile(f, count), np.tile(g, count))
+        yield from zip(batch, _solve(union, [flat.n] * count, start, config))
 
 
 def recompute_flat(flat: FlatEdges, warm: FgaScores, config: FgaConfig | None = None) -> FgaScores:
@@ -375,7 +446,7 @@ class WarmEdits:
         self.config = config or DEFAULT_CONFIG
         _check_warm(warm)
         f, g = _start(flat, warm)
-        base = _Sweeps([flat], [(f, g)], self.config)
+        base = _Sweeps(flat, (flat.n,), (f, g), self.config)
         self._f, self._g = [f], [g]
         self._steps = [(math.inf, math.inf)]  # per sweep, the residual and largest fairness step
         for _ in (1, 2):
@@ -511,7 +582,8 @@ class EditSolve:
             return
         if self._sweeps is None:
             start = (self.fairness, self.goodness)
-            self._sweeps = _Sweeps([self.view], [start], self._base.config, self.iterations)
+            config = self._base.config
+            self._sweeps = _Sweeps(self.view, (self.view.n,), start, config, self.iterations)
             self._frontier = None
         sweeps = self._sweeps
         sweeps.advance()

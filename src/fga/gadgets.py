@@ -44,32 +44,44 @@ class _EdgeList:
         src = np.asarray(raters, dtype=np.int64)
         self.blocks.append((src, np.full(len(src), target), np.full(len(src), weight)))
 
-    def pin_sinks(self, rater: int, weight: float, count: int, m: int) -> list[int]:
-        """``count`` sinks rated ``weight`` by ``rater`` and 1.0 by each of ``m`` shared pinners.
-
-        The sinks are numbered first, then the pinners. A count of 0 adds nothing.
-        """
-        if not count:
-            return []
-        sinks = self.add_nodes(count + m)[:count]
-        sources = np.arange(sinks.stop - 1, sinks.stop + m)  # the pinners, after
-        sources[0] = rater  # a first slot for the rater
-        src = np.repeat(sources, count)
-        dst = np.empty((m + 1, count), dtype=np.int64)
-        dst[:] = np.arange(sinks.start, sinks.stop)  # each source rates every sink
-        w = np.ones(len(src))
-        w[:count] = weight
-        self.blocks.append((src, dst.reshape(-1), w))
-        return list(sinks)
-
     def pinned_raters(self, size: int, fairness: float, error: float) -> list[int]:
-        """``size`` new raters, each pinned at ``fairness`` beside one rating of ``error``."""
-        plan = _ballast_plan(fairness, [error])
-        raters = []
-        for _ in range(size):
-            raters.append(self.add_nodes(1)[0])
-            self.pin_sinks(raters[-1], *plan)
-        return raters
+        """``size`` new raters, each pinned at ``fairness`` beside one rating of ``error``.
+
+        Rater i is numbered first, then its sinks, then the m pinners they share, and one
+        block holds the whole group. Fairness 1 needs no sinks, so its raters have no edge.
+        """
+        weight, count, m = _ballast_plan(fairness, [error])
+        stride = 1 + count + m
+        raters = self.add_nodes(size * stride)[::stride]
+        if count:
+            # rater i's edges, numbered from it: it and then each pinner rate every sink
+            shape = (size, m + 1, count)
+            first = np.arange(raters.start, raters.stop, stride)[:, None, None]
+            src = np.empty(shape, dtype=np.int64)
+            src[:] = np.arange(count, count + m + 1)[:, None]
+            src[:, 0] = 0
+            src += first
+            dst = np.empty(shape, dtype=np.int64)
+            dst[:] = np.arange(1, count + 1)
+            dst += first
+            w = np.ones(shape)
+            w[:, 0] = weight
+            self.blocks.append((src.reshape(-1), dst.reshape(-1), w.reshape(-1)))
+        return list(raters)
+
+    def pinned_sinks(
+        self, rater: int, weights: Sequence[float], pinners: Sequence[int]
+    ) -> list[int]:
+        """One sink per weight, rated it by ``rater`` and 1.0 by pinners of its own, as many
+        as ``pinners`` gives; each sink is numbered before its pinners."""
+        sizes = np.add(pinners, 1)  # each sink and its pinners
+        nodes = self.add_nodes(int(sizes.sum()))
+        ids = np.arange(nodes.start, nodes.stop)
+        sink = np.repeat(ids[np.cumsum(sizes) - sizes], sizes)  # the sink each node is or rates
+        rated = sink == ids  # the sinks, which the rater rates
+        w = np.where(rated, np.repeat(weights, sizes), 1.0)
+        self.blocks.append((np.where(rated, rater, ids), sink, w))
+        return sink[rated].tolist()
 
     def build(self) -> Wsn:
         # every gadget has an edge; from_arrays sorts them into canonical order
@@ -108,7 +120,8 @@ def _sink_weight(error: float, rater_fairness: float, m: int) -> float:
 def _ballast_plan(
     target_fairness: float, existing_errors: Sequence[float]
 ) -> tuple[float, int, int]:
-    """``pin_sinks``' (weight, count, m) that pin a rater's fairness at ``target_fairness``.
+    """The sink weight, sink count and pinner count that pin a rater's fairness at
+    ``target_fairness``.
 
     ``existing_errors`` are the errors its other out-edges carry at the fixed point;
     the sinks absorb the error budget they leave. Fairness 1 needs no sinks: count 0.
@@ -157,6 +170,14 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
     over the groups, and every rater's converged fairness equals its group's
     requested value. A fairness outside (0, 1] is a ``GadgetError``.
     """
+    graph, centre, rater_groups = _goodness_star(groups)
+    return graph.build(), centre, rater_groups
+
+
+def _goodness_star(
+    groups: Sequence[tuple[int, float, float]]
+) -> tuple[_EdgeList, int, list[list[int]]]:
+    """``goodness_star`` unbuilt: its ``_EdgeList`` in place of the ``Wsn``."""
     if not groups:
         raise ValueError("at least one rater group is required")
     groups = [(as_count(size, "group size", 1), f0, omega) for size, f0, omega in groups]
@@ -173,7 +194,7 @@ def goodness_star(groups: Sequence[tuple[int, float, float]]) -> tuple[Wsn, int,
         raters = graph.pinned_raters(size, f0, abs(omega - centre_goodness))
         graph.rate(raters, centre, omega)
         rater_groups.append(raters)
-    return graph.build(), centre, rater_groups
+    return graph, centre, rater_groups
 
 
 def fairness_fan(errors: Sequence[float]) -> tuple[Wsn, int, list[int]]:
@@ -181,21 +202,25 @@ def fairness_fan(errors: Sequence[float]) -> tuple[Wsn, int, list[int]]:
 
     The rater's converged fairness is 1 - mean(errors) / 2.
     """
+    graph, rater, rated_ids = _fairness_fan(errors)
+    return graph.build(), rater, rated_ids
+
+
+def _fairness_fan(errors: Sequence[float]) -> tuple[_EdgeList, int, list[int]]:
+    """``fairness_fan`` unbuilt: its ``_EdgeList`` in place of the ``Wsn``."""
     errors = [float(d) for d in errors]
     if not errors:
         raise ValueError("at least one rated node is required")
     for d in errors:
-        if d < 0.0 or d >= 2.0:
+        if not 0.0 <= d < 2.0:  # NaN fails too
             raise GadgetError(f"rating error {d} not realizable (must be in [0, 2))")
     rater_fairness = 1.0 - sum(errors) / (2.0 * len(errors))
 
+    pinners = [_pinner_count(d, rater_fairness) for d in errors]
+    weights = [_sink_weight(d, rater_fairness, m) for d, m in zip(errors, pinners)]
     graph = _EdgeList()
     rater = graph.add_nodes(1)[0]
-    rated_ids = []
-    for d in errors:
-        m = _pinner_count(d, rater_fairness)
-        rated_ids += graph.pin_sinks(rater, _sink_weight(d, rater_fairness, m), 1, m)
-    return graph.build(), rater, rated_ids
+    return graph, rater, graph.pinned_sinks(rater, weights, pinners)
 
 
 def stabilised_star(
@@ -206,6 +231,14 @@ def stabilised_star(
     With influencers pinned at fairness f0, the centre's converged goodness is
     (2 k f0 + l) / (2 k + l). The centre is node 0.
     """
+    graph, centre, influencers, stabilisers = _stabilised_star(k, l, influencer_fairness)
+    return graph.build(), centre, influencers, stabilisers
+
+
+def _stabilised_star(
+    k: int, l: int, influencer_fairness: float = 1.0
+) -> tuple[_EdgeList, int, list[int], list[int]]:
+    """``stabilised_star`` unbuilt: its ``_EdgeList`` in place of the ``Wsn``."""
     k, l = as_count(k, "k", 1), as_count(l, "l")
     f0 = float(influencer_fairness)
     centre_goodness = (2.0 * k * f0 + l) / (2.0 * k + l)
@@ -215,4 +248,4 @@ def stabilised_star(
     influencers = graph.pinned_raters(k, f0, 1.0 - centre_goodness)
     stabilisers = list(graph.add_nodes(l))
     graph.rate(influencers + stabilisers, centre, 1.0)
-    return graph.build(), centre, influencers, stabilisers
+    return graph, centre, influencers, stabilisers

@@ -309,6 +309,7 @@ class FlatEdges:
             order = np.argsort(key, kind="stable")
             key = key[order]
             fine = not (key[1:] == key[:-1]).any()
+            del key  # before the sorted copies are made
         if not fine:  # replay add_edge's checks edge by edge to raise its error
             seen = set()
             for edge in zip(src.tolist(), dst.tolist(), w.tolist()):
@@ -375,6 +376,41 @@ class FlatEdges:
             self.indeg + np.bincount(new_dst, minlength=n),
             self.outdeg + np.bincount(new_src, minlength=n),
         )
+
+
+def overlay_union(flat: FlatEdges, key: np.ndarray, groups: list) -> FlatEdges:
+    """The disjoint union of ``flat.with_ratings(group)`` over ``groups``, built at once.
+
+    ``key`` is the store's ascending ``src * n + dst``. Overlay b holds nodes
+    b * n to b * n + n - 1, and its arrays are ``with_ratings(group)``'s: the
+    store's arrays tiled, each update scattered into the tiled weights, and each
+    addition spliced in at its canonical position. A group's edits must be on
+    distinct edges, each checked as ``_check_edge`` checks it.
+    """
+    n, m, count = flat.n, len(key), len(groups)
+    edits = np.array([edit for group in groups for edit in group], dtype=np.float64).reshape(-1, 3)
+    owner = np.repeat(np.arange(count), [len(group) for group in groups])
+    u, v, weight = edits[:, 0].astype(np.int64), edits[:, 1].astype(np.int64), edits[:, 2]
+    edit_key = u * n + v
+    at = key.searchsorted(edit_key)
+    present = key.searchsorted(edit_key, side="right") > at
+    w = np.tile(flat.w, count)
+    w[owner[present] * m + at[present]] = weight[present]
+    shift = np.arange(count) * n
+    src, dst = ((ends + shift[:, None]).reshape(-1) for ends in (flat.src, flat.dst))
+    indeg, outdeg = np.tile(flat.indeg, count), np.tile(flat.outdeg, count)
+    added = np.flatnonzero(~present)
+    if len(added):
+        added = added[np.lexsort((edit_key[added], owner[added]))]  # canonical order in each group
+        owner = owner[added]
+        # one np.insert per array and batch: its fixed cost, too high for one value
+        # (``splice``), is paid once for all of a batch's additions
+        at = owner * m + at[added]
+        new = u[added] + shift[owner], v[added] + shift[owner], weight[added]
+        src, dst, w = (np.insert(old, at, values) for old, values in zip((src, dst, w), new))
+        indeg += np.bincount(new[1], minlength=count * n)
+        outdeg += np.bincount(new[0], minlength=count * n)
+    return FlatEdges(count * n, src, dst, w, indeg, outdeg)
 
 
 def splice(array: np.ndarray, at, values) -> np.ndarray:

@@ -754,7 +754,7 @@ class TestSolveExhaustive:
             threshold=0.0, direction="decrease", targets=(0,),
         )
         monkeypatch.setattr(attacks, "compute_fga", no_cold_solve)
-        monkeypatch.setattr(attacks, "compute_fga_many", no_cold_solve)
+        monkeypatch.setattr(attacks, "_solve_overlays", no_cold_solve)
         with pytest.raises(ValueError, match=r"weight_grid must hold distinct weights in \[-1, 1\]"):
             solve_exhaustive(problem, weight_grid=grid)
 

@@ -67,11 +67,18 @@ class TestGadgetRealization:
 
     def test_ballast_is_noop_for_perfect_rater(self):
         graph = _EdgeList()
-        rater = graph.add_nodes(1)[0]
+        graph.add_nodes(1)
         weight, count, m = _ballast_plan(1.0, [])
         assert count == 0
-        assert graph.pin_sinks(rater, weight, count, m) == []
-        assert graph.n == 1 and graph.blocks == []
+        assert graph.pinned_raters(2, 1.0, 0.0) == [1, 2]  # raters with no sinks
+        assert graph.n == 3 and graph.blocks == []
+
+    @pytest.mark.parametrize("errors", [[np.nan], [0.5, np.nan], [np.nan, 0.5]])
+    def test_nan_error_is_a_gadget_error(self, errors):
+        # NaN passed the range check and failed in _pinner_count, with a ValueError that
+        # named nothing: "cannot convert float NaN to integer"
+        with pytest.raises(GadgetError, match="rating error nan not realizable"):
+            fairness_fan(errors)
 
     def test_ballast_validates_inputs(self):
         with pytest.raises(GadgetError, match="existing errors"):

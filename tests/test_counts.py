@@ -98,9 +98,9 @@ ENTRY_POINTS = {
 
 #: The solves and the thread pool that the entry points start their work with.
 WORK = [
-    (attacks, "compute_fga"), (attacks, "compute_fga_many"), (axioms, "compute_fga_many"),
-    (bounds, "compute_fga"), (bounds, "compute_fga_many"), (campaign, "compute_fga"),
-    (campaign, "ThreadPoolExecutor"),
+    (attacks, "compute_fga"), (attacks, "_solve_overlays"), (axioms, "_solve_edge_blocks"),
+    (bounds, "compute_fga"), (bounds, "_solve_overlays"), (bounds, "_solve_edge_blocks"),
+    (campaign, "compute_fga"), (campaign, "ThreadPoolExecutor"),
 ]
 
 
