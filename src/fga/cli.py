@@ -155,7 +155,8 @@ def _cmd_compute(args) -> int:
     _emit(args, text.getvalue())
     print(
         f"# nodes={graph.node_count} edges={graph.edge_count} "
-        f"iterations={scores.iterations_run} max_residual={scores.max_residual:.3g}",
+        f"iterations={scores.iterations_run} max_residual={scores.max_residual:.3g} "
+        f"converged={str(scores.max_residual < config.residual_tolerance).lower()}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -99,7 +99,10 @@ memory stays bounded however many graphs come; only the engine sizes
 batches (``_batches``, for every kind of input). Each batch is one disjoint
 union, a store whose components are the graphs, node ids offset in order
 and each graph's edges in its own canonical order, and it is swept as one
-graph. A batch of one is the graph's own store, with nothing copied. Two
+graph. A batch of one is the graph's own store, with nothing copied: the
+sweep reads each store's own index arrays, which are writeable (``take``
+and ``bincount`` copy a read-only index on every call), not the read-only
+views the store publishes, so no index array is copied either. Two
 private paths build the union of a batch at once, for inputs that are
 cheaper to build together than one by one: ``_solve_edge_blocks`` takes
 gadgets unbuilt, as their node counts and edge blocks in any order, and
@@ -215,7 +218,9 @@ class _Sweeps:
     holds each component's residual in the last sweep, and
     ``fairness_steps()`` its largest fairness step, reduced only on request.
     ``start`` holds the union's start scores, or is None for the cold start
-    f = g = 1.
+    f = g = 1. The sweeps read the union's own index arrays, ``_src`` and
+    ``_dst``, as gather and bin indices and never write them; whether the
+    union is one store, an overlay or a batch, no index array is copied.
     """
 
     def __init__(
@@ -234,12 +239,7 @@ class _Sweeps:
         self.iterations = iterations
         self.residuals = np.full(len(sizes), math.inf)
         self.results: list[FgaScores | None] = [None] * len(sizes)
-        src, dst = union.src, union.dst
-        if len(sizes) > 1:
-            # take and bincount copy a read-only index array on every call, and a union's
-            # sweeps outlast one copy of its own (a lone store's few warm sweeps may not)
-            src, dst = src.copy(), dst.copy()
-        self._edges = src, dst, union.w
+        self._edges = union._src, union._dst, union.w
         self._sizes, self._offsets = sizes, offsets
         self._indeg_safe = np.maximum(union.indeg, 1.0)
         self._twice_outdeg = 2.0 * np.maximum(union.outdeg, 1.0)
@@ -247,7 +247,7 @@ class _Sweeps:
         self._stopped = np.zeros(len(sizes), dtype=bool)
         self._running = len(sizes)
         self._config = config
-        self._edge_buf = np.empty(len(src))
+        self._edge_buf = np.empty(len(union.w))
         self._node_bufs = np.empty(n), np.empty(n)
 
     def advance(self) -> bool:

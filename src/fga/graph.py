@@ -272,16 +272,23 @@ class FlatEdges:
     ``with_node`` adds an isolated node. An overlay therefore holds exactly
     the arrays that ``from_arrays`` gives for the edited edge list, and its
     scores are bit-identical to the rebuilt graph's, because float
-    accumulation follows the array order. All arrays are read-only.
+    accumulation follows the array order. Every public array is read-only:
+    ``src`` and ``dst`` are read-only views of the store's own index arrays
+    ``_src`` and ``_dst``, which stay writeable because ``take`` and
+    ``bincount`` copy a read-only index on every call. Only the engine's
+    sweep reads those, and nothing writes them. They are fresh arrays that
+    no caller holds or, in an overlay that keeps the edges (``with_node``, a
+    weight update), the base store's, passed on with their ``views``.
     """
 
-    __slots__ = ("n", "src", "dst", "w", "indeg", "outdeg")
+    __slots__ = ("n", "src", "dst", "w", "indeg", "outdeg", "_src", "_dst")
 
-    def __init__(self, n, src, dst, w, indeg, outdeg):
-        for array in (src, dst, w, indeg, outdeg):
+    def __init__(self, n, src, dst, w, indeg, outdeg, views=None):
+        self._src, self._dst = src, dst
+        self.src, self.dst = views or (src.view(), dst.view())
+        for array in (self.src, self.dst, w, indeg, outdeg):
             array.setflags(write=False)
-        self.n, self.src, self.dst, self.w = n, src, dst, w
-        self.indeg, self.outdeg = indeg, outdeg
+        self.n, self.w, self.indeg, self.outdeg = n, w, indeg, outdeg
 
     @classmethod
     def from_arrays(cls, n: int, src, dst, w) -> "FlatEdges":
@@ -340,9 +347,10 @@ class FlatEdges:
         return self.locate(u, v)[1]
 
     def with_node(self) -> "FlatEdges":
-        """Overlay with one more node, isolated; src, dst and w are shared."""
+        """Overlay with one more node, isolated; src, dst and w, and their views, are shared."""
         indeg, outdeg = np.append(self.indeg, 0.0), np.append(self.outdeg, 0.0)
-        return FlatEdges(self.n + 1, self.src, self.dst, self.w, indeg, outdeg)
+        views = self.src, self.dst
+        return FlatEdges(self.n + 1, self._src, self._dst, self.w, indeg, outdeg, views)
 
     def with_rating(self, u: int, v: int, weight: float) -> "FlatEdges":
         """Overlay with (u, v) set to ``weight``, inserting the edge if absent."""
@@ -366,7 +374,8 @@ class FlatEdges:
             else:
                 inserts.append((at, u, v))
         if not inserts:
-            return FlatEdges(n, self.src, self.dst, w, self.indeg, self.outdeg)
+            views = self.src, self.dst
+            return FlatEdges(n, self._src, self._dst, w, self.indeg, self.outdeg, views)
         at, new_src, new_dst = zip(*inserts)
         return FlatEdges(
             n,

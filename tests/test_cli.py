@@ -84,6 +84,15 @@ class TestComputeCommand:
         assert code == 0
         assert "iterations=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweeps, converged", [(2, "false"), (100, "true")])
+    def test_summary_says_whether_the_solve_converged(self, sweeps, converged, capsys):
+        code = main(["compute", "--generate", "erdos", "--max-iterations", str(sweeps)])
+        assert code == 0
+        summary = capsys.readouterr().err.strip().split()
+        assert summary[0] == "#" and summary[-1] == f"converged={converged}"
+        residual = float(summary[-2].removeprefix("max_residual="))
+        assert (residual < 1e-8) == (converged == "true")
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("argv", [

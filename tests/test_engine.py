@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fga_oracle
+from fga import attacks, engine
 from fga.dataio import export_scores_csv
 from fga.engine import (
     DEFAULT_CONFIG,
@@ -744,6 +745,48 @@ class TestFlatEdgeViews:
         warm = compute_fga(generate_random_graph(10, seed=46))
         with pytest.raises(ValueError, match="graph has 5 nodes but warm scores cover 10"):
             recompute_flat(g.flat(), warm)
+
+
+class TestStoreIndexArrays:
+    """Every sweep reads its store's own index arrays, uncopied, and no solve writes them."""
+
+    @staticmethod
+    def graph():
+        return generate_random_graph(40, avg_out_degree=4.0, seed=23, positive_fraction=0.85)
+
+    def test_sweeps_hold_the_stores_own_arrays(self):
+        flat = self.graph().flat()
+        u, v = int(flat.src[0]), int(flat.dst[0])
+        union = engine._union([(flat.n, [(flat.src, flat.dst, flat.w)])] * 3)
+        for store, sizes in (
+            (flat, [flat.n]),
+            (flat.with_rating(u, v, -1.0), [flat.n]),  # an update: the base's own arrays
+            (union, [flat.n] * 3),
+        ):
+            src, dst, _ = engine._Sweeps(store, sizes, None, DEFAULT_CONFIG)._edges
+            assert src is store._src and dst is store._dst
+
+    @pytest.mark.parametrize("path", ["compute_fga", "greedy", "overlays", "edge_blocks"])
+    def test_no_solve_writes_a_store(self, path):
+        g = self.graph()
+        flat = g.flat()
+        before = flat._src.copy(), flat._dst.copy()
+        if path == "compute_fga":
+            compute_fga(g)
+        elif path == "greedy":  # the scan's WarmEdits and EditSolves, then its overlays' sweeps
+            warm = compute_fga(g, HIGH_PRECISION)
+            target = int(flat.indeg.argmax())
+            raters = [node for node in g.nodes() if node != target][:3]
+            assert attacks.indirect_attack_greedy(g, raters, target, before=warm).moves
+        elif path == "overlays":
+            warm = compute_fga(g, HIGH_PRECISION)
+            groups = [[(0, v, -1.0)] for v in range(1, 6)]
+            assert len(list(engine._solve_overlays(flat, groups, warm, HIGH_PRECISION))) == 5
+        else:  # the store's own arrays handed in as a graph's one edge block
+            blocks = [(flat.n, [(flat._src, flat._dst, flat.w)])] * 2
+            assert len(list(engine._solve_edge_blocks(blocks, HIGH_PRECISION))) == 2
+        assert g.flat() is flat
+        assert np.array_equal(flat._src, before[0]) and np.array_equal(flat._dst, before[1])
 
 
 class TestPrediction:

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from fga import engine
 from fga.engine import HIGH_PRECISION, compute_fga, compute_fga_many
 from fga.generators import generate_random_graph
-from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn, splice
+from fga.graph import FlatEdges, InvariantViolationError, RatingScale, Wsn, overlay_union, splice
 
 WEIGHTS = st.floats(min_value=-1, max_value=1, allow_nan=False)
 
@@ -528,6 +529,56 @@ class TestCachedFlat:
         grown = g.flat()
         assert grown.src is flat.src and grown.dst is flat.dst and grown.w is flat.w
         assert_same_store(grown, bulk(4, [(0, 1, 0.5), (1, 2, -0.25)]))
+
+
+def assert_own_index_arrays(flat):
+    """``src`` and ``dst`` are read-only views of the store's own writeable index arrays."""
+    for public, own in ((flat.src, flat._src), (flat.dst, flat._dst)):
+        assert not public.flags.writeable and own.flags.writeable
+        # same start and length; a view of no elements shares no memory, only its start
+        assert public.ctypes.data == own.ctypes.data and len(public) == len(own)
+        assert np.shares_memory(public, own) or not len(own)
+
+
+class TestIndexArrays:
+    """Every way a store is made publishes read-only views of its own writeable index arrays,
+    which an overlay that keeps the edges shares, views included, and no other store holds."""
+
+    EDGES = [(0, 1, 0.5), (1, 2, -0.25), (2, 0, 1.0)]
+
+    @pytest.mark.parametrize("n, edges", [(0, []), (3, []), (3, EDGES)],
+                             ids=["no-nodes", "no-edges", "edges"])  # no nodes: ``Wsn()``'s store
+    def test_from_arrays(self, n, edges):
+        assert_own_index_arrays(bulk(n, edges))
+
+    @pytest.mark.parametrize("edit", ["with_node", "update"])
+    def test_an_overlay_that_keeps_the_edges_shares_them(self, edit):
+        flat = bulk(3, self.EDGES)
+        over = flat.with_node() if edit == "with_node" else flat.with_rating(0, 1, -1.0)
+        assert over._src is flat._src and over._dst is flat._dst
+        assert over.src is flat.src and over.dst is flat.dst
+        assert_own_index_arrays(over)
+
+    def test_an_insert_makes_fresh_arrays(self):
+        flat = bulk(3, self.EDGES)
+        over = flat.with_rating(0, 2, -1.0)
+        assert_own_index_arrays(over)
+        assert not np.shares_memory(over._src, flat._src)
+        assert not np.shares_memory(over._dst, flat._dst)
+
+    @pytest.mark.parametrize("groups", [[[(0, 1, -1.0)]] * 2, [[(0, 2, 0.5)], [(1, 0, -0.5)]]],
+                             ids=["updates", "inserts"])
+    def test_overlay_union(self, groups):
+        flat = bulk(3, self.EDGES)
+        union = overlay_union(flat, flat.src * flat.n + flat.dst, groups)
+        assert_own_index_arrays(union)
+        assert not np.shares_memory(union._src, flat._src)
+
+    def test_engine_union(self):
+        flat = bulk(3, self.EDGES)
+        union = engine._union([(flat.n, [(flat._src, flat._dst, flat.w)])] * 2)
+        assert_own_index_arrays(union)
+        assert not np.shares_memory(union._src, flat._src)
 
 
 class TestFromArrays:
